@@ -3,7 +3,5 @@
 Everything is computed over the rationals; every equation is checked for
 exact equality.  See the README for the layout and the command line.
 """
-from ._kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

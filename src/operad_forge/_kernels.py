@@ -1,8 +1,7 @@
 """Pure-Python kernels for permutation and Koszul-sign bookkeeping.
 
-These four functions are the innermost loops of every residual and axiom
-check.  A compiled twin lives in ``_speedups.pyx``; both implementations
-must agree entry for entry (see tests/test_kernels.py).
+These functions are the innermost loops of every residual and axiom
+check; tests/test_kernels.py checks their algebraic properties.
 
 Permutations are words in one-line notation over 0-based slots:
 ``perm[i]`` is the slot that input slot ``i`` is sent to.  The induced
@@ -10,6 +9,9 @@ action on tensors is ``perm(v_0 @ ... @ v_{n-1}) = sign * v_{q(0)} @ ...``
 with ``q`` the inverse permutation, i.e. the factor starting in slot ``i``
 ends up in slot ``perm[i]``.
 """
+
+# The benchmark's run record reads this name; there is one implementation.
+BACKEND = "python"
 
 
 def invert_perm(perm):

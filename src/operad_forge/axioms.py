@@ -9,22 +9,12 @@ so equivariance for generators implies it for the whole group.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import operads as op
 from .errors import Unstable
 
-__all__ = ["AxiomReport", "verify_axioms", "thread_count"]
-
-
-def thread_count(default: int = 1) -> int:
-    raw = os.environ.get("OPERAD_FORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
+__all__ = ["AxiomReport", "verify_axioms"]
 
 
 @dataclass
@@ -161,30 +151,14 @@ def _free_map(kind, rho_o, rho_c, colour, *drop):
     return o, c
 
 
-def verify_axioms(kind, max_n, max_genus2, extended=False, threads=None) -> AxiomReport:
+def verify_axioms(kind, max_n, max_genus2, extended=False) -> AxiomReport:
     """Check axioms 1-8 exhaustively within the bounds; report all failures."""
     report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_genus2)
     corollas = _corollas(kind, max_n, max_genus2, extended)
-    ctx = (kind, corollas, max_n, max_genus2, extended)
-    tasks = [(fn, ctx) for fn in _AXIOM_FUNCS.values()]
-    threads = threads if threads is not None else thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_run_task, tasks))
-    else:
-        partials = [_run_task(t) for t in tasks]
-    for checked, failures in partials:
-        report.checked += checked
-        report.failures.extend(failures)
+    for fn in _AXIOM_FUNCS.values():
+        fn(report, kind, corollas, max_n, max_genus2, extended)
     report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
     return report
-
-
-def _run_task(task):
-    fn, ctx = task
-    sub = AxiomReport(kind=ctx[0], max_n=ctx[2], max_genus2=ctx[3])
-    fn(sub, *ctx)
-    return sub.checked, sub.failures
 
 
 def _pairs(corollas, max_n, max_genus2, extra_genus2=0):
@@ -212,20 +186,78 @@ def _ax1(report, kind, corollas, max_n, max_genus2, extended):
                             report.fail(1, (x, a, y, b, colour), lhs, rhs)
 
 
+def _perm_group(lo, lc):
+    """Slot permutations (open map, closed map) of the labels ``lo``/``lc``,
+    and their product table: ``mul[s][r]`` indexes ``l -> r[s[l]]``."""
+    maps_o, maps_c = _perm_maps(lo), _perm_maps(lc)
+    index_o = {tuple(m[l] for l in lo): i for i, m in enumerate(maps_o)}
+    index_c = {tuple(m[l] for l in lc): i for i, m in enumerate(maps_c)}
+    mul_o = [[index_o[tuple(r[s[l]] for l in lo)] for r in maps_o] for s in maps_o]
+    mul_c = [[index_c[tuple(r[s[l]] for l in lc)] for r in maps_c] for s in maps_c]
+    nc = len(maps_c)
+    group = [(mo, mc) for mo in maps_o for mc in maps_c]
+    mul = [
+        [mul_o[so][ro] * nc + mul_c[sc][rc]
+         for ro in range(len(maps_o)) for rc in range(nc)]
+        for so in range(len(maps_o)) for sc in range(nc)
+    ]
+    return group, mul
+
+
+class _ActionTable:
+    """Relabellings of elements by the slot permutations of one label set,
+    with each element interned as an integer id and each row computed once."""
+
+    def __init__(self, kind, lo, lc):
+        self.kind = kind
+        self.group, self.mul = _perm_group(lo, lc)
+        self.ids, self.elems, self.rows = {}, [], []
+
+    def id(self, x):
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.elems)
+            self.elems.append(x)
+            self.rows.append(None)
+        return i
+
+    def row(self, i):
+        """Ids of ``elems[i]`` relabelled by each permutation of the group."""
+        r = self.rows[i]
+        if r is None:
+            x = self.elems[i]
+            r = self.rows[i] = [
+                self.id(_relabel(self.kind, x, mo, mc)) for mo, mc in self.group
+            ]
+        return r
+
+
 def _ax2(report, kind, corollas, max_n, max_genus2, extended):
-    """Relabelling is functorial."""
+    """Relabelling is functorial: x.(rho o sigma) == (x.sigma).rho for every
+    pair of slot permutations.  Each relabelling of each element is computed
+    once by ``relabel`` into a table of interned ids; every pair is then
+    checked by lookup, so equal ids mean equal elements."""
+    tables = {}
     for shape in corollas:
         for x in _basis(kind, shape, extended):
             lo = sorted(x.labels) if kind != "qoc" else sorted(op.open_labels(x))
             lc = sorted(op.closed_labels(x)) if kind == "qoc" else []
-            for rho_o, sig_o in itertools.product(_perm_maps(lo), repeat=2):
-                maps_c = _perm_maps(lc) if kind == "qoc" else [{}]
-                for rho_c, sig_c in itertools.product(maps_c, repeat=2):
-                    comp_o = {l: rho_o[sig_o[l]] for l in lo}
-                    comp_c = {l: rho_c[sig_c[l]] for l in lc}
-                    lhs = _relabel(kind, x, comp_o, comp_c)
-                    rhs = _relabel(kind, _relabel(kind, x, sig_o, sig_c), rho_o, rho_c)
-                    report.record(2, (x, rho_o, sig_o, rho_c, sig_c), lhs, rhs)
+            key = (tuple(lo), tuple(lc))
+            if key not in tables:
+                tables[key] = _ActionTable(kind, lo, lc)
+            table = tables[key]
+            rx = table.row(table.id(x))
+            for s, ms in enumerate(table.mul):
+                ry = table.row(rx[s])
+                lhs = [rx[m] for m in ms]
+                report.checked += len(ms)
+                if lhs == ry:
+                    continue
+                for r, (li, ri) in enumerate(zip(lhs, ry)):
+                    if li != ri:
+                        (rho_o, rho_c), (sig_o, sig_c) = table.group[r], table.group[s]
+                        report.fail(2, (x, rho_o, sig_o, rho_c, sig_c),
+                                    table.elems[li], table.elems[ri])
 
 
 def _ax3(report, kind, corollas, max_n, max_genus2, extended):

@@ -32,7 +32,7 @@ from .combinatorics import (
     transversal_slot_pair_counts,
     trim_bseq,
 )
-from .endo import _pair_matrix, endo_compose, endo_contract
+from .endo import _pair_matrix, endo_compose, endo_contract, endo_relabel
 from .errors import KindMismatch, PreconditionViolated, SymmetryViolation
 from .ftalgebra import (
     AlgebraData,
@@ -487,8 +487,6 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
             off_o, off_c = 1000, 1000
             rho = {l: l + off_o for l in f2.labels}
             rho_c = {l: l + off_c for l in f2.clabels}
-            from .endo import endo_relabel
-
             f2s = endo_relabel(f2, rho, rho_c)
             for colour in colours:
                 if colour == "open":

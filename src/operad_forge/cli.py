@@ -2,8 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 malformed
 input or usage.  Reports are deterministic for a fixed seed; rationals are
-printed as p/q strings.  OPERAD_FORGE_THREADS caps the parallel fan-out of
-the operad axiom verifier.
+printed as p/q strings.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import bv, ftalgebra as ft
-from .axioms import thread_count, verify_axioms
+from .axioms import verify_axioms
 from .endo import verify_twisted_axioms
 from .errors import OperadForgeError
 from .graded import canonical_space, format_rational, space_from_json, validate_space
@@ -34,7 +33,7 @@ def _emit(doc, fmt, text_lines):
 def cmd_verify_operad(args) -> int:
     report = verify_axioms(
         args.kind, args.max_n, args.max_genus2,
-        extended=args.allow_unstable_extension, threads=thread_count(),
+        extended=args.allow_unstable_extension,
     )
     doc = report.to_json()
     lines = [

@@ -235,13 +235,18 @@ def orbit_representative(bseq: Sequence[int], g: int) -> QOSurface:
         raise ValueError("negative count")
     if not (4 * g + 2 * b - 4 + n > 0):
         raise Unstable(f"b-sequence {bseq} at genus {g} is unstable")
+    return QOSurface(cycles=_rep_cycles(bseq), empties=bseq[0], g=g)
+
+
+def _rep_cycles(bseq: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the canonical surface: consecutive blocks of [n], shortest first."""
     cycles = []
     next_label = 1
     for k in range(1, len(bseq)):
         for _ in range(bseq[k]):
             cycles.append(tuple(range(next_label, next_label + k)))
             next_label += k
-    return QOSurface(cycles=tuple(cycles), empties=bseq[0], g=g)
+    return tuple(cycles)
 
 
 def stabilizer_size(bseq: Sequence[int], closed_arity: int = 0) -> int:

@@ -26,6 +26,7 @@ from .combinatorics import (
     QCElement,
     QOCSurface,
     QOSurface,
+    _rep_cycles,
     bseq_arity,
     bseq_boundaries,
     orbit_representative,
@@ -45,6 +46,7 @@ from .graded import (
     MultiFunctional,
     format_rational,
     functional_differential,
+    parse_int,
     parse_rational,
     space_from_json,
     space_to_json,
@@ -109,14 +111,8 @@ def representative(key):
     if isinstance(key, CyclicKey):
         return QOSurface(cycles=(tuple(range(1, key.n + 1)),), empties=0, g=0)
     if isinstance(key, QocKey):
-        cycles = []
-        nxt = 1
-        for k in range(1, len(key.bseq)):
-            for _ in range(key.bseq[k]):
-                cycles.append(tuple(range(nxt, nxt + k)))
-                nxt += k
         return QOCSurface(
-            cycles=tuple(cycles), empties=key.bseq[0], g=key.g,
+            cycles=_rep_cycles(key.bseq), empties=key.bseq[0], g=key.g,
             closed=frozenset(range(1, key.closed + 1)),
         )
     return orbit_representative(key.bseq, key.g)
@@ -375,7 +371,7 @@ def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
             if v:
                 R[w] = R.get(w, ZERO) - v
     labels = list(range(1, n + 1))
-    for c1 in _all_subsets(labels):
+    for c1 in op._subsets(labels):
         c2 = [l for l in labels if l not in set(c1)]
         n1, n2 = len(c1), len(c2)
         psi = _unshuffle_perm(labels, c1)
@@ -462,11 +458,6 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
     return make_map(data.kind, space, None, key, R)
 
 
-def _all_subsets(items):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
-
-
 def _unshuffle_perm(labels, first_block):
     """Slot permutation sending the first_block labels to the leading slots."""
     order = list(first_block) + [l for l in labels if l not in set(first_block)]
@@ -486,16 +477,6 @@ def _shift_cycles(cycles, offset):
 
 def _stable_open(g, boundaries, arity, closed=0):
     return 4 * g + 2 * boundaries + 2 * closed - 4 + arity > 0
-
-
-def _ordered_splits_list(items):
-    items = tuple(items)
-    out = []
-    for r in range(len(items) + 1):
-        for left in itertools.combinations(items, r):
-            ls = set(left)
-            out.append((tuple(left), tuple(i for i in items if i not in ls)))
-    return out
 
 
 def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
@@ -716,14 +697,14 @@ def _open_glue_splittings(data, key, words, tie):
     n = key_arity(key)
     closed_ar = key_closed(key)
     closed_labels = list(range(1, closed_ar + 1))
-    closed_splits = _ordered_splits_list(closed_labels) if two else [((), ())]
+    closed_splits = list(op._ordered_splits(closed_labels)) if two else [((), ())]
     out: dict = {}
     cases = []
     for m in range(nb):
         cm = cyc[m]
         L = len(cm)
         others = [k for k in range(nb) if k != m]
-        for I in _all_subsets(others):
+        for I in op._subsets(others):
             setI = set(I)
             J = tuple(k for k in others if k not in setI)
             for e in range(b0 + 1):
@@ -733,7 +714,7 @@ def _open_glue_splittings(data, key, words, tie):
                         for l in range(L + 1):
                             cases.append((I, J, e, b0 - e, g1, word[:l], word[l:]))
     if b0 > 0:
-        for I in _all_subsets(list(range(nb))):
+        for I in op._subsets(list(range(nb))):
             setI = set(I)
             J = tuple(k for k in range(nb) if k not in setI)
             for e in range(b0):
@@ -815,7 +796,7 @@ def _closed_glue_splittings(data, key, words, tie):
     closed_ar = key_closed(key)
     closed_labels = list(range(1, closed_ar + 1))
     out: dict = {}
-    for I in _all_subsets(list(range(nb))):
+    for I in op._subsets(list(range(nb))):
         setI = set(I)
         J = tuple(k for k in range(nb) if k not in setI)
         cyc1 = [cyc[k] for k in I]
@@ -826,7 +807,7 @@ def _closed_glue_splittings(data, key, words, tie):
             e2 = b0 - e1
             for g1 in range(g + 1):
                 g2 = g - g1
-                for D1, D2 in _ordered_splits_list(closed_labels):
+                for D1, D2 in op._ordered_splits(closed_labels):
                     if not _stable_open(g1, e1 + len(cyc1), n1, len(D1) + 1):
                         continue
                     if not _stable_open(g2, e2 + len(cyc2), n2, len(D2) + 1):
@@ -1022,15 +1003,13 @@ def key_to_json(key) -> dict:
 
 def key_from_json(kind, doc):
     if kind == "loop":
-        return LoopKey(int(doc["n"]), int(doc["genus"]))
+        return LoopKey(parse_int(doc["n"]), parse_int(doc["genus"]))
     if kind == "cyclic_ainfty":
-        return CyclicKey(int(doc["n"]))
+        return CyclicKey(parse_int(doc["n"]))
+    bseq = trim_bseq([parse_int(x) for x in doc["b_sequence"]])
     if kind == "quantum_ainfty":
-        return QuantumKey(trim_bseq([int(x) for x in doc["b_sequence"]]), int(doc["g"]))
-    return QocKey(
-        trim_bseq([int(x) for x in doc["b_sequence"]]), int(doc["g"]),
-        int(doc["closed"]),
-    )
+        return QuantumKey(bseq, parse_int(doc["g"]))
+    return QocKey(bseq, parse_int(doc["g"]), parse_int(doc["closed"]))
 
 
 def algebra_to_json(data: AlgebraData) -> dict:
@@ -1067,7 +1046,7 @@ def algebra_from_json(doc) -> AlgebraData:
     for m in doc.get("maps", []):
         key = key_from_json(kind, m["key"])
         entries = {
-            tuple(int(i) for i in e["index"]): parse_rational(e["value"])
+            tuple(parse_int(i) for i in e["index"]): parse_rational(e["value"])
             for e in m["entries"]
         }
         maps[key] = make_map(kind, space, closed_space, key, entries)

@@ -28,6 +28,7 @@ __all__ = [
     "contraction_pair",
     "eval_via_iota",
     "functional_differential",
+    "parse_int",
     "parse_rational",
     "format_rational",
     "space_to_json",
@@ -38,10 +39,22 @@ __all__ = [
 ZERO = Fraction(0)
 
 
+def parse_int(value) -> int:
+    """An integer field of an input file; floats and booleans are rejected."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -378,7 +391,7 @@ def space_from_json(doc) -> GradedSymplecticSpace:
     if isinstance(doc, str):
         doc = json.loads(doc)
     names = tuple(b["name"] for b in doc["basis"])
-    degrees = tuple(int(b["degree"]) for b in doc["basis"])
+    degrees = tuple(parse_int(b["degree"]) for b in doc["basis"])
     omega = [[parse_rational(x) for x in row] for row in doc["omega"]]
     diff = [[parse_rational(x) for x in row] for row in doc["differential"]]
     return GradedSymplecticSpace(

@@ -26,8 +26,10 @@ from .combinatorics import (
     QCElement,
     QOCSurface,
     QOSurface,
+    _rep_cycles,
     b_sequence,
     canonicalize_cycle,
+    sort_cycles,
 )
 from .errors import (
     ColourMismatch,
@@ -43,12 +45,6 @@ KINDS = ("qc", "qo", "ass", "qoc")
 # closed end and one empty boundary, and a sphere with two empty
 # boundaries.  Encoded as (boundaries, g, number of closed ends).
 EXTENSION_SHAPES = {(1, 0, 1), (2, 0, 0)}
-
-
-def sort_cycles(cycles) -> tuple:
-    return tuple(
-        sorted((canonicalize_cycle(c) for c in cycles), key=lambda c: (len(c), c))
-    )
 
 
 def qc_element(labels, genus2):
@@ -400,16 +396,6 @@ def canonical_perm(x, tie: str = "lex"):
             closed=frozenset(range(1, len(x.closed) + 1)),
         )
     return rep, tuple(perm)
-
-
-def _rep_cycles(bseq):
-    cycles = []
-    nxt = 1
-    for k in range(1, len(bseq)):
-        for _ in range(bseq[k]):
-            cycles.append(tuple(range(nxt, nxt + k)))
-            nxt += k
-    return tuple(cycles)
 
 
 def perm_to_label_map(perm, labels=None) -> dict:

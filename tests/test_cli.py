@@ -15,15 +15,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture()
-def cyclic_file(tmp_path):
+def cyclic_doc():
     V = G.rich_space(4)
     f3 = FT.make_map("cyclic_ainfty", V, None, FT.CyclicKey(3),
                      {(0, 0, 0): G.Fraction(-1)})
     data = FT.AlgebraData(kind="cyclic_ainfty", space=V,
                           maps={FT.CyclicKey(3): f3})
+    return FT.algebra_to_json(data)
+
+
+@pytest.fixture()
+def cyclic_file(tmp_path):
     path = tmp_path / "cyclic.json"
-    path.write_text(json.dumps(FT.algebra_to_json(data)))
+    path.write_text(json.dumps(cyclic_doc()))
     return path
 
 
@@ -168,3 +172,48 @@ def test_out_of_range_index_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-algebra", "--input", str(path))
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "master-eq"])
+@pytest.mark.parametrize("field", ["value", "omega", "differential"])
+def test_zero_denominator_is_usage_error(capsys, tmp_path, command, field):
+    doc = cyclic_doc()
+    if field == "value":
+        doc["maps"][0]["entries"][0]["value"] = "1/0"
+    else:
+        doc["space"][field][0][0] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def _set_index(doc, value):
+    doc["maps"][0]["entries"][0]["index"] = value
+
+
+def _set_key(doc, value):
+    doc["maps"][0]["key"]["n"] = value
+
+
+def _set_degree(doc, value):
+    doc["space"]["basis"][0]["degree"] = value
+
+
+@pytest.mark.parametrize("setter, value", [
+    pytest.param(_set_index, [0.9, 0.2, 0.5], id="index-float"),
+    pytest.param(_set_index, [True, 0, 0], id="index-bool"),
+    pytest.param(_set_key, 3.0, id="key-float"),
+    pytest.param(_set_key, "3.5", id="key-text"),
+    pytest.param(_set_degree, 0.5, id="degree-float"),
+    pytest.param(_set_degree, False, id="degree-bool"),
+])
+def test_non_integral_field_is_usage_error(capsys, tmp_path, setter, value):
+    doc = cyclic_doc()
+    setter(doc, value)
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check-algebra", "--input", str(path))
+    assert code == 2
+    assert "malformed input" in err

@@ -1,18 +1,17 @@
-"""The compiled and pure kernels must agree entry for entry."""
+"""Algebraic properties of the permutation and Koszul-sign kernels."""
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge._kernels import (
-    BACKEND,
     apply_perm_to_word,
     compose_perms,
     invert_perm,
     koszul_sign,
     precompose_entries,
 )
-from operad_forge._kernels import _fallback as fb
 
 
 def random_perm(rng, n):
@@ -21,29 +20,23 @@ def random_perm(rng, n):
     return tuple(p)
 
 
-def test_backend_selected():
-    assert BACKEND in ("compiled", "python")
+@given(st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_inverse_undoes_word_action(n, seed):
+    rng = random.Random(seed)
+    perm = random_perm(rng, n)
+    word = tuple(rng.randint(0, 3) for _ in range(n))
+    moved = apply_perm_to_word(perm, word)
+    assert apply_perm_to_word(invert_perm(perm), moved) == word
 
 
 @given(st.integers(0, 6), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_kosul_sign_matches_fallback(n, seed):
-    rng = random.Random(seed)
-    perm = random_perm(rng, n)
-    degs = tuple(rng.randint(-2, 3) for _ in range(n))
-    assert koszul_sign(perm, degs) == fb.koszul_sign(perm, degs)
-
-
-@given(st.integers(1, 6), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_word_and_inverse_match_fallback(n, seed):
-    rng = random.Random(seed)
-    perm = random_perm(rng, n)
-    word = tuple(rng.randint(0, 3) for _ in range(n))
-    assert apply_perm_to_word(perm, word) == fb.apply_perm_to_word(perm, word)
-    assert invert_perm(perm) == fb.invert_perm(perm)
-    q = random_perm(rng, n)
-    assert compose_perms(perm, q) == fb.compose_perms(perm, q)
+def test_perm_times_inverse_is_identity(n, seed):
+    perm = random_perm(random.Random(seed), n)
+    identity = tuple(range(n))
+    assert compose_perms(perm, invert_perm(perm)) == identity
+    assert compose_perms(invert_perm(perm), perm) == identity
 
 
 @given(st.integers(0, 10**6))
@@ -70,10 +63,9 @@ def test_koszul_examples():
     assert koszul_sign((1, 2, 0), (1, 1, 1)) == 1
 
 
-def test_precompose_matches_fallback():
+def test_precompose_matches_per_word_definition():
+    """(T o perm)(a_w) = koszul(perm, deg w) * T(a_{perm . w}) on every word."""
     rng = random.Random(5)
-    from fractions import Fraction
-
     degs = (0, 1, -1, 2)
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -83,14 +75,16 @@ def test_precompose_matches_fallback():
             for _ in range(6)
         }
         entries = {w: v for w, v in entries.items() if v}
-        assert precompose_entries(entries, perm, degs) == fb.precompose_entries(
-            entries, perm, degs
-        )
+        inv = invert_perm(perm)
+        expected = {}
+        for w in entries:
+            u = apply_perm_to_word(inv, w)
+            sign = koszul_sign(perm, tuple(degs[k] for k in u))
+            expected[u] = sign * entries[apply_perm_to_word(perm, u)]
+        assert precompose_entries(entries, perm, degs) == expected
 
 
 def test_precompose_is_right_action():
-    from fractions import Fraction
-
     rng = random.Random(9)
     degs = (0, 1, -1, 2)
     for _ in range(30):

@@ -1,10 +1,12 @@
 """Bases, structure maps, duals and the axiom verifier."""
+import itertools
 import math
 
 import pytest
 
+from operad_forge import axioms as ax
 from operad_forge import operads as op
-from operad_forge.axioms import verify_axioms
+from operad_forge.axioms import AxiomReport, verify_axioms
 from operad_forge.errors import (
     ColourMismatch,
     LabelCollision,
@@ -206,3 +208,58 @@ class TestAxiomVerifier:
         monkeypatch.setattr(op, "_compose", broken)
         report = verify_axioms("qo", 2, 4)
         assert not report.passed
+
+    @staticmethod
+    def _all_pairs_ax2(kind, max_n, max_g2):
+        """Axiom 2 by its definition: three ``relabel`` calls per pair."""
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        for shape in ax._corollas(kind, max_n, max_g2, False):
+            for x in ax._basis(kind, shape, False):
+                lo = sorted(op.open_labels(x) if kind == "qoc" else x.labels)
+                lc = sorted(op.closed_labels(x)) if kind == "qoc" else []
+                maps_o, maps_c = ax._perm_maps(lo), ax._perm_maps(lc)
+                for rho_o, sig_o in itertools.product(maps_o, repeat=2):
+                    for rho_c, sig_c in itertools.product(maps_c, repeat=2):
+                        comp_o = {l: rho_o[sig_o[l]] for l in lo}
+                        comp_c = {l: rho_c[sig_c[l]] for l in lc}
+                        lhs = ax._relabel(kind, x, comp_o, comp_c)
+                        rhs = ax._relabel(
+                            kind, ax._relabel(kind, x, sig_o, sig_c), rho_o, rho_c
+                        )
+                        report.record(2, (x, rho_o, sig_o, rho_c, sig_c), lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @staticmethod
+    def _table_ax2(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        ax._ax2(report, kind, ax._corollas(kind, max_n, max_g2, False),
+                max_n, max_g2, False)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @pytest.mark.parametrize("kind,n,g2", [("qc", 4, 2), ("qo", 4, 2), ("qoc", 3, 3)])
+    def test_relabel_table_matches_all_pairs(self, kind, n, g2):
+        """The table-driven axiom 2 checks exactly the all-pairs instances."""
+        table, direct = self._table_ax2(kind, n, g2), self._all_pairs_ax2(kind, n, g2)
+        assert table.checked == direct.checked > 0
+        assert table.passed and direct.passed
+
+    @pytest.mark.parametrize("kind,n,g2", [("qo", 3, 2), ("qoc", 3, 3)])
+    def test_detects_broken_relabelling(self, monkeypatch, kind, n, g2):
+        """A relabelling that is not a group action fails axiom 2, with the
+        same failures as the all-pairs check."""
+        real = op.relabel
+
+        def broken(x, rho, rho_closed=None):
+            y = real(x, rho, rho_closed)
+            moved = [l for l in sorted(rho) if rho[l] != l]
+            if moved and moved[0] == min(rho) and not isinstance(y, op.QCElement):
+                return y._replace(g=y.g + 1)
+            return y
+
+        monkeypatch.setattr(op, "relabel", broken)
+        table, direct = self._table_ax2(kind, n, g2), self._all_pairs_ax2(kind, n, g2)
+        assert not table.passed
+        assert table.checked == direct.checked
+        assert table.failures == direct.failures
