@@ -14,6 +14,10 @@ representatives end to end.  All formulas run over a fixed coset section of
 the representative's orbit; only the positions the section elements assign
 to the first one or two slots enter, so the section collapses to a
 multiplicity table.
+
+The bulk producers (the three operations and ``series_from_maps``) sum
+their raw contributions per (component key, word) first and canonicalize
+each distinct word once, which is exact by linearity.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from functools import lru_cache
 from . import operads as op
 from ._kernels import apply_perm_to_word, koszul_sign
 from .combinatorics import (
+    block_permutation,
     rep_cycle_slots,
     stabilizer_size,
     transversal_slot_counts,
@@ -380,9 +385,18 @@ class BVElement:
         )
 
 
-def _series_accumulate(out: BVElement, key, entries: dict, scale: Fraction):
+def _add_raw(out: BVElement, raw: dict) -> BVElement:
+    """Add raw contributions summed per (key, word): one canonicalization
+    per distinct word instead of one per contribution."""
+    for (key, word), value in raw.items():
+        out.add_term(key, word, value)
+    return out
+
+
+def _raw_scaled(raw: dict, key, entries: dict, scale: Fraction):
     for w, v in entries.items():
-        out.add_term(key, w, scale * v)
+        rk = (key, w)
+        raw[rk] = raw.get(rk, ZERO) + scale * v
 
 
 def series_from_maps(kind, space, cspace, families: dict) -> BVElement:
@@ -391,10 +405,10 @@ def series_from_maps(kind, space, cspace, families: dict) -> BVElement:
     ``families`` maps component keys to full invariant entry dicts; each
     component contributes with weight one over its stabilizer order.
     """
-    out = BVElement(kind, space, cspace)
+    raw: dict = {}
     for key, entries in families.items():
-        _series_accumulate(out, key, entries, Fraction(1, _stab_size(kind, key)))
-    return out
+        _raw_scaled(raw, key, entries, Fraction(1, _stab_size(kind, key)))
+    return _add_raw(BVElement(kind, space, cspace), raw)
 
 
 def generating_function(data: AlgebraData) -> BVElement:
@@ -414,12 +428,22 @@ def generating_function(data: AlgebraData) -> BVElement:
 
 def bv_diff(x: BVElement) -> BVElement:
     """Slotwise Leibniz differential, degree +1, preserving components."""
-    out = BVElement(x.kind, x.space, x.cspace)
+    raw: dict = {}
     for key in list(x.terms):
         f = x.functional(key)
         df = functional_differential(f)
-        _series_accumulate(out, key, df.entries, Fraction(1, _stab_size(x.kind, key)))
-    return out
+        _raw_scaled(raw, key, df.entries, Fraction(1, _stab_size(x.kind, key)))
+    return _add_raw(BVElement(x.kind, x.space, x.cspace), raw)
+
+
+def _raw_transported(raw: dict, out_key, sigma, entries: dict, scale, table):
+    """Add the entries, transported along sigma with Koszul signs, times
+    scale."""
+    neg = -scale
+    for w, v in entries.items():
+        sign = koszul_sign(sigma, tuple(table[k] for k in w))
+        rk = (out_key, apply_perm_to_word(sigma, w))
+        raw[rk] = raw.get(rk, ZERO) + (scale if sign > 0 else neg) * v
 
 
 def _delta_terms(x: BVElement, key, colour):
@@ -456,42 +480,54 @@ def bv_delta(x: BVElement) -> BVElement:
     arity n+2 and genus2 G feed components of arity n and genus2 G+2."""
     if x.kind == "cyclic_ainfty":
         raise KindMismatch("the genus-zero cyclic kind carries no loop operation")
-    out = BVElement(x.kind, x.space, x.cspace)
-    table = out.table()
+    table = x.table()
     colours = ("open", "closed") if x.kind == "qoc" else ("open",)
+    raw: dict = {}
     for key in list(x.terms):
         for colour in colours:
             for out_key, sigma, entries, scale in _delta_terms(x, key, colour):
-                for w, v in entries.items():
-                    sign = koszul_sign(sigma, tuple(table[k] for k in w))
-                    out.add_term(out_key, apply_perm_to_word(sigma, w),
-                                 scale * sign * v)
-    return out
+                _raw_transported(raw, out_key, sigma, entries, scale, table)
+    return _add_raw(BVElement(x.kind, x.space, x.cspace), raw)
+
+
+def _end_counts(kind, key, colours) -> dict:
+    """Per colour, the multiplicity of each glued slot over the section."""
+    return {
+        colour: _slot_counts(kind, key) if colour == "open"
+        else {0: _open_section_size(kind, key)}
+        for colour in colours
+    }
 
 
 def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     """Glue one end of each factor through the inverse pairing."""
     if x.kind != y.kind:
         raise KindMismatch("bracket of different kinds")
-    out = BVElement(x.kind, x.space, x.cspace)
-    table = out.table()
-    colours = ("open", "closed") if x.kind == "qoc" else ("open",)
+    kind = x.kind
+    table = x.table()
+    colours = ("open", "closed") if kind == "qoc" else ("open",)
+    # labels of the second factor move past every label of the first
+    off = 1 + max(
+        (max(key_arity(k), key_closed(k)) for k in x.terms), default=0
+    )
+    seconds = []
+    for key2 in list(y.terms):
+        f2 = y.functional(key2)
+        rho = {l: l + off for l in f2.labels}
+        rho_c = {l: l + off for l in f2.clabels}
+        seconds.append((
+            key2, key_arity(key2), key_closed(key2), representative(key2),
+            endo_relabel(f2, rho, rho_c), _end_counts(kind, key2, colours),
+        ))
+    raw: dict = {}
     for key1 in list(x.terms):
         n1, c1 = key_arity(key1), key_closed(key1)
         f1 = x.functional(key1)
         rep1 = representative(key1)
-        for key2 in list(y.terms):
-            n2, c2 = key_arity(key2), key_closed(key2)
-            f2 = y.functional(key2)
-            rep2 = representative(key2)
-            off_o, off_c = 1000, 1000
-            rho = {l: l + off_o for l in f2.labels}
-            rho_c = {l: l + off_c for l in f2.clabels}
-            f2s = endo_relabel(f2, rho, rho_c)
+        counts1 = _end_counts(kind, key1, colours)
+        for key2, n2, c2, rep2, f2s, counts2 in seconds:
             for colour in colours:
                 if colour == "open":
-                    cnt1 = _slot_counts(x.kind, key1)
-                    cnt2 = _slot_counts(y.kind, key2)
                     out_fact = (
                         math.factorial(max(n1 - 1, 0))
                         * math.factorial(max(n2 - 1, 0))
@@ -500,31 +536,25 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
                 else:
                     if c1 < 1 or c2 < 1:
                         continue
-                    cnt1 = {0: _open_section_size(x.kind, key1)}
-                    cnt2 = {0: _open_section_size(y.kind, key2)}
                     out_fact = (
                         math.factorial(n1) * math.factorial(n2)
                         * math.factorial(max(c1 - 1, 0))
                         * math.factorial(max(c2 - 1, 0))
                     )
-                for i, m1 in cnt1.items():
+                for i, m1 in counts1[colour].items():
                     la = i + 1
-                    for j, m2 in cnt2.items():
-                        lb = j + 1 + (off_o if colour == "open" else off_c)
-                        h = endo_compose(f1, la, f2s, lb, colour=colour)
+                    for j, m2 in counts2[colour].items():
+                        h = endo_compose(f1, la, f2s, j + 1 + off, colour=colour)
                         z = op.natural_compose(rep1, la, rep2, j + 1, colour=colour)
                         rep_out, sigma = op.canonical_perm(z)
-                        out_key = key_of(x.kind, rep_out)
+                        out_key = key_of(kind, rep_out)
                         if key_closed(out_key):
                             sigma = sigma + tuple(
                                 range(len(sigma), len(sigma) + key_closed(out_key))
                             )
-                        scale = Fraction(-m1 * m2, out_fact)
-                        for w, v in h.entries.items():
-                            sign = koszul_sign(sigma, tuple(table[k] for k in w))
-                            out.add_term(out_key, apply_perm_to_word(sigma, w),
-                                         scale * sign * v)
-    return out
+                        _raw_transported(raw, out_key, sigma, h.entries,
+                                         Fraction(-m1 * m2, out_fact), table)
+    return _add_raw(BVElement(kind, x.space, x.cspace), raw)
 
 
 def master_residual(S: BVElement) -> BVElement:
@@ -696,6 +726,29 @@ def _block_sort_perm(lengths, tie="stable"):
     return tuple(beta)
 
 
+@lru_cache(maxsize=None)
+def _vertex_plan(kind, g, b_total, blocks, n_closed, tie):
+    """The argument-independent part of a string vertex: (number of open
+    arguments, map key, block permutation); the key is None when there are
+    more blocks than boundaries."""
+    blocks = tuple(int(l) for l in blocks)
+    if any(l < 1 for l in blocks):
+        raise PreconditionViolated("blocks must be nonempty")
+    b0 = b_total - len(blocks)
+    if b0 < 0:
+        return sum(blocks), None, None
+    counts = [b0] + [0] * (max(blocks) if blocks else 0)
+    for l in blocks:
+        counts[l] += 1
+    bseq = trim_bseq(counts)
+    if kind == "qoc":
+        key = QocKey(bseq, g, n_closed)
+    else:
+        key = QuantumKey(bseq, g)
+    perm = block_permutation(_block_sort_perm(blocks, tie), blocks)
+    return sum(blocks), key, perm
+
+
 def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
                     closed_args=(), tie="stable") -> Fraction:
     """Block-indexed evaluation of one map, minus one half by convention.
@@ -705,37 +758,28 @@ def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
     carries.  Any block ordering with nondecreasing lengths gives the same
     value, which the tie parameter lets the tests exercise.
     """
-    from .combinatorics import block_permutation
-
-    blocks = tuple(int(l) for l in blocks)
-    if any(l < 1 for l in blocks):
-        raise PreconditionViolated("blocks must be nonempty")
-    if sum(blocks) != len(args):
+    n_open, key, perm = _vertex_plan(
+        data.kind, g, b_total, tuple(blocks), len(closed_args), tie
+    )
+    if n_open != len(args):
         raise PreconditionViolated("arguments do not fill the blocks")
-    b0 = b_total - len(blocks)
-    if b0 < 0:
+    if key is None:
         raise PreconditionViolated("more blocks than boundaries")
-    counts = [b0] + [0] * (max(blocks) if blocks else 0)
-    for l in blocks:
-        counts[l] += 1
-    bseq = trim_bseq(counts)
-    if data.kind == "qoc":
-        key = QocKey(bseq, g, len(closed_args))
-    else:
-        key = QuantumKey(bseq, g)
     T = data.tensor(key)
     if not T:
         return ZERO
-    beta = _block_sort_perm(blocks, tie)
-    perm = block_permutation(beta, blocks)
-    table = data.space.degrees
     word = tuple(args)
-    sign = koszul_sign(perm, tuple(table[k] for k in word))
     target = apply_perm_to_word(perm, word)
     if data.kind == "qoc":
         off = data.space.dim
         target = target + tuple(k + off for k in closed_args)
-    return -HALF * sign * T.get(target, ZERO)
+    value = T.get(target)
+    if not value:
+        return ZERO
+    table = data.space.degrees
+    if koszul_sign(perm, tuple(table[k] for k in word)) > 0:
+        return -HALF * value
+    return HALF * value
 
 
 def string_vertex_V(data: AlgebraData, g, blocks, args, closed_args=(),
@@ -766,6 +810,7 @@ def _check_minimal(data: AlgebraData):
             )
 
 
+@lru_cache(maxsize=None)
 def _perm_from_positions(sources, total):
     """Permutation sending source slot s to its position in ``sources``."""
     perm = [0] * total
@@ -797,9 +842,10 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
         for l in c:
             slot_of[l] = l + 1  # source index: 0 = a, 1 = b, label l at l+1
     total = n + 2
+    arg_degs = tuple(table[k] for k in args)
 
     def koszul_to(sources, d, e):
-        degs = (table[d], table[e]) + tuple(table[k] for k in args)
+        degs = (table[d], table[e]) + arg_degs
         perm = _perm_from_positions(sources, total)
         return koszul_sign(perm, degs)
 
@@ -817,9 +863,11 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
                 for q in range(len(cj)):
                     ordered = list(ci[p:] + ci[:p]) + list(cj[q:] + cj[:q])
                     blocks = (len(ci) + len(cj) + 2,) + tuple(len(c) for c in rest)
-                    sources = [0] + [slot_of[l] for l in ci[p:] + ci[:p]] \
-                        + [1] + [slot_of[l] for l in cj[q:] + cj[:q]] \
+                    sources = tuple(
+                        [0] + [slot_of[l] for l in ci[p:] + ci[:p]]
+                        + [1] + [slot_of[l] for l in cj[q:] + cj[:q]]
                         + [slot_of[l] for l in rest_labels]
+                    )
                     for d in range(dim):
                         for e in range(dim):
                             if not P[d][e]:
@@ -843,9 +891,11 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
                 for l in range(L - s, L + 1):
                     arc1, arc2 = wordm[:l], wordm[l:]
                     blocks = (l + 1, L - l + 1) + tuple(len(c) for c in rest)
-                    sources = [0] + [slot_of[x] for x in arc1] \
-                        + [1] + [slot_of[x] for x in arc2] \
+                    sources = tuple(
+                        [0] + [slot_of[x] for x in arc1]
+                        + [1] + [slot_of[x] for x in arc2]
                         + [slot_of[x] for x in rest_labels]
+                    )
                     for d in range(dim):
                         for e in range(dim):
                             if not P[d][e]:
@@ -883,10 +933,12 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
                                 continue
                             blocks1 = (l + 1,) + tuple(len(c) for c in cyc1)
                             blocks2 = (L - l + 1,) + tuple(len(c) for c in cyc2)
-                            sources = [0] + [slot_of[x] for x in arc1] \
-                                + [slot_of[x] for x in lab1] \
-                                + [1] + [slot_of[x] for x in arc2] \
+                            sources = tuple(
+                                [0] + [slot_of[x] for x in arc1]
+                                + [slot_of[x] for x in lab1]
+                                + [1] + [slot_of[x] for x in arc2]
                                 + [slot_of[x] for x in lab2]
+                            )
                             for d in range(dim):
                                 for e in range(dim):
                                     if not P[d][e]:

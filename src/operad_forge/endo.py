@@ -41,6 +41,14 @@ def _pair_matrix(space: GradedSymplecticSpace):
     return contraction_pair(space).coefficients
 
 
+@lru_cache(maxsize=None)
+def _pair_rows(space: GradedSymplecticSpace):
+    """Per row of the inverse pairing, its nonzero (column, coefficient)s."""
+    return tuple(
+        tuple((e, c) for e, c in enumerate(row) if c) for row in _pair_matrix(space)
+    )
+
+
 def _slots(f: MultiFunctional, opens, closeds):
     """Slot indices for colour-tagged label sequences."""
     no = len(f.labels)
@@ -112,7 +120,7 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
     glue_space = space if colour == "open" else cspace
     if glue_space is None:
         raise MissingLabel("no closed space present")
-    P = _pair_matrix(glue_space)
+    rows = _pair_rows(glue_space)
     off = 0 if colour == "open" else space.dim
     table = f.degree_table
     if colour == "open":
@@ -127,6 +135,24 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
     G = _reorder_slots(g, slots_g)
     no1, nc1 = len(lo1), len(lc1)
     no2, nc2 = len(lo2), len(lc2)
+    # hash join: bucket the second factor by its glued index, with the
+    # slices and degree sums each entry contributes
+    buckets: dict = {}
+    for wg, vg in G.items():
+        if colour == "open":
+            x2 = wg[1 : 1 + no2]
+            y2 = wg[1 + no2 :]
+        else:
+            x2 = wg[:no2]
+            y2 = wg[no2 + 1 :]
+        deg_e = table[wg[slot_g]]
+        deg_x2 = _deg_of(x2, table)
+        deg_y2 = _deg_of(y2, table)
+        deg_v = deg_x2 + deg_y2
+        p_g = (deg_e + deg_v) % 2
+        buckets.setdefault(wg[slot_g] - off, []).append(
+            (x2, y2, deg_e, deg_x2, p_g, vg)
+        )
     out: dict = {}
     for wf, vf in F.items():
         d = wf[slot_f] - off
@@ -140,33 +166,22 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
         deg_x1 = _deg_of(x1, table)
         deg_y1 = _deg_of(y1, table)
         deg_u = deg_x1 + deg_y1
-        row = P[d]
-        for wg, vg in G.items():
-            e = wg[slot_g] - off
-            coeff = row[e]
-            if not coeff:
+        p_f = (deg_d + deg_u) % 2
+        for e, coeff in rows[d]:
+            bucket = buckets.get(e)
+            if bucket is None:
                 continue
-            if colour == "open":
-                x2 = wg[1 : 1 + no2]
-                y2 = wg[1 + no2 :]
-            else:
-                x2 = wg[:no2]
-                y2 = wg[no2 + 1 :]
-            deg_e = table[wg[slot_g]]
-            deg_x2 = _deg_of(x2, table)
-            deg_y2 = _deg_of(y2, table)
-            deg_v = deg_x2 + deg_y2
-            p_f = (deg_d + deg_u) % 2
-            p_g = (deg_e + deg_v) % 2
-            s = p_f + p_g * deg_e + (p_g + deg_e) * deg_u
-            s += deg_x2 * deg_y1  # interleave the two closed blocks
-            if colour == "closed":
-                s += deg_d * deg_x1 + deg_e * deg_x2  # insertion moves
-            word = x1 + x2 + y1 + y2
-            val = vf * vg * coeff
-            if s % 2:
-                val = -val
-            out[word] = out.get(word, ZERO) + val
+            vfc = vf * coeff
+            for x2, y2, deg_e, deg_x2, p_g, vg in bucket:
+                s = p_f + p_g * deg_e + (p_g + deg_e) * deg_u
+                s += deg_x2 * deg_y1  # interleave the two closed blocks
+                if colour == "closed":
+                    s += deg_d * deg_x1 + deg_e * deg_x2  # insertion moves
+                word = x1 + x2 + y1 + y2
+                val = vfc * vg
+                if s % 2:
+                    val = -val
+                out[word] = out.get(word, ZERO) + val
     out = {w: v for w, v in out.items() if v}
     # transport from the assembly order to the ascending one, per colour
     res_labels = sorted(lo1 + lo2)

@@ -49,6 +49,9 @@ def parse_int(value) -> int:
 
 
 def parse_rational(text) -> Fraction:
+    """A rational field of an input file; booleans are rejected."""
+    if isinstance(text, bool):
+        raise ValueError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     try:

@@ -9,6 +9,7 @@ import pytest
 from operad_forge import bv
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
+from operad_forge._kernels import apply_perm_to_word
 from operad_forge.errors import KindMismatch, PreconditionViolated
 
 
@@ -210,6 +211,52 @@ class TestPolynomialForms:
         assert gen.same_as(bv.bv_diff(S))
 
 
+class TestAccumulation:
+    """Summing raw contributions per (key, word) before canonicalizing gives
+    the element that adding them one by one gives."""
+
+    @pytest.mark.parametrize("kind, max_n, max_genus2", [
+        ("loop", 4, 2), ("cyclic_ainfty", 4, 0), ("quantum_ainfty", 4, 2),
+        ("qoc", 3, 2),
+    ])
+    def test_add_raw_matches_add_term(self, v2, kind, max_n, max_genus2):
+        cspace = v2 if kind == "qoc" else None
+        ref = bv.BVElement(kind, v2, cspace)
+        table = ref.table()
+        dim = v2.dim
+        odd = next(k for k in range(dim) if table[k] % 2)
+        rng = random.Random(3)
+        contributions = []
+        for key in FT.enumerate_keys(kind, max_n, max_genus2):
+            n, c = FT.key_arity(key), FT.key_closed(key)
+            words = [(odd,) * n + (dim + odd,) * c]  # repeated odd letters
+            words += [
+                tuple(rng.randrange(dim) for _ in range(n))
+                + tuple(dim + rng.randrange(dim) for _ in range(c))
+                for _ in range(4)
+            ]
+            group = FT.stab_group(kind, key)
+            for word in words:
+                # stabilizer images land in one class, some with opposite signs
+                for s in rng.sample(group, min(3, len(group))) + [group[0]]:
+                    value = Fr(rng.randint(-3, 3), rng.randint(1, 3))
+                    contributions.append(
+                        (key, apply_perm_to_word(s, word), value)
+                    )
+        raw = {}
+        for key, word, value in contributions:
+            ref.add_term(key, word, value)
+            raw[(key, word)] = raw.get((key, word), Fr(0)) + value
+        assert len(raw) < len(contributions)
+        assert any(
+            bv._symmetry(kind, key, table).canonical(word)[0] is None
+            for key, word in raw
+        )
+        got = bv._add_raw(bv.BVElement(kind, v2, cspace), raw)
+        assert ref.terms
+        assert got.terms == ref.terms
+
+
 class TestStringVertices:
     def setup_method(self):
         self.space = G.rich_space(4)
@@ -234,6 +281,20 @@ class TestStringVertices:
             sgn = -1 if (degs[args[2]] * (degs[args[0]] + degs[args[1]])) % 2 else 1
             want = -Fr(1, 2) * sgn * T2.get((args[2], args[0], args[1]), Fr(0))
             assert got == want
+
+    @pytest.mark.parametrize("b_total, blocks, args, message", [
+        (3, (2, 0), (0, 1), "blocks must be nonempty"),
+        (2, (2, 1), (0, 1), "arguments do not fill the blocks"),
+        (1, (2, 1), (0, 1, 2), "more blocks than boundaries"),
+    ])
+    def test_preconditions(self, b_total, blocks, args, message):
+        """Bad calls raise every time, and the shape plan they share with
+        good calls stays usable."""
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated, match=message):
+                bv.string_vertex_F(self.data, 0, b_total, blocks, args)
+        # the fill case shares its shape (2, (2, 1)) with the second example
+        self.test_single_and_double_block_examples()
 
     def test_block_swap_symmetry(self):
         degs = self.space.degrees

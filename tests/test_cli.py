@@ -189,6 +189,21 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path, command, field):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("command", ["check-algebra", "master-eq"])
+@pytest.mark.parametrize("field", ["value", "omega", "differential"])
+def test_boolean_rational_is_usage_error(capsys, tmp_path, command, field):
+    doc = cyclic_doc()
+    if field == "value":
+        doc["maps"][0]["entries"][0]["value"] = True
+    else:
+        doc["space"][field][0][0] = False
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "expected a rational" in err
+
+
 def _set_index(doc, value):
     doc["maps"][0]["entries"][0]["index"] = value
 

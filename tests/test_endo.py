@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from operad_forge import graded as G
+from operad_forge._kernels import precompose_entries
 from operad_forge.endo import (
     endo_compose,
     endo_contract,
@@ -123,6 +124,106 @@ class TestComposeContract:
         shuffled = endo_compose(f, 3, g, 4, order=[[5, 1], [], [2], []])
         assert default.same_entries(shuffled)
         assert default.labels == shuffled.labels
+
+
+def _mixed_space():
+    """block_space([0, 0]) in a basis that mixes the two vectors of each
+    degree, so that rows of the inverse pairing have two nonzeros."""
+    V = G.block_space([0, 0])  # degrees (0, 1, 0, 1)
+    # column j holds the new basis vector j in the old basis
+    B = [[1, 0, -2, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 3, 0, 1]]
+    n = V.dim
+    omega = [
+        [sum(B[i][j] * V.omega[i][k] * B[k][l] for i in range(n) for k in range(n))
+         for l in range(n)]
+        for j in range(n)
+    ]
+    return G.GradedSymplecticSpace(
+        basis_names=V.basis_names, degrees=V.degrees,
+        differential=V.differential, omega=omega,
+    )
+
+
+def _all_pairs_compose(f, a, g, b, colour):
+    """endo_compose by visiting every pair of entries of the two factors."""
+    def split(h, drop):
+        lo = [l for l in h.labels if not (colour == "open" and l == drop)]
+        lc = [l for l in h.clabels if not (colour == "closed" and l == drop)]
+        return lo, lc
+
+    def reorder(h, opens, closeds):
+        slots = [h.labels.index(l) for l in opens]
+        slots += [len(h.labels) + h.clabels.index(l) for l in closeds]
+        return precompose_entries(h.entries, tuple(slots), h.degree_table)
+
+    lo1, lc1 = split(f, a)
+    lo2, lc2 = split(g, b)
+    table = f.degree_table
+    if colour == "open":
+        P = G.contraction_pair(f.space).coefficients
+        off, slot_f, slot_g = 0, 0, 0
+        F, Gs = reorder(f, [a] + lo1, lc1), reorder(g, [b] + lo2, lc2)
+    else:
+        P = G.contraction_pair(f.cspace).coefficients
+        off, slot_f, slot_g = f.space.dim, len(lo1), len(lo2)
+        F, Gs = reorder(f, lo1, [a] + lc1), reorder(g, lo2, [b] + lc2)
+
+    def parts(w, slot, no):
+        rest = w[:slot] + w[slot + 1:]
+        return w[slot], rest[:no], rest[no:]
+
+    out = {}
+    for wf, vf in F.items():
+        for wg, vg in Gs.items():
+            d, x1, y1 = parts(wf, slot_f, len(lo1))
+            e, x2, y2 = parts(wg, slot_g, len(lo2))
+            coeff = P[d - off][e - off]
+            if not coeff:
+                continue
+            deg_d, deg_e = table[d], table[e]
+            deg_x1, deg_y1 = sum(table[k] for k in x1), sum(table[k] for k in y1)
+            deg_x2, deg_y2 = sum(table[k] for k in x2), sum(table[k] for k in y2)
+            deg_u = deg_x1 + deg_y1
+            p_f = (deg_d + deg_u) % 2
+            p_g = (deg_e + deg_x2 + deg_y2) % 2
+            s = p_f + p_g * deg_e + (p_g + deg_e) * deg_u + deg_x2 * deg_y1
+            if colour == "closed":
+                s += deg_d * deg_x1 + deg_e * deg_x2
+            word = x1 + x2 + y1 + y2
+            val = vf * vg * coeff
+            out[word] = out.get(word, Fr(0)) + (-val if s % 2 else val)
+    pos = {l: i for i, l in enumerate(lo1 + lo2)}
+    pos.update({("c", l): len(pos) + i for i, l in enumerate(lc1 + lc2)})
+    perm = tuple([pos[l] for l in sorted(lo1 + lo2)]
+                 + [pos[("c", l)] for l in sorted(lc1 + lc2)])
+    return precompose_entries({w: v for w, v in out.items() if v}, perm, table)
+
+
+class TestHashJoin:
+    """endo_compose joins the factors on the glued index; on a space whose
+    inverse pairing has several nonzeros in a row it must still visit every
+    pair the pairing connects."""
+
+    @pytest.mark.parametrize("colour, a, b", [("open", 2, 5), ("closed", 1, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_all_pairs(self, colour, a, b, seed):
+        V = _mixed_space()
+        assert G.validate_space(V) == []
+        rows = G.contraction_pair(V).coefficients
+        assert max(sum(1 for c in row if c) for row in rows) >= 2
+        W = G.rich_space(4)
+        cases = [(W, V)] if colour == "closed" else [(V, W), (V, V)]
+        rng = random.Random(seed)
+        for space, cspace in cases:
+            f = G.random_functional(rng, space, (1, 2, 3), degree=rng.choice([0, -1]),
+                                    cspace=cspace, clabels=(1, 2))
+            g = G.random_functional(rng, space, (4, 5), degree=rng.choice([-1, -2]),
+                                    cspace=cspace, clabels=(3, 4))
+            assert f.entries and g.entries
+            got = endo_compose(f, a, g, b, colour=colour)
+            want = _all_pairs_compose(f, a, g, b, colour)
+            assert want
+            assert got.entries == want
 
 
 class TestTwistedAxioms:
