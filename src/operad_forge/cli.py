@@ -7,6 +7,7 @@ printed as p/q strings.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -110,28 +111,26 @@ def cmd_check_algebra(args) -> int:
 
 def cmd_master_eq(args) -> int:
     data = _load_algebra(args.input)
-    S = bv.generating_function(data)
     if args.form == "raw":
-        residual = bv.master_residual(S)
+        residual = bv.master_residual(bv.generating_function(data))
     elif args.form == "sprime":
         if data.kind not in ("loop", "cyclic_ainfty"):
             print("the quadratic substitution needs a loop or cyclic algebra",
                   file=sys.stderr)
             return USAGE
-        Sp = bv.s_prime(S)
+        Sp = bv.s_prime(bv.generating_function(data))
         residual = bv.bv_bracket(Sp, Sp).scaled(Fraction(1, 2))
         if data.kind == "loop":
             residual = residual.plus(bv.bv_delta(Sp))
         residual.prune()
     else:  # herbst
         try:
+            bv._check_minimal(data)  # kind and d = 0, before any key is read
             entries = []
             for key in sorted(data.maps, key=repr):
                 if key.bseq[0] > 0:
                     continue
                 n = ft.key_arity(key)
-                import itertools
-
                 for w in itertools.product(range(data.space.dim), repeat=n):
                     v = bv.herbst_residual(data, key.bseq, key.g, w)
                     if v:

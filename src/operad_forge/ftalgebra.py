@@ -9,7 +9,11 @@ operad, plus a closed arity for the two-coloured one.
 Each defining equation is evaluated twice: generically, through the dual
 structure maps and the endomorphism operations, and through hand-coded
 contribution formulas with explicit relabelling permutations.  The two
-paths are independent and the test suite compares them exactly.
+paths are independent and the test suite compares them exactly.  The
+hand-coded formulas iterate the nonzero entries of the factor tensors,
+joined through the nonzero entries of the inverse pairing, and share no
+code with the generic route beyond the inverse pairing and the sign and
+permutation kernels.
 """
 from __future__ import annotations
 
@@ -21,7 +25,12 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import operads as op
-from ._kernels import apply_perm_to_word, invert_perm, koszul_sign
+from ._kernels import (
+    apply_perm_to_word,
+    invert_perm,
+    koszul_sign,
+    precompose_entries,
+)
 from .combinatorics import (
     QCElement,
     QOCSurface,
@@ -33,7 +42,7 @@ from .combinatorics import (
     rep_cycle_slots,
     trim_bseq,
 )
-from .endo import _pair_matrix, endo_compose, endo_contract
+from .endo import _pair_matrix, _pair_rows, endo_compose, endo_contract
 from .errors import (
     KeyMissing,
     KindMismatch,
@@ -329,27 +338,72 @@ def ft_residual(data: AlgebraData, key) -> MultiFunctional:
 # specialized residuals
 
 
-def _insert_two_front(table, P, T, word, perm=None):
-    """sum_{d,e} P[d][e] * T(rho . (a_d, a_e, word)) with Koszul signs."""
-    acc = ZERO
-    dim = len(P)
-    for d in range(dim):
-        row = P[d]
-        for e in range(dim):
-            coeff = row[e]
-            if not coeff:
+def _glue_join(F, G, n1, n2, rows, table, colour="open", off=0):
+    """Pairing sum of two factors glued along one end, keyed by x_o y_o x_c y_c.
+
+    F and G are factor tensors already precomposed by their canonicalizing
+    permutations, with n1 and n2 open slots besides the glued end.  That end
+    is slot 0 of each factor for an open gluing and its first closed slot for
+    a closed one; ``off`` is the index of the first basis vector of the glued
+    colour.  Entries of F meet only the bucket of G whose glued letter has a
+    nonzero pairing coefficient with theirs.
+    """
+    def cut(w, n):
+        if colour == "open":
+            return w[0], w[1 : 1 + n], w[1 + n :]
+        return w[n], w[:n], w[n + 1 :]
+
+    buckets: dict = {}
+    for w2, v2 in G.items():
+        e, y_o, y_c = cut(w2, n2)
+        deg_yo = sum(table[k] for k in y_o)
+        if colour == "closed" and (table[e] * deg_yo) % 2:
+            v2 = -v2  # the closed end moves past the opens
+        buckets.setdefault(e - off, []).append((y_o, y_c, deg_yo, table[e], v2))
+    acc: dict = {}
+    for w1, v1 in F.items():
+        d, x_o, x_c = cut(w1, n1)
+        deg_xo = sum(table[k] for k in x_o)
+        deg_xc = sum(table[k] for k in x_c)
+        if colour == "closed" and (table[d] * deg_xo) % 2:
+            v1 = -v1
+        for e, coeff in rows[d - off]:
+            bucket = buckets.get(e)
+            if bucket is None:
                 continue
-            w = (d, e) + word
-            if perm is None:
-                val = T.get(w, ZERO)
-                if val:
-                    acc += coeff * val
-            else:
-                val = T.get(apply_perm_to_word(perm, w), ZERO)
-                if val:
-                    sign = koszul_sign(perm, tuple(table[k] for k in w))
-                    acc += coeff * val * sign
+            v1c = coeff * v1
+            for y_o, y_c, deg_yo, deg_e, v2 in bucket:
+                term = v1c * v2
+                if (deg_e * (deg_xo + deg_xc) + deg_yo * deg_xc) % 2:
+                    term = -term
+                u = x_o + y_o + x_c + y_c
+                acc[u] = acc.get(u, ZERO) + term
     return acc
+
+
+def _pull_back(R, acc, psi, table, scale):
+    """Add scale * koszul(psi, deg w) * acc[psi . w] to R[w] for every w."""
+    for w, v in precompose_entries(acc, psi, table).items():
+        R[w] = R.get(w, ZERO) + scale * v
+
+
+def _self_glue(R, T, at, P, table, off=0, mult=1):
+    """Subtract mult * sum_{d,e} P[d][e] T(w[:at] a_d a_e w[at:]) from R[w].
+
+    T is precomposed so that the two glued ends sit at slots at and at+1;
+    moving the pair there past the first ``at`` letters gives the sign.
+    """
+    for W, v in T.items():
+        d, e = W[at], W[at + 1]
+        coeff = P[d - off][e - off]
+        if not coeff:
+            continue
+        pre = W[:at]
+        val = mult * coeff * v
+        if ((table[d] + table[e]) * sum(table[k] for k in pre)) % 2:
+            val = -val
+        w = pre + W[at + 2 :]
+        R[w] = R.get(w, ZERO) - val
 
 
 def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
@@ -360,53 +414,25 @@ def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
     check_key(data.kind, key)
     space = data.space
     table = space.degrees
-    P = _pair_matrix(space)
-    dim = space.dim
+    rows = _pair_rows(space)
     R = dict(functional_differential(data.functional(key)).entries)
-    words = list(itertools.product(range(dim), repeat=n))
-    up = data.tensor(LoopKey(n + 2, genus - 1)) if genus >= 1 else {}
-    if up:
-        for w in words:
-            v = _insert_two_front(table, P, up, w)
-            if v:
-                R[w] = R.get(w, ZERO) - v
+    if genus >= 1:
+        _self_glue(R, data.tensor(LoopKey(n + 2, genus - 1)), 0,
+                   _pair_matrix(space), table)
     labels = list(range(1, n + 1))
-    for c1 in op._subsets(labels):
-        c2 = [l for l in labels if l not in set(c1)]
-        n1, n2 = len(c1), len(c2)
-        psi = _unshuffle_perm(labels, c1)
+    for n1 in range(n + 1):
+        n2 = n - n1
         for g1 in range(0, genus + 1):
             g2 = genus - g1
             if 2 * (g1 - 1) + n1 + 1 <= 0 or 2 * (g2 - 1) + n2 + 1 <= 0:
                 continue
-            T1 = data.tensor(LoopKey(n1 + 1, g1))
-            T2 = data.tensor(LoopKey(n2 + 1, g2))
-            if not T1 or not T2:
+            # the join depends on the block sizes only, not on which labels
+            acc = _glue_join(data.tensor(LoopKey(n1 + 1, g1)),
+                             data.tensor(LoopKey(n2 + 1, g2)), n1, n2, rows, table)
+            if not acc:
                 continue
-            for w in words:
-                sign0 = koszul_sign(psi, tuple(table[k] for k in w))
-                u = apply_perm_to_word(psi, w)
-                x, y = u[:n1], u[n1:]
-                degx = sum(table[k] for k in x)
-                acc = ZERO
-                for d in range(dim):
-                    row = P[d]
-                    for e in range(dim):
-                        coeff = row[e]
-                        if not coeff:
-                            continue
-                        v1 = T1.get((d,) + x, ZERO)
-                        if not v1:
-                            continue
-                        v2 = T2.get((e,) + y, ZERO)
-                        if not v2:
-                            continue
-                        term = coeff * v1 * v2
-                        if (table[e] * degx) % 2:
-                            term = -term
-                        acc += term
-                if acc:
-                    R[w] = R.get(w, ZERO) - HALF * sign0 * acc
+            for c1 in itertools.combinations(labels, n1):
+                _pull_back(R, acc, _unshuffle_perm(labels, c1), table, -HALF)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -419,41 +445,16 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
     check_key(data.kind, key)
     space = data.space
     table = space.degrees
-    P = _pair_matrix(space)
-    dim = space.dim
+    rows = _pair_rows(space)
     R = dict(functional_differential(data.functional(key)).entries)
-    words = list(itertools.product(range(dim), repeat=n))
-    for s in range(n):
-        psi = tuple((i - s) % n for i in range(n))  # label s+k goes to slot k-1
-        for l in range(2, n - 1):
-            T1 = data.tensor(CyclicKey(l + 1))
-            T2 = data.tensor(CyclicKey(n - l + 1))
-            if not T1 or not T2:
-                continue
-            for w in words:
-                sign0 = koszul_sign(psi, tuple(table[k] for k in w))
-                u = apply_perm_to_word(psi, w)
-                x, y = u[:l], u[l:]
-                degx = sum(table[k] for k in x)
-                acc = ZERO
-                for d in range(dim):
-                    row = P[d]
-                    for e in range(dim):
-                        coeff = row[e]
-                        if not coeff:
-                            continue
-                        v1 = T1.get((d,) + x, ZERO)
-                        if not v1:
-                            continue
-                        v2 = T2.get((e,) + y, ZERO)
-                        if not v2:
-                            continue
-                        term = coeff * v1 * v2
-                        if (table[e] * degx) % 2:
-                            term = -term
-                        acc += term
-                if acc:
-                    R[w] = R.get(w, ZERO) - HALF * sign0 * acc
+    for l in range(2, n - 1):
+        acc = _glue_join(data.tensor(CyclicKey(l + 1)),
+                         data.tensor(CyclicKey(n - l + 1)), l, n - l, rows, table)
+        if not acc:
+            continue
+        for s in range(n):
+            psi = tuple((i - s) % n for i in range(n))  # label s+k goes to slot k-1
+            _pull_back(R, acc, psi, table, -HALF)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -514,44 +515,14 @@ def _surface(two, cycles, empties, g, closed_n):
     return QOSurface(cycles=op.sort_cycles(cycles), empties=empties, g=g)
 
 
-def _self_glue_value(data, element, table, P, word, tie):
-    """sum_d of (f o rho)(a_d (x) b_d (x) a_word) for a self-gluing preimage.
-
-    ``element`` lives on [n+2] with 1 and 2 the glued ends; rho is its
-    canonicalizing permutation.
-    """
-    rep, perm = op.canonical_perm(element, tie=tie)
-    T = data.tensor(key_of(data.kind, rep))
-    if not T:
-        return ZERO
-    if isinstance(rep, QOCSurface):
-        perm = perm + tuple(range(len(perm), len(perm) + len(rep.closed)))
-    return _insert_two_front(table, P, T, word, perm=perm)
-
-
-def _words_for(data, n, closed_n):
-    dim = data.space.dim
-    if data.kind != "qoc":
-        return list(itertools.product(range(dim), repeat=n))
-    dimc = data.closed_space.dim
-    return [
-        tuple(wo) + tuple(k + dim for k in wc)
-        for wo in itertools.product(range(dim), repeat=n)
-        for wc in itertools.product(range(dimc), repeat=closed_n)
-    ]
-
-
 def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional:
     check_key(data.kind, key)
     two = data.kind == "qoc"
     closed_ar = key_closed(key)
     rep = representative(key)
     space = data.space
-    dim = space.dim
     table = space.degrees + (data.closed_space.degrees if two else ())
     P = _pair_matrix(space)
-    n = key_arity(key)
-    words = _words_for(data, n, closed_ar)
     R = dict(functional_differential(data.functional(key)).entries)
     cyc = list(rep.cycles)
     b0, g = rep.empties, rep.g
@@ -597,21 +568,19 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         if b0 > 0:
             contr.append((1, glue_element(((1,), (2,)), b0 - 1, g - 1, ())))
     for mult, x in contr:
-        for w in words:
-            v = _self_glue_value(data, x, table, P, w, tie)
-            if v:
-                R[w] = R.get(w, ZERO) - mult * v
+        # x lives on [n+2] with 1 and 2 the glued ends
+        rep_x, perm = op.canonical_perm(x, tie=tie)
+        T = data.tensor(key_of(data.kind, rep_x))
+        if not T:
+            continue
+        if two:
+            perm = perm + tuple(range(len(perm), len(perm) + closed_ar))
+        _self_glue(R, precompose_entries(T, perm, table), 0, P, table, mult=mult)
     if two:
-        _closed_self_glue(data, key, words, table, R)
-    third = _open_glue_splittings(data, key, words, tie)
-    for w, v in third.items():
-        if v:
-            R[w] = R.get(w, ZERO) - HALF * v
+        _closed_self_glue(data, key, table, R)
+    _open_glue_splittings(data, key, tie, R)
     if two:
-        closed_third = _closed_glue_splittings(data, key, words, tie)
-        for w, v in closed_third.items():
-            if v:
-                R[w] = R.get(w, ZERO) - HALF * v
+        _closed_glue_splittings(data, key, tie, R)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, data.closed_space, key, R)
 
@@ -630,38 +599,14 @@ def qoc_residual(data: AlgebraData, key: QocKey, tie: str = "lex"):
     return _open_surface_residual(data, key, tie=tie)
 
 
-def _closed_self_glue(data, key, words, table, R):
+def _closed_self_glue(data, key, table, R):
     """Contraction of two closed ends of the preimage."""
     rep = representative(key)
     if rep.g < 1:
         return
-    closed_ar = key_closed(key)
-    n = key_arity(key)
-    Tc = data.tensor(QocKey(key.bseq, rep.g - 1, closed_ar + 2))
-    if not Tc:
-        return
-    space_c = data.closed_space
-    Pc = _pair_matrix(space_c)
-    off = data.space.dim
-    for w in words:
-        wo, wc = w[:n], w[n:]
-        dego = sum(table[k] for k in wo) % 2
-        acc = ZERO
-        for d in range(space_c.dim):
-            row = Pc[d]
-            degd = space_c.degrees[d]
-            for e in range(space_c.dim):
-                coeff = row[e]
-                if not coeff:
-                    continue
-                val = Tc.get(wo + (d + off, e + off) + wc, ZERO)
-                if not val:
-                    continue
-                if ((degd + space_c.degrees[e]) * dego) % 2:
-                    val = -val
-                acc += coeff * val
-        if acc:
-            R[w] = R.get(w, ZERO) - acc
+    Tc = data.tensor(QocKey(key.bseq, rep.g - 1, key_closed(key) + 2))
+    _self_glue(R, Tc, key_arity(key), _pair_matrix(data.closed_space), table,
+               off=data.space.dim)
 
 
 def _factor_relabelled(two, cycles, arc, empties, g, closed_n, tie,
@@ -683,13 +628,12 @@ def _factor_relabelled(two, cycles, arc, empties, g, closed_n, tie,
                     closed_n + (0 if open_glued else 1))
 
 
-def _open_glue_splittings(data, key, words, tie):
+def _open_glue_splittings(data, key, tie, R):
     """Ordered splittings glued along an open end: products of two maps."""
     two = data.kind == "qoc"
     space = data.space
-    dim = space.dim
     table = space.degrees + (data.closed_space.degrees if two else ())
-    P = _pair_matrix(space)
+    rows = _pair_rows(space)
     rep = representative(key)
     cyc = list(rep.cycles)
     b0, g = rep.empties, rep.g
@@ -698,7 +642,6 @@ def _open_glue_splittings(data, key, words, tie):
     closed_ar = key_closed(key)
     closed_labels = list(range(1, closed_ar + 1))
     closed_splits = list(op._ordered_splits(closed_labels)) if two else [((), ())]
-    out: dict = {}
     cases = []
     for m in range(nb):
         cm = cyc[m]
@@ -747,47 +690,16 @@ def _open_glue_splittings(data, key, words, tie):
             c1n, c2n = len(D1), len(D2)
             rho1w = tuple(rho1) + tuple(range(n1 + 1, n1 + 1 + c1n))
             rho2w = tuple(rho2) + tuple(range(n2 + 1, n2 + 1 + c2n))
-            for w in words:
-                sgn0 = koszul_sign(psi, tuple(table[k] for k in w))
-                u = apply_perm_to_word(psi, w)
-                x_o, rest = u[:n1], u[n1:]
-                y_o, rest = rest[:n2], rest[n2:]
-                x_c, y_c = rest[:c1n], rest[c1n:]
-                degx = sum(table[k] for k in x_o) + sum(table[k] for k in x_c)
-                inter = sum(table[k] for k in y_o) * sum(table[k] for k in x_c)
-                acc = ZERO
-                for d in range(dim):
-                    row = P[d]
-                    w1 = (d,) + x_o + x_c
-                    v1 = T1.get(apply_perm_to_word(rho1w, w1), ZERO)
-                    if not v1:
-                        continue
-                    sg1 = koszul_sign(rho1w, tuple(table[k] for k in w1))
-                    for ee in range(dim):
-                        coeff = row[ee]
-                        if not coeff:
-                            continue
-                        w2 = (ee,) + y_o + y_c
-                        v2 = T2.get(apply_perm_to_word(rho2w, w2), ZERO)
-                        if not v2:
-                            continue
-                        sg2 = koszul_sign(rho2w, tuple(table[k] for k in w2))
-                        term = coeff * v1 * v2 * sg1 * sg2
-                        if (table[ee] * degx + inter) % 2:
-                            term = -term
-                        acc += term
-                if acc:
-                    out[w] = out.get(w, ZERO) + sgn0 * acc
-    return out
+            acc = _glue_join(precompose_entries(T1, rho1w, table),
+                             precompose_entries(T2, rho2w, table), n1, n2, rows, table)
+            _pull_back(R, acc, psi, table, -HALF)
 
 
-def _closed_glue_splittings(data, key, words, tie):
+def _closed_glue_splittings(data, key, tie, R):
     """Ordered splittings glued along a closed end (two colours only)."""
     space = data.space
-    space_c = data.closed_space
-    table = space.degrees + space_c.degrees
-    Pc = _pair_matrix(space_c)
-    off = space.dim
+    table = space.degrees + data.closed_space.degrees
+    rows = _pair_rows(data.closed_space)
     rep = representative(key)
     cyc = list(rep.cycles)
     b0, g = rep.empties, rep.g
@@ -795,7 +707,6 @@ def _closed_glue_splittings(data, key, words, tie):
     n = key_arity(key)
     closed_ar = key_closed(key)
     closed_labels = list(range(1, closed_ar + 1))
-    out: dict = {}
     for I in op._subsets(list(range(nb))):
         setI = set(I)
         J = tuple(k for k in range(nb) if k not in setI)
@@ -830,47 +741,10 @@ def _closed_glue_splittings(data, key, words, tie):
                     c1n, c2n = len(D1), len(D2)
                     rho1w = tuple(rho1) + tuple(range(n1, n1 + c1n + 1))
                     rho2w = tuple(rho2) + tuple(range(n2, n2 + c2n + 1))
-                    for w in words:
-                        sgn0 = koszul_sign(psi, tuple(table[k] for k in w))
-                        u = apply_perm_to_word(psi, w)
-                        x_o, rest = u[:n1], u[n1:]
-                        y_o, rest = rest[:n2], rest[n2:]
-                        x_c, y_c = rest[:c1n], rest[c1n:]
-                        deg_xo = sum(table[k] for k in x_o)
-                        deg_xc = sum(table[k] for k in x_c)
-                        deg_yo = sum(table[k] for k in y_o)
-                        degx = deg_xo + deg_xc
-                        inter = deg_yo * deg_xc
-                        acc = ZERO
-                        for d in range(space_c.dim):
-                            row = Pc[d]
-                            degd = space_c.degrees[d]
-                            w1 = x_o + (d + off,) + x_c
-                            v1 = T1.get(apply_perm_to_word(rho1w, w1), ZERO)
-                            if not v1:
-                                continue
-                            sg1 = koszul_sign(rho1w, tuple(table[k] for k in w1))
-                            if (degd * deg_xo) % 2:
-                                sg1 = -sg1
-                            for ee in range(space_c.dim):
-                                coeff = row[ee]
-                                if not coeff:
-                                    continue
-                                w2 = y_o + (ee + off,) + y_c
-                                v2 = T2.get(apply_perm_to_word(rho2w, w2), ZERO)
-                                if not v2:
-                                    continue
-                                sg2 = koszul_sign(rho2w, tuple(table[k] for k in w2))
-                                dege = space_c.degrees[ee]
-                                if (dege * deg_yo) % 2:
-                                    sg2 = -sg2
-                                term = coeff * v1 * v2 * sg1 * sg2
-                                if (dege * degx + inter) % 2:
-                                    term = -term
-                                acc += term
-                        if acc:
-                            out[w] = out.get(w, ZERO) + sgn0 * acc
-    return out
+                    acc = _glue_join(precompose_entries(T1, rho1w, table),
+                                     precompose_entries(T2, rho2w, table), n1, n2,
+                                     rows, table, colour="closed", off=space.dim)
+                    _pull_back(R, acc, psi, table, -HALF)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,25 @@ class TestMasterEq:
                            "--form", "herbst")
         assert code == 2
 
+    @pytest.mark.parametrize("kind, with_differential, max_n", [
+        ("loop", False, 3),
+        ("cyclic_ainfty", False, 4),
+        ("loop", False, 0),  # no maps: the kind alone is wrong
+        ("quantum_ainfty", True, 0),  # no maps: the differential is nonzero
+    ])
+    def test_herbst_rejects_unsuitable_file(self, capsys, tmp_path, kind,
+                                            with_differential, max_n):
+        V = G.rich_space(4, with_differential=with_differential)
+        data = FT.random_algebra(kind, V, max_n, 2, random.Random(5))
+        assert bool(data.maps) == (max_n > 0)
+        path = tmp_path / "unsuitable.json"
+        path.write_text(json.dumps(FT.algebra_to_json(data)))
+        code, out, err = run(capsys, "master-eq", "--input", str(path),
+                             "--form", "herbst")
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
     def test_sprime_kind_mismatch(self, capsys, tmp_path):
         V = G.rich_space(2)
         data = FT.random_algebra("quantum_ainfty", V, 3, 2, random.Random(3))

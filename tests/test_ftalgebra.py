@@ -172,6 +172,78 @@ class TestSpecializations:
             assert q.entries == c.entries
 
 
+def _mixed_space(pair_degrees):
+    """block_space(pair_degrees), which lists each degree pair twice, in a
+    basis mixing the two vectors of each degree, so that every row of the
+    inverse pairing has two nonzeros."""
+    V = G.block_space(pair_degrees)
+    n = V.dim
+    h = n // 2  # vectors i and i + h share a degree
+    # column j holds the new basis vector j in the old basis
+    B = [[0] * n for _ in range(n)]
+    for i in range(h):
+        B[i][i], B[i + h][i] = 1, 1
+        B[i][i + h], B[i + h][i + h] = -2, 1
+    omega = [
+        [sum(B[i][j] * V.omega[i][k] * B[k][l] for i in range(n) for k in range(n))
+         for l in range(n)]
+        for j in range(n)
+    ]
+    M = G.GradedSymplecticSpace(
+        basis_names=V.basis_names, degrees=V.degrees,
+        differential=V.differential, omega=omega,
+    )
+    assert G.validate_space(M) == []
+    rows = G.contraction_pair(M).coefficients
+    assert min(sum(1 for c in row if c) for row in rows) == 2
+    return M
+
+
+@pytest.fixture(scope="module")
+def mixed8():
+    return _mixed_space([0, -1, 0, -1])
+
+
+@pytest.fixture(scope="module")
+def mixed4():
+    return _mixed_space([-1, -1])
+
+
+class TestSpecializationsMixedPairing:
+    """The hand-coded residuals join factor entries through the nonzero
+    entries of the inverse pairing; on these spaces a join that visits only
+    one column per pairing row gives wrong residuals."""
+
+    def _compare(self, kind, bounds, specialized, space, closed_space=None):
+        data = FT.random_algebra(kind, space, *bounds, random.Random(5),
+                                 closed_space=closed_space, density=1.0)
+        compared = 0
+        for key in FT.enumerate_keys(kind, *bounds):
+            generic = FT.ft_residual(data, key)
+            assert generic.entries == specialized(data, key).entries, key
+            compared += len(generic.entries)
+        assert compared
+
+    def test_loop(self, mixed8):
+        self._compare("loop", (3, 4),
+                      lambda d, k: FT.loop_residual(d, k.n, k.genus), mixed8)
+
+    def test_cyclic(self, mixed8):
+        self._compare("cyclic_ainfty", (4, 0),
+                      lambda d, k: FT.cyclic_residual(d, k.n), mixed8)
+
+    @pytest.mark.parametrize("tie", ["lex", "revlex"])
+    def test_quantum(self, mixed8, tie):
+        self._compare("quantum_ainfty", (3, 2),
+                      lambda d, k: FT.quantum_residual(d, k.bseq, k.g, tie=tie),
+                      mixed8)
+
+    @pytest.mark.parametrize("tie", ["lex", "revlex"])
+    def test_qoc(self, mixed8, mixed4, tie):
+        self._compare("qoc", (3, 4),
+                      lambda d, k: FT.qoc_residual(d, k, tie=tie), mixed8, mixed4)
+
+
 class TestCyclicForms:
     def test_bracket_of_zero(self, v4):
         fam = {3: {(0, 0, 1): Fr(1)}}
