@@ -5,6 +5,17 @@ genus bounds, over all admissible gluing-label choices.  Relabelling maps in
 the equivariance axioms (3 and 4) run over transposition generators plus the
 identity; functoriality (axiom 2) is checked on all pairs of permutations,
 so equivariance for generators implies it for the whole group.
+
+What depends on one element only is computed once, not once per instance:
+each element's ends per colour (axioms 1 and 3-8, before the product loops),
+its relabellings by every slot permutation (axiom 2, ``_ActionTable``) and,
+for axiom 3, its generator maps, its relabelling by each generator and each
+generator's map with each end dropped (``_glue_data``, once per element and
+colour in one verifier run).  Per instance the verifier only applies the
+structure maps to the instance's own surfaces (the glued or contracted
+surface, its relabelling by the joined maps) and records the comparison, so
+every instance is still checked and counted; ``AxiomReport.per_axiom`` gives
+the count per axiom.
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ class AxiomReport:
     max_genus2: int
     checked: int = 0
     failures: list = field(default_factory=list)
+    per_axiom: dict = field(default_factory=dict)  # axiom -> instances checked
 
     @property
     def passed(self) -> bool:
@@ -50,6 +62,7 @@ class AxiomReport:
             "max_n": self.max_n,
             "max_genus2": self.max_genus2,
             "checked": self.checked,
+            "per_axiom": {str(k): n for k, n in sorted(self.per_axiom.items())},
             "passed": self.passed,
             "failures": sorted(
                 self.failures, key=lambda f: (f["axiom"], f["instance"])
@@ -105,6 +118,11 @@ def _ends(x, colour):
     return sorted(op.closed_labels(x))
 
 
+def _with_ends(kind, xs):
+    """Each element of ``xs`` with its ends per colour, computed once."""
+    return [(x, {c: _ends(x, c) for c in _colours(kind)}) for x in xs]
+
+
 def _transposition_maps(labels):
     labels = sorted(labels)
     maps = [{l: l for l in labels}]
@@ -155,8 +173,10 @@ def verify_axioms(kind, max_n, max_genus2, extended=False) -> AxiomReport:
     """Check axioms 1-8 exhaustively within the bounds; report all failures."""
     report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_genus2)
     corollas = _corollas(kind, max_n, max_genus2, extended)
-    for fn in _AXIOM_FUNCS.values():
+    for axiom, fn in _AXIOM_FUNCS.items():
+        before = report.checked
         fn(report, kind, corollas, max_n, max_genus2, extended)
+        report.per_axiom[axiom] = report.checked - before
     report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
     return report
 
@@ -173,12 +193,12 @@ def _pairs(corollas, max_n, max_genus2, extra_genus2=0):
 def _ax1(report, kind, corollas, max_n, max_genus2, extended):
     """Gluing is symmetric in its two factors."""
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        xs = _basis(kind, s1, extended)
-        ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
+        xs = _with_ends(kind, _basis(kind, s1, extended))
+        ys = _with_ends(kind, _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1]))
         for colour in _colours(kind):
-            for x, y in itertools.product(xs, ys):
-                for a in _ends(x, colour):
-                    for b in _ends(y, colour):
+            for (x, ex), (y, ey) in itertools.product(xs, ys):
+                for a in ex[colour]:
+                    for b in ey[colour]:
                         lhs = op._compose(x, a, y, b, colour, extended)
                         rhs = op._compose(y, b, x, a, colour, extended)
                         report.checked += 1
@@ -260,31 +280,55 @@ def _ax2(report, kind, corollas, max_n, max_genus2, extended):
                                     table.elems[li], table.elems[ri])
 
 
+def _glue_data(kind, x, colour):
+    """Per end ``a`` of ``x`` in ``colour``: for each generator rho, the
+    relabelled ``x.rho``, the image ``rho(a)`` and rho's open and closed maps
+    with ``a`` dropped (the part of rho that survives the gluing at ``a``)."""
+    gens = _generator_maps(kind, x)
+    moved = [_relabel(kind, x, rho_o, rho_c) for rho_o, rho_c in gens]
+    out = []
+    for a in _ends(x, colour):
+        row = []
+        for (rho_o, rho_c), xr in zip(gens, moved):
+            look = rho_o if (colour == "open" or kind != "qoc") else rho_c
+            row.append((xr, look[a], *_free_map(kind, rho_o, rho_c, colour, a)))
+        out.append((a, row))
+    return out
+
+
 def _ax3(report, kind, corollas, max_n, max_genus2, extended):
-    """Gluing is equivariant."""
+    """Gluing is equivariant: (x o_a y).(rho u sigma) == x.rho o_{rho(a)} y.sigma
+    for generators rho of x's relabellings and sigma of y's.
+
+    For each factor and colour, ``_glue_data`` computes once what depends on
+    one factor only: its ends, its generator maps, its relabelling by each
+    generator and each generator's map with each end dropped.  Each instance
+    then makes one ``relabel`` of the glued surface by the joined free maps
+    and one ``_compose`` of the relabelled factors, and records the pair."""
+    memo = {}
+
+    def data(x, colour):
+        d = memo.get((x, colour))
+        if d is None:
+            d = memo[x, colour] = _glue_data(kind, x, colour)
+        return d
+
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
         xs = _basis(kind, s1, extended)
         ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
         for colour in _colours(kind):
-            for x, y in itertools.product(xs, ys):
-                gens_x = _generator_maps(kind, x)
-                gens_y = _generator_maps(kind, y)
-                for a in _ends(x, colour):
-                    for b in _ends(y, colour):
-                        z = op.compose(x, a, y, b, colour=colour, extended=extended)
-                        for rho_o, rho_c in gens_x:
-                            for sig_o, sig_c in gens_y:
-                                look_x = rho_o if (colour == "open" or kind != "qoc") else rho_c
-                                look_y = sig_o if (colour == "open" or kind != "qoc") else sig_c
-                                ro, rc = _free_map(kind, rho_o, rho_c, colour, a)
-                                so, sc = _free_map(kind, sig_o, sig_c, colour, b)
-                                lhs = _relabel(kind, z, {**ro, **so}, {**rc, **sc})
-                                rhs = op.compose(
-                                    _relabel(kind, x, rho_o, rho_c), look_x[a],
-                                    _relabel(kind, y, sig_o, sig_c), look_y[b],
-                                    colour=colour, extended=extended,
-                                )
-                                report.record(3, (x, a, y, b, colour), lhs, rhs)
+            data_y = [(y, data(y, colour)) for y in ys]
+            for x in xs:
+                data_x = data(x, colour)
+                for y, dy in data_y:
+                    for a, row_x in data_x:
+                        for b, row_y in dy:
+                            z = op._compose(x, a, y, b, colour, extended)
+                            for xr, ia, fo, fc in row_x:
+                                for yr, ib, go, gc in row_y:
+                                    lhs = _relabel(kind, z, {**fo, **go}, {**fc, **gc})
+                                    rhs = op._compose(xr, ia, yr, ib, colour, extended)
+                                    report.record(3, (x, a, y, b, colour), lhs, rhs)
 
 
 def _ax4(report, kind, corollas, max_n, max_genus2, extended):
@@ -333,16 +377,16 @@ def _ax5(report, kind, corollas, max_n, max_genus2, extended):
 def _ax6(report, kind, corollas, max_n, max_genus2, extended):
     """Contracting across a gluing agrees in either order."""
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        xs = _basis(kind, s1, extended)
-        ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
+        xs = _with_ends(kind, _basis(kind, s1, extended))
+        ys = _with_ends(kind, _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1]))
         for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-            for x, y in itertools.product(xs, ys):
-                for a in _ends(x, col_ab):
-                    for c in _ends(x, col_cd):
+            for (x, ex), (y, ey) in itertools.product(xs, ys):
+                for a in ex[col_ab]:
+                    for c in ex[col_cd]:
                         if col_ab == col_cd and c == a:
                             continue
-                        for b in _ends(y, col_ab):
-                            for d in _ends(y, col_cd):
+                        for b in ey[col_ab]:
+                            for d in ey[col_cd]:
                                 if col_ab == col_cd and d == b:
                                     continue
                                 lhs = op._contract(
@@ -363,15 +407,15 @@ def _ax6(report, kind, corollas, max_n, max_genus2, extended):
 def _ax7(report, kind, corollas, max_n, max_genus2, extended):
     """Gluing commutes with a contraction inside one factor."""
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        xs = _basis(kind, s1, extended)
-        ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
+        xs = _with_ends(kind, _basis(kind, s1, extended))
+        ys = _with_ends(kind, _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1]))
         for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-            for x, y in itertools.product(xs, ys):
-                for c, d in itertools.combinations(_ends(x, col_cd), 2):
-                    for a in _ends(x, col_ab):
+            for (x, ex), (y, ey) in itertools.product(xs, ys):
+                for c, d in itertools.combinations(ex[col_cd], 2):
+                    for a in ex[col_ab]:
                         if col_ab == col_cd and a in (c, d):
                             continue
-                        for b in _ends(y, col_ab):
+                        for b in ey[col_ab]:
                             lhs = op._compose(
                                 op._contract(x, c, d, col_cd, extended),
                                 a, y, b, col_ab, extended,
@@ -390,25 +434,25 @@ def _ax7(report, kind, corollas, max_n, max_genus2, extended):
 def _ax8(report, kind, corollas, max_n, max_genus2, extended):
     """Gluing is associative."""
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
+        xs = _with_ends(kind, _basis(kind, s1, extended))
+        ys = _with_ends(kind, _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1]))
         for s3 in corollas:
             if s1[2] + s2[2] + s3[2] > max_genus2:
                 continue
             if sum(s[0] + s[1] for s in (s1, s2, s3)) - 4 > max_n:
                 continue
-            xs = _basis(kind, s1, extended)
-            ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
-            zs = _basis(
+            zs = _with_ends(kind, _basis(
                 kind, s3, extended, offset_o=s1[0] + s2[0], offset_c=s1[1] + s2[1]
-            )
+            ))
             for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-                for x, y, z in itertools.product(xs, ys, zs):
-                    for a in _ends(x, col_ab):
-                        for b in _ends(y, col_ab):
+                for (x, ex), (y, ey), (z, ez) in itertools.product(xs, ys, zs):
+                    for a in ex[col_ab]:
+                        for b in ey[col_ab]:
                             xy = op._compose(x, a, y, b, col_ab, extended)
-                            for c in _ends(y, col_cd):
+                            for c in ey[col_cd]:
                                 if col_ab == col_cd and c == b:
                                     continue
-                                for d in _ends(z, col_cd):
+                                for d in ez[col_cd]:
                                     lhs = op._compose(
                                         x, a,
                                         op._compose(y, c, z, d, col_cd, extended),

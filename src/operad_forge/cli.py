@@ -203,6 +203,18 @@ def cmd_dual_table(args) -> int:
     return PASS
 
 
+def non_negative_int(text) -> int:
+    """Argparse type for bounds and sizes: a negative value is a usage error
+    (exit 2), not an empty range that reports every check as passing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="operad-forge",
@@ -216,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-operad", help="check the eight structure axioms")
     sp.add_argument("--kind", required=True, choices=("qc", "qo", "ass", "qoc"))
-    sp.add_argument("--max-n", type=int, default=4)
-    sp.add_argument("--max-genus2", type=int, default=4)
+    sp.add_argument("--max-n", type=non_negative_int, default=4)
+    sp.add_argument("--max-genus2", type=non_negative_int, default=4)
     sp.add_argument("--allow-unstable-extension", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_verify_operad)
@@ -226,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "functionals")
     sp.add_argument("--input", help="space description (JSON)")
     sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--max-n", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--max-n", type=non_negative_int, default=4)
+    sp.add_argument("--samples", type=non_negative_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_verify_endo)
@@ -235,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-algebra", help="evaluate the defining equations "
                                               "of an algebra file")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--max-n", type=int, default=4)
-    sp.add_argument("--max-genus2", type=int, default=4)
+    sp.add_argument("--max-n", type=non_negative_int, default=4)
+    sp.add_argument("--max-genus2", type=non_negative_int, default=4)
     common(sp)
     sp.set_defaults(func=cmd_check_algebra)
 
@@ -249,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dual-table", help="print the dual structure map "
                                            "expansions of a component")
     sp.add_argument("--kind", required=True, choices=("qc", "qo", "ass", "qoc"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--genus2", type=int, required=True)
-    sp.add_argument("--closed", type=int, default=0)
+    sp.add_argument("--n", type=non_negative_int, required=True)
+    sp.add_argument("--genus2", type=non_negative_int, required=True)
+    sp.add_argument("--closed", type=non_negative_int, default=0)
     sp.add_argument("--allow-unstable-extension", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_dual_table)

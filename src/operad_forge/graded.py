@@ -101,6 +101,21 @@ class GradedSymplecticSpace:
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         object.__setattr__(self, "differential", _as_matrix(self.differential))
         object.__setattr__(self, "omega", _as_matrix(self.omega))
+        # Spaces key lru caches (``endo._pair_matrix``, ``endo._pair_rows``);
+        # hashing the Fraction matrices once here, not on every lookup, keeps
+        # those lookups cheap.  Equality stays field-wise.
+        object.__setattr__(self, "_hash", hash(
+            (self.basis_names, self.degrees, self.differential, self.omega)
+        ))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__, so an unpickled copy rehashes its strings
+        # under the receiving interpreter's hash seed.
+        return type(self), (self.basis_names, self.degrees, self.differential,
+                            self.omega)
 
     @property
     def dim(self) -> int:

@@ -187,26 +187,33 @@ def basis(kind: str, labels: Iterable, genus2: int, closed: Iterable = (),
 
 
 def relabel(x, rho: dict, rho_closed: dict | None = None):
-    """Functorial relabelling; one map per colour for two-coloured elements."""
+    """Functorial relabelling; one map per colour for two-coloured elements.
+
+    Each label is mapped in one pass; a label the map lacks surfaces as the
+    lookup's ``KeyError`` and is reported as ``MissingLabel``."""
     if isinstance(x, QCElement):
-        missing = x.labels - set(rho)
-        if missing:
-            raise MissingLabel(f"relabelling undefined on {sorted(missing)}")
-        return QCElement(labels=frozenset(rho[l] for l in x.labels), genus2=x.genus2)
-    missing = x.labels - set(rho)
-    if missing:
-        raise MissingLabel(f"relabelling undefined on {sorted(missing)}")
-    cycles = sort_cycles(tuple(tuple(rho[l] for l in c) for c in x.cycles))
+        try:
+            labels = frozenset(map(rho.__getitem__, x.labels))
+        except KeyError:
+            raise _missing("relabelling", x.labels, rho) from None
+        return QCElement(labels=labels, genus2=x.genus2)
+    try:
+        mapped = tuple(tuple(map(rho.__getitem__, c)) for c in x.cycles)
+    except KeyError:
+        raise _missing("relabelling", x.labels, rho) from None
+    cycles = sort_cycles(mapped)
     if isinstance(x, QOSurface):
         return QOSurface(cycles=cycles, empties=x.empties, g=x.g)
     rho_closed = rho_closed if rho_closed is not None else rho
-    missing = x.closed - set(rho_closed)
-    if missing:
-        raise MissingLabel(f"closed relabelling undefined on {sorted(missing)}")
-    return QOCSurface(
-        cycles=cycles, empties=x.empties, g=x.g,
-        closed=frozenset(rho_closed[l] for l in x.closed),
-    )
+    try:
+        closed = frozenset(map(rho_closed.__getitem__, x.closed))
+    except KeyError:
+        raise _missing("closed relabelling", x.closed, rho_closed) from None
+    return QOCSurface(cycles=cycles, empties=x.empties, g=x.g, closed=closed)
+
+
+def _missing(what, labels, rho) -> MissingLabel:
+    return MissingLabel(f"{what} undefined on {sorted(labels - set(rho))}")
 
 
 def _cycle_with(x, label):

@@ -251,3 +251,38 @@ def test_non_integral_field_is_usage_error(capsys, tmp_path, setter, value):
     code, _, err = run(capsys, "check-algebra", "--input", str(path))
     assert code == 2
     assert "malformed input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify-operad", "--kind", "qo", "--max-n", "-1"], id="operad-max-n"),
+    pytest.param(["verify-operad", "--kind", "qo", "--max-genus2", "-5"],
+                 id="operad-max-genus2"),
+    pytest.param(["verify-endo", "--max-n", "-1"], id="endo-max-n"),
+    pytest.param(["verify-endo", "--samples", "-1"], id="endo-samples"),
+    pytest.param(["check-algebra", "--max-n", "-1"], id="algebra-max-n"),
+    pytest.param(["check-algebra", "--max-genus2", "-1"], id="algebra-max-genus2"),
+    pytest.param(["dual-table", "--kind", "qo", "--genus2", "4", "--n", "-1"],
+                 id="dual-n"),
+    pytest.param(["dual-table", "--kind", "qo", "--n", "2", "--genus2", "-2"],
+                 id="dual-genus2"),
+    pytest.param(["dual-table", "--kind", "qoc", "--n", "2", "--genus2", "2",
+                  "--closed", "-1"], id="dual-closed"),
+])
+def test_negative_bound_is_usage_error(capsys, cyclic_file, argv):
+    """A negative bound or size (the last option of ``argv``) is rejected
+    while parsing, with exit 2, instead of checking an empty range and
+    reporting success."""
+    if argv[0] == "check-algebra":
+        argv = argv[:1] + ["--input", str(cyclic_file)] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must not be negative: {argv[-1]}" in err
+
+
+def test_zero_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify-operad", "--kind", "qo", "--max-n", "0",
+                       "--max-genus2", "0")
+    assert code == 0
+    assert "checked 0 axiom instances" in out

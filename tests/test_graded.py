@@ -1,11 +1,13 @@
 """Spaces, functionals, slot assignments and the differential."""
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from operad_forge import endo
 from operad_forge import graded as G
 
 
@@ -156,3 +158,28 @@ class TestSpaceJson:
         assert G.parse_rational("3/4") == Fr(3, 4)
         assert G.format_rational(Fr(-5, 3)) == "-5/3"
         assert G.format_rational(Fr(4, 2)) == "2"
+
+
+class TestSpaceHash:
+    def test_equal_spaces_share_hash_and_cache_entry(self):
+        """Spaces built separately from equal data hash equal, compare equal
+        and hit the same entry of a space-keyed lru cache."""
+        space = G.rich_space(4, with_differential=True)
+        copy = G.space_from_json(json.loads(json.dumps(G.space_to_json(space))))
+        assert copy is not space and copy.omega is not space.omega
+        assert copy == space and hash(copy) == hash(space)
+        first = endo._pair_matrix(space)
+        before = endo._pair_matrix.cache_info()
+        assert endo._pair_matrix(copy) is first
+        after = endo._pair_matrix.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert two_dim(omega=[[0, 2], [-2, 0]]) != two_dim()
+
+    def test_pickle_rebuilds_through_init(self):
+        """An unpickled space is built by ``__init__``, so its hash is taken
+        from its fields in the receiving interpreter, not copied."""
+        space = G.rich_space(4)
+        cls, args = space.__reduce__()
+        assert cls is G.GradedSymplecticSpace and cls(*args) == space
+        back = pickle.loads(pickle.dumps(space))
+        assert back == space and hash(back) == hash(space)

@@ -67,6 +67,24 @@ class TestRelabel:
         comp = {l: rho[sig[l]] for l in sig}
         assert op.relabel(x, comp) == op.relabel(op.relabel(x, sig), rho)
 
+    @pytest.mark.parametrize("x,rho,rho_closed,message", [
+        (op.qc_element((1, 2, 3), 2), {1: 1}, None,
+         "relabelling undefined on [2, 3]"),
+        (op.qo_surface([(1, 2), (3,)]), {1: 2, 2: 1, 5: 5}, None,
+         "relabelling undefined on [3]"),
+        (op.qoc_surface([(1, 2)], closed=(1, 2)), {2: 1}, {1: 1, 2: 2},
+         "relabelling undefined on [1]"),
+        (op.qoc_surface([(1, 2)], closed=(1, 2, 3)), {1: 2, 2: 1}, {2: 2},
+         "closed relabelling undefined on [1, 3]"),
+        (op.qoc_surface([(1,)], closed=(2,)), {1: 1}, None,
+         "closed relabelling undefined on [2]"),
+    ])
+    def test_missing_label_message(self, x, rho, rho_closed, message):
+        """Every unmapped label of the failing colour is named, sorted."""
+        with pytest.raises(MissingLabel) as exc:
+            op.relabel(x, rho, rho_closed)
+        assert str(exc.value) == message
+
 
 class TestCompose:
     def test_qo_splice(self):
@@ -231,17 +249,18 @@ class TestAxiomVerifier:
         return report
 
     @staticmethod
-    def _table_ax2(kind, max_n, max_g2):
+    def _verifier(axiom, kind, max_n, max_g2):
+        """One axiom as ``verify_axioms`` checks it."""
         report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
-        ax._ax2(report, kind, ax._corollas(kind, max_n, max_g2, False),
-                max_n, max_g2, False)
+        ax._AXIOM_FUNCS[axiom](report, kind, ax._corollas(kind, max_n, max_g2, False),
+                               max_n, max_g2, False)
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
 
     @pytest.mark.parametrize("kind,n,g2", [("qc", 4, 2), ("qo", 4, 2), ("qoc", 3, 3)])
     def test_relabel_table_matches_all_pairs(self, kind, n, g2):
         """The table-driven axiom 2 checks exactly the all-pairs instances."""
-        table, direct = self._table_ax2(kind, n, g2), self._all_pairs_ax2(kind, n, g2)
+        table, direct = self._verifier(2, kind, n, g2), self._all_pairs_ax2(kind, n, g2)
         assert table.checked == direct.checked > 0
         assert table.passed and direct.passed
 
@@ -259,7 +278,141 @@ class TestAxiomVerifier:
             return y
 
         monkeypatch.setattr(op, "relabel", broken)
-        table, direct = self._table_ax2(kind, n, g2), self._all_pairs_ax2(kind, n, g2)
+        table, direct = self._verifier(2, kind, n, g2), self._all_pairs_ax2(kind, n, g2)
         assert not table.passed
         assert table.checked == direct.checked
         assert table.failures == direct.failures
+
+    # Reference definitions of axioms 3 and 8, one instance at a time: the
+    # ends, generator relabellings and free maps of each factor are
+    # recomputed for every instance.
+    @staticmethod
+    def _per_instance_ax3(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, False)
+        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+            xs = ax._basis(kind, s1, False)
+            ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
+            for colour in ax._colours(kind):
+                for x, y in itertools.product(xs, ys):
+                    gens_x = ax._generator_maps(kind, x)
+                    gens_y = ax._generator_maps(kind, y)
+                    for a in ax._ends(x, colour):
+                        for b in ax._ends(y, colour):
+                            z = op.compose(x, a, y, b, colour=colour)
+                            for rho_o, rho_c in gens_x:
+                                for sig_o, sig_c in gens_y:
+                                    closed = colour == "closed" and kind == "qoc"
+                                    look_x = rho_c if closed else rho_o
+                                    look_y = sig_c if closed else sig_o
+                                    ro, rc = ax._free_map(kind, rho_o, rho_c, colour, a)
+                                    so, sc = ax._free_map(kind, sig_o, sig_c, colour, b)
+                                    lhs = ax._relabel(kind, z, {**ro, **so}, {**rc, **sc})
+                                    rhs = op.compose(
+                                        ax._relabel(kind, x, rho_o, rho_c), look_x[a],
+                                        ax._relabel(kind, y, sig_o, sig_c), look_y[b],
+                                        colour=colour,
+                                    )
+                                    report.record(3, (x, a, y, b, colour), lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @staticmethod
+    def _per_instance_ax8(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, False)
+        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+            for s3 in corollas:
+                if s1[2] + s2[2] + s3[2] > max_g2:
+                    continue
+                if sum(s[0] + s[1] for s in (s1, s2, s3)) - 4 > max_n:
+                    continue
+                xs = ax._basis(kind, s1, False)
+                ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
+                zs = ax._basis(kind, s3, False, offset_o=s1[0] + s2[0],
+                               offset_c=s1[1] + s2[1])
+                for col_ab, col_cd in itertools.product(ax._colours(kind), repeat=2):
+                    for x, y, z in itertools.product(xs, ys, zs):
+                        for a in ax._ends(x, col_ab):
+                            for b in ax._ends(y, col_ab):
+                                xy = op._compose(x, a, y, b, col_ab, False)
+                                for c in ax._ends(y, col_cd):
+                                    if col_ab == col_cd and c == b:
+                                        continue
+                                    for d in ax._ends(z, col_cd):
+                                        yz = op._compose(y, c, z, d, col_cd, False)
+                                        lhs = op._compose(x, a, yz, b, col_ab, False)
+                                        rhs = op._compose(xy, c, z, d, col_cd, False)
+                                        report.record(
+                                            8, (x, y, z, a, b, c, d, col_ab, col_cd),
+                                            lhs, rhs,
+                                        )
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    def _assert_matches_reference(self, kind, n, g2):
+        fast3, ref3 = self._verifier(3, kind, n, g2), self._per_instance_ax3(kind, n, g2)
+        fast8, ref8 = self._verifier(8, kind, n, g2), self._per_instance_ax8(kind, n, g2)
+        assert fast3.checked == ref3.checked > 0
+        assert fast3.failures == ref3.failures
+        assert fast8.checked == ref8.checked > 0
+        assert fast8.failures == ref8.failures
+        return fast3, fast8
+
+    GLUING_BOUNDS = [("qc", 5, 4), ("qo", 4, 2), ("qoc", 3, 3)]
+
+    @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
+    def test_gluing_matches_per_instance(self, kind, n, g2):
+        """Axioms 3 and 8 check exactly the per-instance definitions'
+        instances, and ``per_axiom`` counts them."""
+        fast3, fast8 = self._assert_matches_reference(kind, n, g2)
+        assert fast3.passed and fast8.passed
+        per_axiom = verify_axioms(kind, n, g2).per_axiom
+        assert per_axiom[3] == fast3.checked and per_axiom[8] == fast8.checked
+
+    @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
+    def test_non_equivariant_relabel_fails_axiom_3(self, monkeypatch, kind, n, g2):
+        """A relabelling that adds genus when it sends label 2 to 1, in
+        either colour, fails axiom 3, with the same failures as the
+        per-instance definition."""
+        real = op.relabel
+
+        def broken(x, rho, rho_closed=None):
+            y = real(x, rho, rho_closed)
+            if 1 in (rho.get(2), (rho_closed or {}).get(2)):
+                if isinstance(y, op.QCElement):
+                    return y._replace(genus2=y.genus2 + 2)
+                return y._replace(g=y.g + 1)
+            return y
+
+        monkeypatch.setattr(op, "relabel", broken)
+        fast3, _ = self._assert_matches_reference(kind, n, g2)
+        assert not fast3.passed
+
+    @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
+    def test_non_associative_compose_fails_axiom_8(self, monkeypatch, kind, n, g2):
+        """A gluing that adds genus when the first factor is the larger one
+        is not associative: axiom 8 fails, as in the per-instance definition."""
+        real = op._compose.__wrapped__
+
+        def broken(x, a, y, b, colour, extended):
+            z = real(x, a, y, b, colour, extended)
+            if len(op.all_labels(x)) > len(op.all_labels(y)):
+                if isinstance(z, op.QCElement):
+                    return z._replace(genus2=z.genus2 + 2)
+                return z._replace(g=z.g + 1)
+            return z
+
+        monkeypatch.setattr(op, "_compose", broken)
+        _, fast8 = self._assert_matches_reference(kind, n, g2)
+        assert not fast8.passed
+
+    def test_per_axiom_counts(self):
+        """``per_axiom`` splits ``checked`` by axiom and appears in the JSON."""
+        report = verify_axioms("qoc", 4, 5)
+        assert report.per_axiom == {1: 4759, 2: 32525, 3: 45735, 4: 1232,
+                                    5: 18, 6: 2082, 7: 1168, 8: 40570}
+        assert sum(report.per_axiom.values()) == report.checked == 128089
+        doc = report.to_json()
+        assert doc["per_axiom"] == {str(k): v for k, v in report.per_axiom.items()}
+        assert doc["checked"] == report.checked
