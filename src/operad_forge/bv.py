@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import operads as op
-from ._kernels import apply_perm_to_word, koszul_sign
+from ._kernels import apply_perm_to_word, invert_perm, koszul_sign
 from .combinatorics import (
     block_permutation,
     rep_cycle_slots,
@@ -66,7 +66,6 @@ __all__ = [
     "master_residual",
     "qc_poly_delta",
     "qc_poly_bracket",
-    "qc_poly_ops",
     "s_prime",
     "string_vertex_F",
     "string_vertex_V",
@@ -91,57 +90,38 @@ def _rotations(sub, degs):
     return out
 
 
-def _sort_with_sign(word, degs):
+def _sort_with_sign(word, table):
     """Sorted word and the Koszul sign of the sorting permutation."""
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
-    perm = [0] * len(word)
-    for pos, src in enumerate(order):
-        perm[src] = pos
-    perm = tuple(perm)
-    return apply_perm_to_word(perm, word), koszul_sign(perm, degs)
+    perm = invert_perm(sorted(range(len(word)), key=lambda i: (word[i], i)))
+    return apply_perm_to_word(perm, word), koszul_sign(
+        perm, tuple(table[k] for k in word)
+    )
 
 
 class WordSymmetry:
-    """Canonical forms of dual words under a representative's stabilizer."""
+    """Canonical forms of dual words under a representative's stabilizer.
+
+    The stabilizer rotates each cycle block, permutes blocks of equal
+    length and permutes the tail from slot ``tail`` on freely.  The loop
+    kind has no blocks and its whole word is the tail; the cyclic kind has
+    the single block of its n slots; the open-surface kinds have one block
+    per cycle and their closed slots as the tail.
+    """
 
     def __init__(self, kind, key, table):
-        self.kind = kind
-        self.key = key
         self.table = table
-        self.n = key_arity(key)
-        self.c = key_closed(key)
+        n = key_arity(key)
         if kind == "loop":
-            self.blocks = None  # full symmetric group
+            self.blocks, self.tail = [], 0
         elif kind == "cyclic_ainfty":
-            self.blocks = [(0, self.n)] if self.n else []
+            self.blocks, self.tail = [(0, n)] if n else [], n
         else:
-            self.blocks = rep_cycle_slots(key.bseq)
+            self.blocks, self.tail = rep_cycle_slots(key.bseq), n
 
     def canonical(self, word):
         """(canonical word, sign) or (None, 0) for a vanishing class."""
         table = self.table
         word = tuple(word)
-        if self.kind == "loop":
-            w0, sign = _sort_with_sign(word, tuple(table[k] for k in word))
-            for a, b in zip(w0, w0[1:]):
-                if a == b and table[a] % 2:
-                    return None, 0
-            return w0, sign
-        if self.kind == "cyclic_ainfty":
-            if not word:
-                return word, 1
-            best = None
-            best_signs = set()
-            for cand, sign in _rotations(word, tuple(table[k] for k in word)):
-                if best is None or cand < best:
-                    best, best_signs = cand, {sign}
-                elif cand == best:
-                    best_signs.add(sign)
-            if len(best_signs) > 1:
-                return None, 0
-            return best, best_signs.pop()
-        # open-surface kinds: rotations per cycle block, permutations of
-        # equal-length blocks, the closed tail fully symmetric
         sign = 1
         pieces = []
         for start, length in self.blocks:
@@ -162,51 +142,31 @@ class WordSymmetry:
         by_len: dict = {}
         for idx, (length, sub) in enumerate(pieces):
             by_len.setdefault(length, []).append((sub, idx))
-        out_open = []
+        out = []
         for length in sorted(by_len):
             group = by_len[length]
             order = sorted(range(len(group)), key=lambda i: (group[i][0], i))
             # Koszul sign of permuting the blocks into sorted order
-            beta = [0] * len(group)
-            for pos, src in enumerate(order):
-                beta[src] = pos
-            degsums = tuple(
-                sum(self.table[k] for k in group[i][0]) for i in range(len(group))
-            )
-            sign *= koszul_sign(tuple(beta), degsums)
+            degsums = tuple(sum(table[k] for k in sub) for sub, _ in group)
+            sign *= koszul_sign(invert_perm(order), degsums)
             subs = [group[i][0] for i in order]
             for s1, s2 in zip(subs, subs[1:]):
-                if s1 == s2 and sum(self.table[k] for k in s1) % 2:
+                if s1 == s2 and sum(table[k] for k in s1) % 2:
                     return None, 0
             for sub in subs:
-                out_open.extend(sub)
-        closed = word[self.n :]
-        if closed:
-            wc, sc = _sort_with_sign(closed, tuple(table[k] for k in closed))
+                out.extend(sub)
+        tail = word[self.tail :]
+        if tail:
+            wc, sc = _sort_with_sign(tail, table)
             for a, b in zip(wc, wc[1:]):
                 if a == b and table[a] % 2:
                     return None, 0
             sign *= sc
-            out_open.extend(wc)
-        return tuple(out_open), sign
+            out.extend(wc)
+        return tuple(out), sign
 
     def stab_word_size(self, word0):
         """Number of stabilizer elements fixing the canonical word."""
-        if self.kind == "loop":
-            size = 1
-            for _, grp in itertools.groupby(word0):
-                size *= math.factorial(len(list(grp)))
-            return size
-        if self.kind == "cyclic_ainfty":
-            if not word0:
-                return 1
-            return sum(
-                1
-                for cand, _ in _rotations(
-                    word0, tuple(self.table[k] for k in word0)
-                )
-                if cand == word0
-            )
         size = 1
         subs = []
         for start, length in self.blocks:
@@ -219,8 +179,7 @@ class WordSymmetry:
             )
         for _, grp in itertools.groupby(subs):
             size *= math.factorial(len(list(grp)))
-        closed = word0[self.n :]
-        for _, grp in itertools.groupby(closed):
+        for _, grp in itertools.groupby(word0[self.tail :]):
             size *= math.factorial(len(list(grp)))
         return size
 
@@ -632,19 +591,6 @@ def qc_poly_delta(x: BVElement) -> BVElement:
     return out
 
 
-def _poly_product(w1, w2, table):
-    """Sorted product word and the Koszul sign of merging."""
-    word = tuple(w1) + tuple(w2)
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
-    perm = [0] * len(word)
-    for pos, src in enumerate(order):
-        perm[src] = pos
-    perm = tuple(perm)
-    return apply_perm_to_word(perm, word), koszul_sign(
-        perm, tuple(table[k] for k in word)
-    )
-
-
 def qc_poly_bracket(x: BVElement, y: BVElement) -> BVElement:
     """Right-by-left derivative pairing of two polynomial series."""
     _require_loop(x)
@@ -675,16 +621,11 @@ def qc_poly_bracket(x: BVElement, y: BVElement) -> BVElement:
                                 continue
                             for r1, s1 in _poly_right_derivative(w1, i, table):
                                 for r2, s2 in _poly_left_derivative(w2, j, table):
-                                    word, sm = _poly_product(r1, r2, table)
+                                    word, sm = _sort_with_sign(r1 + r2, table)
                                     out.add_term(
                                         out_key, word, wij * s1 * s2 * sm * cc
                                     )
     return out
-
-
-def qc_poly_ops(x: BVElement, y: BVElement):
-    """Both polynomial-derivative operations at once."""
-    return qc_poly_delta(x), qc_poly_bracket(x, y)
 
 
 def s_prime(S: BVElement) -> BVElement:
@@ -715,15 +656,10 @@ def s_prime(S: BVElement) -> BVElement:
 
 def _block_sort_perm(lengths, tie="stable"):
     """Block permutation arranging block lengths in nondecreasing order."""
-    b = len(lengths)
-    if tie == "stable":
-        order = sorted(range(b), key=lambda i: (lengths[i], i))
-    else:
-        order = sorted(range(b), key=lambda i: (lengths[i], -i))
-    beta = [0] * b
-    for pos, src in enumerate(order):
-        beta[src] = pos
-    return tuple(beta)
+    step = 1 if tie == "stable" else -1
+    return invert_perm(
+        sorted(range(len(lengths)), key=lambda i: (lengths[i], step * i))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -811,12 +747,9 @@ def _check_minimal(data: AlgebraData):
 
 
 @lru_cache(maxsize=None)
-def _perm_from_positions(sources, total):
+def _perm_from_positions(sources):
     """Permutation sending source slot s to its position in ``sources``."""
-    perm = [0] * total
-    for pos, src in enumerate(sources):
-        perm[src] = pos
-    return tuple(perm)
+    return invert_perm(sources)
 
 
 def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
@@ -841,12 +774,11 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
     for c in cyc:
         for l in c:
             slot_of[l] = l + 1  # source index: 0 = a, 1 = b, label l at l+1
-    total = n + 2
     arg_degs = tuple(table[k] for k in args)
 
     def koszul_to(sources, d, e):
         degs = (table[d], table[e]) + arg_degs
-        perm = _perm_from_positions(sources, total)
+        perm = _perm_from_positions(sources)
         return koszul_sign(perm, degs)
 
     def vword(labels):

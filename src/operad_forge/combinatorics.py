@@ -33,9 +33,6 @@ __all__ = [
     "apply_perm_to_word",
     "compose_perms",
     "invert_perm",
-    "identity_perm",
-    "label_image",
-    "perm_on_label",
     "block_permutation",
     "b_sequence",
     "bseq_arity",
@@ -49,19 +46,6 @@ __all__ = [
     "rep_cycle_slots",
     "LabelTable",
 ]
-
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def perm_on_label(perm: Sequence[int], label: int) -> int:
-    """Image of a 1-based label of [n] under a 0-based slot permutation."""
-    return perm[label - 1] + 1
-
-
-def label_image(perm: Sequence[int], labels: Iterable[int]) -> tuple[int, ...]:
-    return tuple(perm_on_label(perm, l) for l in labels)
 
 
 def canonicalize_cycle(entries: Iterable[int]) -> tuple[int, ...]:

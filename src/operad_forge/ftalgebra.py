@@ -12,8 +12,15 @@ contribution formulas with explicit relabelling permutations.  The two
 paths are independent and the test suite compares them exactly.  The
 hand-coded formulas iterate the nonzero entries of the factor tensors,
 joined through the nonzero entries of the inverse pairing, and share no
-code with the generic route beyond the inverse pairing and the sign and
-permutation kernels.
+code with the generic route beyond the inverse pairing, the sign and
+permutation kernels, the subset enumeration and the orbit-representative
+lookup that finds a stored map.
+
+The gluing term of the open-surface equations is one sum over the ordered
+splittings along an open or a closed end.  Each splitting factor's map is
+looked up by the factor's shape (cycle lengths, empty boundaries, genus,
+closed ends) before the factor is built, so a shape without a stored map
+costs one dictionary lookup.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ from .combinatorics import (
     QOCSurface,
     QOSurface,
     _rep_cycles,
+    b_sequence,
     bseq_arity,
     bseq_boundaries,
     orbit_representative,
@@ -46,7 +54,6 @@ from .endo import _pair_matrix, _pair_rows, endo_compose, endo_contract
 from .errors import (
     KeyMissing,
     KindMismatch,
-    SingularOmega,
     SymmetryViolation,
     Unstable,
 )
@@ -459,14 +466,16 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
     return make_map(data.kind, space, None, key, R)
 
 
+def _seq_perm(labels, seq):
+    """Slot permutation sending ascending labels to their position in seq."""
+    slot = {l: i for i, l in enumerate(sorted(labels))}
+    return invert_perm([slot[l] for l in seq])
+
+
 def _unshuffle_perm(labels, first_block):
     """Slot permutation sending the first_block labels to the leading slots."""
-    order = list(first_block) + [l for l in labels if l not in set(first_block)]
-    slot = {l: i for i, l in enumerate(sorted(labels))}
-    perm = [0] * len(labels)
-    for pos, l in enumerate(order):
-        perm[slot[l]] = pos
-    return tuple(perm)
+    first = set(first_block)
+    return _seq_perm(labels, list(first_block) + [l for l in labels if l not in first])
 
 
 # -- open-surface residuals (b-sequence keyed, one or two colours) ----------
@@ -495,15 +504,6 @@ def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
     for _, c in keyed:
         seq.extend(arc if c is None else c)
     return seq
-
-
-def _seq_perm(labels, seq):
-    """Slot permutation sending ascending labels to their position in seq."""
-    slot = {l: i for i, l in enumerate(sorted(labels))}
-    perm = [0] * len(seq)
-    for pos, l in enumerate(seq):
-        perm[slot[l]] = pos
-    return tuple(perm)
 
 
 def _surface(two, cycles, empties, g, closed_n):
@@ -551,9 +551,7 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
                 cycle = (1,) + tuple(l + 2 for l in ci[p:] + ci[:p]) + (2,)
                 contr.append((2, glue_element((cycle,), b0 - 1, g, (i,))))
     if b0 > 1:
-        x = glue_element(((1, 2),), b0 - 2, g, ())
-        if op.is_admissible(x):
-            contr.append((1, x))
+        contr.append((1, glue_element(((1, 2),), b0 - 2, g, ())))
     # ends 1,2 on two cycles of the preimage, merged by the gluing
     if g >= 1:
         for m in range(nb):
@@ -568,19 +566,18 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         if b0 > 0:
             contr.append((1, glue_element(((1,), (2,)), b0 - 1, g - 1, ())))
     for mult, x in contr:
-        # x lives on [n+2] with 1 and 2 the glued ends
-        rep_x, perm = op.canonical_perm(x, tie=tie)
-        T = data.tensor(key_of(data.kind, rep_x))
+        # x lives on [n+2] with 1 and 2 the glued ends; relabelling keeps its key
+        T = data.tensor(key_of(data.kind, x))
         if not T:
             continue
+        perm = op.canonical_perm(x, tie=tie)[1]
         if two:
             perm = perm + tuple(range(len(perm), len(perm) + closed_ar))
         _self_glue(R, precompose_entries(T, perm, table), 0, P, table, mult=mult)
     if two:
         _closed_self_glue(data, key, table, R)
-    _open_glue_splittings(data, key, tie, R)
-    if two:
-        _closed_glue_splittings(data, key, tie, R)
+    for colour in ("open", "closed") if two else ("open",):
+        _glue_splittings(data, key, table, tie, R, colour)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, data.closed_space, key, R)
 
@@ -609,142 +606,89 @@ def _closed_self_glue(data, key, table, R):
                off=data.space.dim)
 
 
-def _factor_relabelled(two, cycles, arc, empties, g, closed_n, tie,
-                       open_glued=True):
-    """A splitting factor relabelled onto standard labels.
-
-    For an open gluing the glued end becomes open label 1 and the members
-    follow the ordered cycle sequence shifted by one; for a closed gluing
-    the glued end becomes closed label 1 instead.
-    """
-    seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if open_glued else 0,
-                                  tie=tie)
-    shift = 2 if open_glued else 1
-    rho = {l: i + shift for i, l in enumerate(seq)}
-    new_cycles = [tuple(rho[l] for l in c) for c in cycles]
-    if open_glued:
-        new_cycles.append((1,) + tuple(rho[l] for l in arc))
-    return _surface(two, tuple(new_cycles), empties, g,
-                    closed_n + (0 if open_glued else 1))
-
-
-def _open_glue_splittings(data, key, tie, R):
-    """Ordered splittings glued along an open end: products of two maps."""
-    two = data.kind == "qoc"
-    space = data.space
-    table = space.degrees + (data.closed_space.degrees if two else ())
-    rows = _pair_rows(space)
-    rep = representative(key)
-    cyc = list(rep.cycles)
-    b0, g = rep.empties, rep.g
-    nb = len(cyc)
-    n = key_arity(key)
-    closed_ar = key_closed(key)
-    closed_labels = list(range(1, closed_ar + 1))
-    closed_splits = list(op._ordered_splits(closed_labels)) if two else [((), ())]
-    cases = []
-    for m in range(nb):
-        cm = cyc[m]
-        L = len(cm)
-        others = [k for k in range(nb) if k != m]
-        for I in op._subsets(others):
-            setI = set(I)
-            J = tuple(k for k in others if k not in setI)
-            for e in range(b0 + 1):
+def _open_splittings(cyc, b0, g):
+    """Splitting cases along an open end, as (cycles1, cycles2, e1, e2, g1,
+    arc1, arc2): a rotation of one cycle is cut into the arcs the two glued
+    cycles carry, or an empty boundary becomes both glued cycles."""
+    for m, cm in enumerate(cyc):
+        for cyc1, cyc2 in op._ordered_splits(cyc[:m] + cyc[m + 1 :]):
+            for e1 in range(b0 + 1):
                 for g1 in range(g + 1):
-                    for s in range(L):
+                    for s in range(len(cm)):
                         word = cm[s:] + cm[:s]
-                        for l in range(L + 1):
-                            cases.append((I, J, e, b0 - e, g1, word[:l], word[l:]))
-    if b0 > 0:
-        for I in op._subsets(list(range(nb))):
-            setI = set(I)
-            J = tuple(k for k in range(nb) if k not in setI)
-            for e in range(b0):
-                for g1 in range(g + 1):
-                    cases.append((I, J, e, b0 - 1 - e, g1, (), ()))
-    for I, J, e1, e2, g1, arc1, arc2 in cases:
-        g2 = g - g1
-        cyc1 = [cyc[k] for k in I]
-        cyc2 = [cyc[k] for k in J]
-        n1 = len(arc1) + sum(len(c) for c in cyc1)
-        n2 = len(arc2) + sum(len(c) for c in cyc2)
-        for D1, D2 in closed_splits:
-            if not _stable_open(g1, e1 + len(cyc1) + 1, n1 + 1, len(D1)):
-                continue
-            if not _stable_open(g2, e2 + len(cyc2) + 1, n2 + 1, len(D2)):
-                continue
-            y1 = _factor_relabelled(two, cyc1, arc1, e1, g1, len(D1), tie)
-            y2 = _factor_relabelled(two, cyc2, arc2, e2, g2, len(D2), tie)
-            rep1, rho1 = op.canonical_perm(y1, tie=tie)
-            rep2, rho2 = op.canonical_perm(y2, tie=tie)
-            T1 = data.tensor(key_of(data.kind, rep1))
-            T2 = data.tensor(key_of(data.kind, rep2))
-            if not T1 or not T2:
-                continue
-            seq1 = _ordered_cycle_sequence(cyc1, arc1, len(arc1) + 1, tie)
-            seq2 = _ordered_cycle_sequence(cyc2, arc2, len(arc2) + 1, tie)
-            psi_o = _seq_perm(range(1, n + 1), list(seq1) + list(seq2))
-            psi_c = _unshuffle_perm(closed_labels, list(D1)) if two else ()
-            psi = tuple(psi_o) + tuple(n + p for p in psi_c)
-            c1n, c2n = len(D1), len(D2)
-            rho1w = tuple(rho1) + tuple(range(n1 + 1, n1 + 1 + c1n))
-            rho2w = tuple(rho2) + tuple(range(n2 + 1, n2 + 1 + c2n))
-            acc = _glue_join(precompose_entries(T1, rho1w, table),
-                             precompose_entries(T2, rho2w, table), n1, n2, rows, table)
-            _pull_back(R, acc, psi, table, -HALF)
-
-
-def _closed_glue_splittings(data, key, tie, R):
-    """Ordered splittings glued along a closed end (two colours only)."""
-    space = data.space
-    table = space.degrees + data.closed_space.degrees
-    rows = _pair_rows(data.closed_space)
-    rep = representative(key)
-    cyc = list(rep.cycles)
-    b0, g = rep.empties, rep.g
-    nb = len(cyc)
-    n = key_arity(key)
-    closed_ar = key_closed(key)
-    closed_labels = list(range(1, closed_ar + 1))
-    for I in op._subsets(list(range(nb))):
-        setI = set(I)
-        J = tuple(k for k in range(nb) if k not in setI)
-        cyc1 = [cyc[k] for k in I]
-        cyc2 = [cyc[k] for k in J]
-        n1 = sum(len(c) for c in cyc1)
-        n2 = sum(len(c) for c in cyc2)
-        for e1 in range(b0 + 1):
-            e2 = b0 - e1
+                        for l in range(len(cm) + 1):
+                            yield cyc1, cyc2, e1, b0 - e1, g1, word[:l], word[l:]
+    for cyc1, cyc2 in op._ordered_splits(cyc):
+        for e1 in range(b0):
             for g1 in range(g + 1):
-                g2 = g - g1
-                for D1, D2 in op._ordered_splits(closed_labels):
-                    if not _stable_open(g1, e1 + len(cyc1), n1, len(D1) + 1):
-                        continue
-                    if not _stable_open(g2, e2 + len(cyc2), n2, len(D2) + 1):
-                        continue
-                    y1 = _factor_relabelled(True, cyc1, (), e1, g1, len(D1), tie,
-                                            open_glued=False)
-                    y2 = _factor_relabelled(True, cyc2, (), e2, g2, len(D2), tie,
-                                            open_glued=False)
-                    rep1, rho1 = op.canonical_perm(y1, tie=tie)
-                    rep2, rho2 = op.canonical_perm(y2, tie=tie)
-                    T1 = data.tensor(key_of(data.kind, rep1))
-                    T2 = data.tensor(key_of(data.kind, rep2))
-                    if not T1 or not T2:
-                        continue
-                    seq1 = _ordered_cycle_sequence(cyc1, (), 0, tie)
-                    seq2 = _ordered_cycle_sequence(cyc2, (), 0, tie)
-                    psi_o = _seq_perm(range(1, n + 1), list(seq1) + list(seq2))
-                    psi_c = _unshuffle_perm(closed_labels, list(D1))
-                    psi = tuple(psi_o) + tuple(n + p for p in psi_c)
-                    c1n, c2n = len(D1), len(D2)
-                    rho1w = tuple(rho1) + tuple(range(n1, n1 + c1n + 1))
-                    rho2w = tuple(rho2) + tuple(range(n2, n2 + c2n + 1))
-                    acc = _glue_join(precompose_entries(T1, rho1w, table),
-                                     precompose_entries(T2, rho2w, table), n1, n2,
-                                     rows, table, colour="closed", off=space.dim)
-                    _pull_back(R, acc, psi, table, -HALF)
+                yield cyc1, cyc2, e1, b0 - 1 - e1, g1, (), ()
+
+
+def _closed_splittings(cyc, b0, g):
+    """Splitting cases along a closed end: the cycles, empty boundaries and
+    genus are shared out, and no cycle is cut."""
+    for cyc1, cyc2 in op._ordered_splits(cyc):
+        for e1 in range(b0 + 1):
+            for g1 in range(g + 1):
+                yield cyc1, cyc2, e1, b0 - e1, g1, (), ()
+
+
+def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
+    """One splitting factor: its stored tensor precomposed into the slot
+    order of its representative, and its member labels in slot order; None
+    when no map is stored for its shape.
+
+    For an open gluing the factor gains the glued cycle, the glued end
+    (open label 1) followed by ``arc``; for a closed gluing it gains the
+    glued end as closed label 1.  The key follows from the shape, so a
+    factor without a stored map is never built.
+    """
+    two = data.kind == "qoc"
+    opened = colour == "open"
+    if opened:
+        glued, shift = ((0,) + arc,), 2  # 0 stands for the glued end
+    else:
+        glued, shift, closed_n = (), 1, closed_n + 1
+    bseq = b_sequence(cycles + glued, empties)
+    T = data.tensor(QocKey(bseq, g, closed_n) if two else QuantumKey(bseq, g))
+    if not T:
+        return None
+    seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if opened else 0, tie)
+    rho = {0: 1}
+    rho.update((l, i + shift) for i, l in enumerate(seq))
+    y = _surface(two, tuple(tuple(rho[l] for l in c) for c in cycles + glued),
+                 empties, g, closed_n)
+    perm = op.canonical_perm(y, tie=tie)[1]
+    perm += tuple(range(len(perm), len(perm) + closed_n))
+    return precompose_entries(T, perm, table), seq
+
+
+def _glue_splittings(data, key, table, tie, R, colour):
+    """Ordered splittings glued along an end of one colour: products of two
+    maps, pulled back onto the slots of the key."""
+    rep = representative(key)
+    n = key_arity(key)
+    closed_labels = range(1, key_closed(key) + 1)
+    if colour == "open":
+        rows, off, cases = _pair_rows(data.space), 0, _open_splittings
+    else:
+        rows = _pair_rows(data.closed_space)
+        off, cases = data.space.dim, _closed_splittings
+    for cyc1, cyc2, e1, e2, g1, arc1, arc2 in cases(rep.cycles, rep.empties, rep.g):
+        for D1, D2 in op._ordered_splits(closed_labels):
+            f1 = _factor(data, cyc1, arc1, e1, g1, len(D1), colour, table, tie)
+            if f1 is None:
+                continue
+            f2 = _factor(data, cyc2, arc2, e2, rep.g - g1, len(D2), colour, table,
+                         tie)
+            if f2 is None:
+                continue
+            (T1, seq1), (T2, seq2) = f1, f2
+            psi = _seq_perm(range(1, n + 1), seq1 + seq2) + tuple(
+                n + p for p in _unshuffle_perm(closed_labels, D1)
+            )
+            acc = _glue_join(T1, T2, len(seq1), len(seq2), rows, table, colour, off)
+            _pull_back(R, acc, psi, table, -HALF)
 
 
 # ---------------------------------------------------------------------------

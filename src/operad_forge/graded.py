@@ -419,7 +419,8 @@ def space_from_json(doc) -> GradedSymplecticSpace:
 
 def canonical_space(dim: int = 2, with_differential: bool = False) -> GradedSymplecticSpace:
     """Block sums of the odd symplectic pair (degrees 0 and 1)."""
-    assert dim % 2 == 0
+    if dim <= 0 or dim % 2:
+        raise ValueError(f"the dimension must be positive and even, not {dim}")
     half = dim // 2
     names, degrees = [], []
     for k in range(half):

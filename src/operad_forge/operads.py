@@ -405,11 +405,6 @@ def canonical_perm(x, tie: str = "lex"):
     return rep, tuple(perm)
 
 
-def perm_to_label_map(perm, labels=None) -> dict:
-    labels = labels if labels is not None else range(1, len(perm) + 1)
-    return {l: perm[i] + 1 for i, l in enumerate(sorted(labels))}
-
-
 def _squash(x):
     """Relabel both colours increasingly onto standard label sets."""
     rho = {l: i + 1 for i, l in enumerate(sorted(open_labels(x)))}

@@ -286,3 +286,14 @@ def test_zero_bound_is_accepted(capsys):
                        "--max-genus2", "0")
     assert code == 0
     assert "checked 0 axiom instances" in out
+
+
+@pytest.mark.parametrize("dim", ["-2", "0", "3"])
+def test_bad_dimension_is_usage_error(capsys, dim):
+    """verify-endo builds its space from --dim, which must be positive and
+    even; any other value is malformed input (exit 2), not a traceback."""
+    code, out, err = run(capsys, "verify-endo", "--dim", dim, "--samples", "1",
+                         "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("malformed input: ") and "positive and even" in err

@@ -127,6 +127,16 @@ class TestSpecializations:
         _compare(data, FT.enumerate_keys("qoc", 3, 4),
                  lambda k: FT.qoc_residual(data, k))
 
+    def test_quantum_many_empty_boundaries(self, v4):
+        """Keys with two or more empty boundaries, at doubled genus up to 6,
+        where a contraction preimage keeps two empty boundaries; the bounds
+        of test_quantum do not reach them."""
+        data = FT.random_algebra("quantum_ainfty", v4, 3, 6, random.Random(18),
+                                 density=1.0)
+        keys = [k for k in FT.enumerate_keys("quantum_ainfty", 3, 6)
+                if k.bseq[0] >= 2]
+        _compare(data, keys, lambda k: FT.quantum_residual(data, k.bseq, k.g))
+
     def test_quantum_tie_break_independence(self, v4):
         """The residual does not depend on the admissible orderings chosen
         inside the contribution formulas."""
