@@ -665,7 +665,8 @@ def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
 
 def _glue_splittings(data, key, table, tie, R, colour):
     """Ordered splittings glued along an end of one colour: products of two
-    maps, pulled back onto the slots of the key."""
+    maps, pulled back onto the slots of the key.  Each distinct factor is
+    built once per call; the factors are not mutated by the joins."""
     rep = representative(key)
     n = key_arity(key)
     closed_labels = range(1, key_closed(key) + 1)
@@ -674,13 +675,20 @@ def _glue_splittings(data, key, table, tie, R, colour):
     else:
         rows = _pair_rows(data.closed_space)
         off, cases = data.space.dim, _closed_splittings
+    built = {}
+
+    def factor(cycles, arc, empties, g, closed_n):
+        shape = (cycles, arc, empties, g, closed_n)
+        if shape not in built:
+            built[shape] = _factor(data, *shape, colour, table, tie)
+        return built[shape]
+
     for cyc1, cyc2, e1, e2, g1, arc1, arc2 in cases(rep.cycles, rep.empties, rep.g):
         for D1, D2 in op._ordered_splits(closed_labels):
-            f1 = _factor(data, cyc1, arc1, e1, g1, len(D1), colour, table, tie)
+            f1 = factor(cyc1, arc1, e1, g1, len(D1))
             if f1 is None:
                 continue
-            f2 = _factor(data, cyc2, arc2, e2, rep.g - g1, len(D2), colour, table,
-                         tie)
+            f2 = factor(cyc2, arc2, e2, rep.g - g1, len(D2))
             if f2 is None:
                 continue
             (T1, seq1), (T2, seq2) = f1, f2

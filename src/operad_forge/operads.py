@@ -242,24 +242,25 @@ def _merge_sorted(old_cycles: tuple, new_cycles) -> tuple:
 
 @lru_cache(maxsize=1 << 20)
 def _compose(x, a, y, b, colour, extended):
-    if element_kind(x) != element_kind(y):
+    kind = element_kind(x)
+    if element_kind(y) != kind:
         raise KindMismatch("cannot compose elements of different kinds")
-    if colour == "closed" and not isinstance(x, (QCElement, QOCSurface)):
+    if colour == "closed" and kind == "qo":
         raise ColourMismatch("closed gluing needs the two-coloured kind")
     if not (is_admissible(x, extended) and is_admissible(y, extended)):
         raise Unstable("composition of an unstable element")
-    if isinstance(x, QCElement):
-        if a not in x.labels or b not in y.labels:
+    if kind == "qc":
+        lx, ly = x.labels, y.labels
+        if a not in lx or b not in ly:
             raise MissingLabel("glued label absent")
-        if (x.labels - {a}) & (y.labels - {b}):
+        if _shared(lx, a, ly, b):
             raise LabelCollision("factors share labels")
-        return QCElement(
-            labels=(x.labels - {a}) | (y.labels - {b}), genus2=x.genus2 + y.genus2
-        )
+        return QCElement(labels=(lx - {a}) | (ly - {b}), genus2=x.genus2 + y.genus2)
     ox, oy = x.labels, y.labels
-    cx = x.closed if isinstance(x, QOCSurface) else frozenset()
-    cy = y.closed if isinstance(y, QOCSurface) else frozenset()
-    if (ox - {a}) & (oy - {b}) or (cx - {a}) & (cy - {b}):
+    two = kind == "qoc"
+    cx = x.closed if two else frozenset()
+    cy = y.closed if two else frozenset()
+    if _shared(ox, a, oy, b) or _shared(cx, a, cy, b):
         raise LabelCollision("factors share labels")
     if colour == "open":
         if a not in ox:
@@ -282,14 +283,12 @@ def _compose(x, a, y, b, colour, extended):
             new = (merged,)
         else:
             empties += 1
-        if isinstance(x, QOSurface):
-            return QOSurface(
-                cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g
+        if two:
+            return QOCSurface(
+                cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g,
+                closed=cx | cy,
             )
-        return QOCSurface(
-            cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g,
-            closed=cx | cy,
-        )
+        return QOSurface(cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g)
     if a not in cx:
         raise (ColourMismatch if a in ox else MissingLabel)(
             f"label {a} is not a closed end of the first factor"
@@ -302,6 +301,11 @@ def _compose(x, a, y, b, colour, extended):
         cycles=_merge_sorted(x.cycles + y.cycles, ()), empties=x.empties + y.empties,
         g=x.g + y.g, closed=(cx - {a}) | (cy - {b}),
     )
+
+
+def _shared(lx, a, ly, b) -> bool:
+    """Whether ``lx`` without ``a`` and ``ly`` without ``b`` meet."""
+    return not lx.isdisjoint(ly) and bool((lx - {a}) & (ly - {b}))
 
 
 def compose(x, a, y, b, colour: str = "open", extended: bool = False):

@@ -26,13 +26,17 @@ def report(num, text):
 
 
 def test_criterion_01_operad_axiom_suite():
-    """Axioms 1-8 hold exhaustively for all three operads, within budget."""
+    """Axioms 1-8 hold exhaustively for all three operads, within budget:
+    the instances run cover every instance within the bounds."""
     t0 = time.time()
     results = {}
-    for kind, max_n, max_g2 in (("qc", 6, 8), ("qo", 5, 6), ("qoc", 4, 5)):
+    for kind, max_n, max_g2, covered in (("qc", 6, 8, 2798999),
+                                         ("qo", 5, 6, 8071367),
+                                         ("qoc", 4, 5, 128089)):
         rep = verify_axioms(kind, max_n, max_g2)
         assert rep.passed, (kind, rep.failures[:3])
-        results[kind] = rep.checked
+        assert sum(rep.covered.values()) == covered, (kind, rep.covered)
+        results[kind] = f"{rep.checked} run / {covered} covered"
     elapsed = time.time() - t0
     assert elapsed <= 300, f"axiom suite took {elapsed:.0f}s"
     report(1, f"operad axioms: qc {results['qc']}, qo {results['qo']}, "

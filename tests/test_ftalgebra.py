@@ -127,6 +127,32 @@ class TestSpecializations:
         _compare(data, FT.enumerate_keys("qoc", 3, 4),
                  lambda k: FT.qoc_residual(data, k))
 
+    @pytest.mark.parametrize("kind,bounds", [("quantum_ainfty", (4, 4)), ("qoc", (3, 4))])
+    def test_each_splitting_factor_built_once(self, monkeypatch, v2, v4, kind, bounds):
+        """Within one ``_glue_splittings`` call every distinct factor shape
+        runs the body of ``_factor`` once, and the residuals still match."""
+        data = FT.random_algebra(kind, v4, *bounds, random.Random(15),
+                                 closed_space=v2 if kind == "qoc" else None)
+        real_factor, real_glue = FT._factor, FT._glue_splittings
+        builds, repeats = [], []
+
+        def factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
+            builds.append((cycles, arc, empties, g, closed_n))
+            return real_factor(data, cycles, arc, empties, g, closed_n, colour,
+                               table, tie)
+
+        def glue(*args):
+            builds.clear()
+            real_glue(*args)
+            repeats.append(len(builds) - len(set(builds)))
+
+        monkeypatch.setattr(FT, "_factor", factor)
+        monkeypatch.setattr(FT, "_glue_splittings", glue)
+        special = (FT.qoc_residual if kind == "qoc"
+                   else lambda d, k: FT.quantum_residual(d, k.bseq, k.g))
+        _compare(data, FT.enumerate_keys(kind, *bounds), lambda k: special(data, k))
+        assert repeats and not any(repeats)
+
     def test_quantum_many_empty_boundaries(self, v4):
         """Keys with two or more empty boundaries, at doubled genus up to 6,
         where a contraction preimage keeps two empty boundaries; the bounds

@@ -1,4 +1,5 @@
 """Bases, structure maps, duals and the axiom verifier."""
+import functools
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from operad_forge import operads as op
 from operad_forge.axioms import AxiomReport, verify_axioms
 from operad_forge.errors import (
     ColourMismatch,
+    KindMismatch,
     LabelCollision,
     MissingLabel,
     Unstable,
@@ -115,6 +117,75 @@ class TestCompose:
         y = op.qo_surface([(2, 3)], 0, 1)
         with pytest.raises(LabelCollision):
             op.compose(x, 1, y, 3)
+
+    _qo, _qoc, _qc = op.qo_surface, op.qoc_surface, op.qc_element
+
+    @pytest.mark.parametrize("x,a,y,b,colour,error,message", [
+        # kind mismatch, and a factor that is no element at all
+        (_qc((1, 2, 3), 0), 1, _qo([(4, 5, 6)]), 4, "open", KindMismatch,
+         "cannot compose elements of different kinds"),
+        ((1, 2), 1, _qo([(4, 5, 6)]), 4, "open", KindMismatch,
+         "not an operad element: (1, 2)"),
+        (_qo([(1, 2, 3)]), 1, (4,), 4, "open", KindMismatch,
+         "not an operad element: (4,)"),
+        # the kind is tested before stability
+        (_qo([(1,)]), 1, _qc((4, 5, 6), 0), 4, "open", KindMismatch,
+         "cannot compose elements of different kinds"),
+        # closed colour on qo, tested before stability
+        (_qo([(1, 2, 3)]), 1, _qo([(4, 5, 6)]), 4, "closed", ColourMismatch,
+         "closed gluing needs the two-coloured kind"),
+        (_qo([(1,)]), 1, _qo([(2, 3), (4,)]), 4, "closed", ColourMismatch,
+         "closed gluing needs the two-coloured kind"),
+        # an unstable factor, tested before labels
+        (_qo([(1,)]), 1, _qo([(2, 3, 4)]), 2, "open", Unstable,
+         "composition of an unstable element"),
+        (_qo([(1, 2, 3)]), 1, _qo([(5,)]), 5, "open", Unstable,
+         "composition of an unstable element"),
+        (_qo([(1,)]), 1, _qo([(2, 4, 5)]), 9, "open", Unstable,
+         "composition of an unstable element"),
+        (_qc((1, 2), 0), 1, _qc((3, 4, 5), 0), 3, "open", Unstable,
+         "composition of an unstable element"),
+        (_qoc([], empties=1, closed=(7,)), 7, _qoc([(2,)], closed=(9,)), 9,
+         "closed", Unstable, "composition of an unstable element"),
+        # shared labels, tested before the glued ends
+        (_qc((1, 2, 3), 0), 1, _qc((3, 4, 5), 0), 4, "open", LabelCollision,
+         "factors share labels"),
+        (_qo([(1, 2), (3,)], 0, 1), 1, _qo([(2, 4)], 0, 1), 4, "open",
+         LabelCollision, "factors share labels"),
+        (_qo([(1, 2, 3)]), 9, _qo([(2, 4, 5)]), 4, "open", LabelCollision,
+         "factors share labels"),
+        (_qoc([(1,)], closed=(7, 8)), 1, _qoc([(2,)], closed=(8, 9)), 2, "open",
+         LabelCollision, "factors share labels"),
+        # missing or wrong-colour ends
+        (_qc((1, 2, 3), 0), 9, _qc((4, 5, 6), 0), 4, "open", MissingLabel,
+         "glued label absent"),
+        (_qo([(1, 2, 3)]), 9, _qo([(4, 5, 6)]), 4, "open", MissingLabel,
+         "label 9 is not an open end of the first factor"),
+        (_qo([(1, 2, 3)]), 1, _qo([(4, 5, 6)]), 9, "open", MissingLabel,
+         "label 9 is not an open end of the second factor"),
+        (_qoc([(1,)], closed=(7,)), 5, _qoc([(2,)], closed=(9,)), 2, "open",
+         MissingLabel, "label 5 is not an open end of the first factor"),
+        (_qoc([(1,)], closed=(7,)), 7, _qoc([(2,)], closed=(9,)), 2, "open",
+         ColourMismatch, "label 7 is not an open end of the first factor"),
+        (_qoc([(1,)], closed=(7,)), 1, _qoc([(2,)], closed=(9,)), 9, "open",
+         ColourMismatch, "label 9 is not an open end of the second factor"),
+        (_qoc([(1,)], closed=(7,)), 5, _qoc([(2,)], closed=(9,)), 9, "closed",
+         MissingLabel, "label 5 is not a closed end of the first factor"),
+        (_qoc([(1,)], closed=(7,)), 7, _qoc([(2,)], closed=(9,)), 5, "closed",
+         MissingLabel, "label 5 is not a closed end of the second factor"),
+        (_qoc([(1,)], closed=(7,)), 1, _qoc([(2,)], closed=(9,)), 9, "closed",
+         ColourMismatch, "label 1 is not a closed end of the first factor"),
+        (_qoc([(1,)], closed=(7,)), 7, _qoc([(2,)], closed=(9,)), 2, "closed",
+         ColourMismatch, "label 2 is not a closed end of the second factor"),
+    ])
+    def test_malformed_call_raises(self, x, a, y, b, colour, error, message):
+        """Each malformed gluing raises one exception, with its message;
+        where several faults meet, the earlier test in the order kind,
+        colour, stability, shared labels, ends decides."""
+        with pytest.raises(error) as exc:
+            op.compose(x, a, y, b, colour=colour)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
 
 class TestContract:
@@ -226,6 +297,7 @@ class TestAxiomVerifier:
         monkeypatch.setattr(op, "_compose", broken)
         report = verify_axioms("qo", 2, 4)
         assert not report.passed
+        assert report.failures == self._exhaustive("qo", 2, 4).failures
 
     @staticmethod
     def _all_pairs_ax2(kind, max_n, max_g2):
@@ -254,6 +326,18 @@ class TestAxiomVerifier:
         report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
         ax._AXIOM_FUNCS[axiom](report, kind, ax._corollas(kind, max_n, max_g2, False),
                                max_n, max_g2, False)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @staticmethod
+    def _exhaustive(kind, max_n, max_g2, extended=False):
+        """Every axiom by its exhaustive loop, into one report."""
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, extended)
+        for axiom, fn in ax._AXIOM_FUNCS.items():
+            before = report.checked
+            fn(report, kind, corollas, max_n, max_g2, extended)
+            report.per_axiom[axiom] = report.checked - before
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
 
@@ -351,24 +435,39 @@ class TestAxiomVerifier:
         return report
 
     def _assert_matches_reference(self, kind, n, g2):
-        fast3, ref3 = self._verifier(3, kind, n, g2), self._per_instance_ax3(kind, n, g2)
-        fast8, ref8 = self._verifier(8, kind, n, g2), self._per_instance_ax8(kind, n, g2)
-        assert fast3.checked == ref3.checked > 0
-        assert fast3.failures == ref3.failures
-        assert fast8.checked == ref8.checked > 0
-        assert fast8.failures == ref8.failures
-        return fast3, fast8
+        """The exhaustive loops of axioms 3 and 8 check exactly the
+        per-instance definitions' instances, with the same failures;
+        ``verify_axioms`` covers them and reports the exhaustive failures."""
+        ref3, ref8 = self._per_instance_ax3(kind, n, g2), self._per_instance_ax8(kind, n, g2)
+        full = self._exhaustive(kind, n, g2)
+        for axiom, ref in ((3, ref3), (8, ref8)):
+            assert full.per_axiom[axiom] == ref.checked > 0
+            assert [f for f in full.failures if f["axiom"] == axiom] == ref.failures
+        report = verify_axioms(kind, n, g2)
+        assert report.covered[3] == ref3.checked
+        assert report.covered[8] == ref8.checked
+        assert report.failures == full.failures
+        return report
 
     GLUING_BOUNDS = [("qc", 5, 4), ("qo", 4, 2), ("qoc", 3, 3)]
 
     @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
     def test_gluing_matches_per_instance(self, kind, n, g2):
-        """Axioms 3 and 8 check exactly the per-instance definitions'
-        instances, and ``per_axiom`` counts them."""
-        fast3, fast8 = self._assert_matches_reference(kind, n, g2)
-        assert fast3.passed and fast8.passed
-        per_axiom = verify_axioms(kind, n, g2).per_axiom
-        assert per_axiom[3] == fast3.checked and per_axiom[8] == fast8.checked
+        """Axioms 3 and 8 cover exactly the per-instance definitions'
+        instances, and ``covered`` counts them."""
+        assert self._assert_matches_reference(kind, n, g2).passed
+
+    @pytest.mark.parametrize("kind,n,g2,extended",
+                             [(*b, False) for b in GLUING_BOUNDS] + [("qoc", 2, 3, True)])
+    def test_reduced_covers_exhaustive(self, kind, n, g2, extended):
+        """The reduced run passes, evaluates at most the instances it covers,
+        and covers per axiom exactly what the exhaustive loops check."""
+        report = verify_axioms(kind, n, g2, extended=extended)
+        full = self._exhaustive(kind, n, g2, extended)
+        assert report.passed and full.passed
+        assert report.covered == full.per_axiom
+        assert all(report.per_axiom[a] <= report.covered[a] for a in range(1, 9))
+        assert report.checked == sum(report.per_axiom.values()) <= full.checked
 
     @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
     def test_non_equivariant_relabel_fails_axiom_3(self, monkeypatch, kind, n, g2):
@@ -386,8 +485,8 @@ class TestAxiomVerifier:
             return y
 
         monkeypatch.setattr(op, "relabel", broken)
-        fast3, _ = self._assert_matches_reference(kind, n, g2)
-        assert not fast3.passed
+        report = self._assert_matches_reference(kind, n, g2)
+        assert any(f["axiom"] == 3 for f in report.failures)
 
     @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
     def test_non_associative_compose_fails_axiom_8(self, monkeypatch, kind, n, g2):
@@ -404,15 +503,48 @@ class TestAxiomVerifier:
             return z
 
         monkeypatch.setattr(op, "_compose", broken)
-        _, fast8 = self._assert_matches_reference(kind, n, g2)
-        assert not fast8.passed
+        report = self._assert_matches_reference(kind, n, g2)
+        assert any(f["axiom"] == 8 for f in report.failures)
+
+    @pytest.mark.parametrize("kind,n,g2", [b for b in GLUING_BOUNDS if b[0] != "qc"])
+    def test_compose_wrong_off_representatives(self, monkeypatch, kind, n, g2):
+        """A gluing that is wrong only when a factor is not the first basis
+        element of its orbit is right on every orbit representative.  Axiom 3
+        relabels the factors off the representatives and fails, and the
+        fallback then reports the exhaustive failures.  (``qc`` has one
+        element per corolla, so there the mutant is the real gluing.)"""
+        real = op._compose.__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def first_of_orbit(x):
+            lo, lc = sorted(op.open_labels(x)), sorted(op.closed_labels(x))
+            ids_c = {l: l for l in lc}
+            orbit = [op.relabel(x, dict(zip(lo, p)), ids_c)
+                     for p in itertools.permutations(lo)]
+            return x == min(orbit, key=repr)  # bases are sorted by repr
+
+        def broken(x, a, y, b, colour, extended):
+            z = real(x, a, y, b, colour, extended)
+            if first_of_orbit(x) and first_of_orbit(y):
+                return z
+            return z._replace(g=z.g + 1)
+
+        monkeypatch.setattr(op, "_compose", broken)
+        report = self._assert_matches_reference(kind, n, g2)
+        assert any(f["axiom"] == 3 for f in report.failures)
 
     def test_per_axiom_counts(self):
-        """``per_axiom`` splits ``checked`` by axiom and appears in the JSON."""
+        """``per_axiom`` splits ``checked`` by axiom, ``covered`` gives the
+        exhaustive count each axiom's instances stand for, and both appear
+        in the JSON."""
         report = verify_axioms("qoc", 4, 5)
-        assert report.per_axiom == {1: 4759, 2: 32525, 3: 45735, 4: 1232,
-                                    5: 18, 6: 2082, 7: 1168, 8: 40570}
-        assert sum(report.per_axiom.values()) == report.checked == 128089
+        assert report.covered == {1: 4759, 2: 32525, 3: 45735, 4: 1232,
+                                  5: 18, 6: 2082, 7: 1168, 8: 40570}
+        assert sum(report.covered.values()) == 128089
+        assert report.per_axiom == {1: 1781, 2: 32525, 3: 29075, 4: 1232,
+                                    5: 3, 6: 666, 7: 310, 8: 11410}
+        assert sum(report.per_axiom.values()) == report.checked == 77002
         doc = report.to_json()
         assert doc["per_axiom"] == {str(k): v for k, v in report.per_axiom.items()}
+        assert doc["covered"] == {str(k): v for k, v in report.covered.items()}
         assert doc["checked"] == report.checked
