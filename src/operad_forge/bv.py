@@ -308,18 +308,6 @@ class BVElement:
     def component(self, key) -> dict:
         return dict(self.terms.get(key, {}))
 
-    def parity(self):
-        """Parity of a homogeneous element (dual words carry minus the
-        basis degrees); None when mixed."""
-        table = self.table()
-        seen = set()
-        for key, comp in self.terms.items():
-            for w in comp:
-                seen.add(sum(table[k] for k in w) % 2)
-        if len(seen) > 1:
-            return None
-        return seen.pop() if seen else 0
-
     def functional(self, key) -> MultiFunctional:
         """The invariant functional carried by one component."""
         from .ftalgebra import stab_group
@@ -427,8 +415,6 @@ def _delta_terms(x: BVElement, key, colour):
         z = op.natural_contract(rep, la, lb, colour=colour)
         rep_out, sigma = op.canonical_perm(z)
         out_key = key_of(x.kind, rep_out)
-        if key_closed(out_key):
-            sigma = sigma + tuple(range(len(sigma), len(sigma) + key_closed(out_key)))
         scale = Fraction(-mult, out_fact)
         terms.append((out_key, sigma, g.entries, scale))
     return terms
@@ -507,10 +493,6 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
                         z = op.natural_compose(rep1, la, rep2, j + 1, colour=colour)
                         rep_out, sigma = op.canonical_perm(z)
                         out_key = key_of(kind, rep_out)
-                        if key_closed(out_key):
-                            sigma = sigma + tuple(
-                                range(len(sigma), len(sigma) + key_closed(out_key))
-                            )
                         _raw_transported(raw, out_key, sigma, h.entries,
                                          Fraction(-m1 * m2, out_fact), table)
     return _add_raw(BVElement(kind, x.space, x.cspace), raw)

@@ -171,7 +171,7 @@ def cmd_master_eq(args) -> int:
 
 def cmd_dual_table(args) -> int:
     labels = range(1, args.n + 1)
-    closed = range(1, args.closed + 1) if args.kind == "qoc" else ()
+    closed = range(1, args.closed + 1)
     try:
         els = basis(args.kind, labels, args.genus2, closed=closed,
                     extended=args.allow_unstable_extension)

@@ -44,7 +44,6 @@ __all__ = [
     "transversal_slot_counts",
     "transversal_slot_pair_counts",
     "rep_cycle_slots",
-    "LabelTable",
 ]
 
 
@@ -306,24 +305,3 @@ def transversal_slot_pair_counts(bseq: tuple[int, ...], g: int = 0) -> dict:
         key = (q[0], q[1])
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-class LabelTable:
-    """Maps external (string) labels to internal integers at ingestion."""
-
-    def __init__(self):
-        self._to_int: dict[str, int] = {}
-        self._to_name: list[str] = []
-
-    def intern(self, name) -> int:
-        if isinstance(name, int):
-            return name
-        if name not in self._to_int:
-            self._to_int[name] = len(self._to_name) + 1
-            self._to_name.append(name)
-        return self._to_int[name]
-
-    def name(self, label: int):
-        if 1 <= label <= len(self._to_name):
-            return self._to_name[label - 1]
-        return label

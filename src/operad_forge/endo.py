@@ -295,11 +295,13 @@ def _rand_functional(rng, space, labels, degree=None):
 def verify_twisted_axioms(space: GradedSymplecticSpace, max_n=4, samples=50,
                           seed=0, min_per_axiom=None) -> TwistedAxiomReport:
     """Check the eight signed axioms and the chain-map property on random
-    rational functionals of arity up to max_n.
+    rational functionals of arity 1 to max_n, so max_n must be at least 1.
 
     With ``min_per_axiom`` set, sampling continues until every axiom has
     been exercised at least that many times.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     import random
 
     from .graded import validate_space

@@ -14,13 +14,16 @@ hand-coded formulas iterate the nonzero entries of the factor tensors,
 joined through the nonzero entries of the inverse pairing, and share no
 code with the generic route beyond the inverse pairing, the sign and
 permutation kernels, the subset enumeration and the orbit-representative
-lookup that finds a stored map.
+lookup (``canonical_perm``, ``key_of``) that finds a stored map.
 
 The gluing term of the open-surface equations is one sum over the ordered
-splittings along an open or a closed end.  Each splitting factor's map is
-looked up by the factor's shape (cycle lengths, empty boundaries, genus,
-closed ends) before the factor is built, so a shape without a stored map
-costs one dictionary lookup.
+splittings along an open or a closed end, taken from the enumerators
+``operads._open_splittings`` and ``operads._closed_splittings`` that
+``dual_compose_formula`` also walks.  The generic route never calls them:
+it reaches the splittings through the pairing oracle ``dual_compose``.
+Each splitting factor's map is looked up by the factor's shape (cycle
+lengths, empty boundaries, genus, closed ends) before the factor is built,
+so a shape without a stored map costs one dictionary lookup.
 """
 from __future__ import annotations
 
@@ -171,15 +174,11 @@ def stab_generators(kind, key):
     c = key_closed(key)
     total = n + c
     gens = []
-
-    def full_perm(core):
-        return tuple(core) + tuple(range(len(core), total))
-
     if kind == "loop":
         for i in range(n - 1):
             p = list(range(n))
             p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(full_perm(p))
+            gens.append(tuple(p))
         return gens
     if kind == "cyclic_ainfty":
         if n > 1:
@@ -263,9 +262,6 @@ class AlgebraData:
             cspace=self.closed_space, clabels=range(1, c + 1) if c else (),
         )
 
-    def dims(self):
-        return self.space.dim, self.closed_space.dim if self.closed_space else 0
-
 
 def make_map(data_kind, space, closed_space, key, entries) -> MultiFunctional:
     n, c = key_arity(key), key_closed(key)
@@ -280,37 +276,24 @@ def make_map(data_kind, space, closed_space, key, entries) -> MultiFunctional:
 # equivariant extension
 
 
-class EquivariantAlgebra:
-    """Extension of representative-keyed maps to every basis element."""
-
-    def __init__(self, data: AlgebraData):
-        self.data = data
-
-    def functional_for(self, x) -> MultiFunctional:
-        data = self.data
-        lo = sorted(op.open_labels(x)) if data.kind != "loop" else sorted(x.labels)
-        lc = sorted(op.closed_labels(x)) if data.kind == "qoc" else []
-        rho = {l: i + 1 for i, l in enumerate(lo)}
-        rho_c = {l: i + 1 for i, l in enumerate(lc)}
-        if data.kind == "qoc":
-            y = op.relabel(x, rho, rho_c)
-        else:
-            y = op.relabel(x, rho)
-        rep, sigma = op.canonical_perm(y)
-        key = key_of(data.kind, rep)
-        base = data.functional(key)
-        if key_closed(key):
-            sigma = sigma + tuple(range(len(sigma), len(sigma) + key_closed(key)))
-        T = base.precompose_slots(sigma) if sigma else base
-        return MultiFunctional(
-            space=data.space, labels=tuple(lo), entries=T.entries, degree=0,
-            cspace=data.closed_space if data.kind == "qoc" else None,
-            clabels=tuple(lc),
-        )
-
-
-def extend_by_equivariance(data: AlgebraData) -> EquivariantAlgebra:
-    return EquivariantAlgebra(data)
+def functional_for(data: AlgebraData, x) -> MultiFunctional:
+    """Extension of the representative-keyed maps to the basis element x."""
+    lo = sorted(op.open_labels(x)) if data.kind != "loop" else sorted(x.labels)
+    lc = sorted(op.closed_labels(x)) if data.kind == "qoc" else []
+    rho = {l: i + 1 for i, l in enumerate(lo)}
+    rho_c = {l: i + 1 for i, l in enumerate(lc)}
+    if data.kind == "qoc":
+        y = op.relabel(x, rho, rho_c)
+    else:
+        y = op.relabel(x, rho)
+    rep, sigma = op.canonical_perm(y)
+    base = data.functional(key_of(data.kind, rep))
+    T = base.precompose_slots(sigma) if sigma else base
+    return MultiFunctional(
+        space=data.space, labels=tuple(lo), entries=T.entries, degree=0,
+        cspace=data.closed_space if data.kind == "qoc" else None,
+        clabels=tuple(lc),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,6 @@ def ft_residual(data: AlgebraData, key) -> MultiFunctional:
     check_key(data.kind, key)
     rep = representative(key)
     okind = OPERAD_OF[data.kind]
-    alpha = EquivariantAlgebra(data)
     R = functional_differential(data.functional(key))
     colours = ("open", "closed") if data.kind == "qoc" else ("open",)
     for colour in colours:
@@ -330,12 +312,12 @@ def ft_residual(data: AlgebraData, key) -> MultiFunctional:
             continue
         a, b = op.fresh_pair(rep, colour)
         for x in op.dual_contract(okind, rep, a, b, colour=colour):
-            R = R.minus(endo_contract(alpha.functional_for(x), a, b, colour=colour))
+            R = R.minus(endo_contract(functional_for(data, x), a, b, colour=colour))
     for colour in colours:
         a, b = op.fresh_pair(rep, colour)
         for x, y in op.dual_compose(okind, rep, a, b, colour=colour):
             term = endo_compose(
-                alpha.functional_for(x), a, alpha.functional_for(y), b, colour=colour
+                functional_for(data, x), a, functional_for(data, y), b, colour=colour
             )
             R = R.minus(term.scaled(HALF))
     return R
@@ -506,19 +488,10 @@ def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
     return seq
 
 
-def _surface(two, cycles, empties, g, closed_n):
-    if two:
-        return QOCSurface(
-            cycles=op.sort_cycles(cycles), empties=empties, g=g,
-            closed=frozenset(range(1, closed_n + 1)),
-        )
-    return QOSurface(cycles=op.sort_cycles(cycles), empties=empties, g=g)
-
-
 def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional:
     check_key(data.kind, key)
     two = data.kind == "qoc"
-    closed_ar = key_closed(key)
+    closed = range(1, key_closed(key) + 1)
     rep = representative(key)
     space = data.space
     table = space.degrees + (data.closed_space.degrees if two else ())
@@ -532,7 +505,7 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         kept = _shift_cycles(
             tuple(c for k, c in enumerate(cyc) if k not in set(skip)), 2
         )
-        return _surface(two, kept + tuple(new_cycles), empties, gg, closed_ar)
+        return op._make(two, kept + tuple(new_cycles), empties, gg, closed)
 
     contr = []
     # ends 1,2 on a single cycle of the preimage, split apart by the gluing
@@ -571,8 +544,6 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         if not T:
             continue
         perm = op.canonical_perm(x, tie=tie)[1]
-        if two:
-            perm = perm + tuple(range(len(perm), len(perm) + closed_ar))
         _self_glue(R, precompose_entries(T, perm, table), 0, P, table, mult=mult)
     if two:
         _closed_self_glue(data, key, table, R)
@@ -606,33 +577,6 @@ def _closed_self_glue(data, key, table, R):
                off=data.space.dim)
 
 
-def _open_splittings(cyc, b0, g):
-    """Splitting cases along an open end, as (cycles1, cycles2, e1, e2, g1,
-    arc1, arc2): a rotation of one cycle is cut into the arcs the two glued
-    cycles carry, or an empty boundary becomes both glued cycles."""
-    for m, cm in enumerate(cyc):
-        for cyc1, cyc2 in op._ordered_splits(cyc[:m] + cyc[m + 1 :]):
-            for e1 in range(b0 + 1):
-                for g1 in range(g + 1):
-                    for s in range(len(cm)):
-                        word = cm[s:] + cm[:s]
-                        for l in range(len(cm) + 1):
-                            yield cyc1, cyc2, e1, b0 - e1, g1, word[:l], word[l:]
-    for cyc1, cyc2 in op._ordered_splits(cyc):
-        for e1 in range(b0):
-            for g1 in range(g + 1):
-                yield cyc1, cyc2, e1, b0 - 1 - e1, g1, (), ()
-
-
-def _closed_splittings(cyc, b0, g):
-    """Splitting cases along a closed end: the cycles, empty boundaries and
-    genus are shared out, and no cycle is cut."""
-    for cyc1, cyc2 in op._ordered_splits(cyc):
-        for e1 in range(b0 + 1):
-            for g1 in range(g + 1):
-                yield cyc1, cyc2, e1, b0 - e1, g1, (), ()
-
-
 def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
     """One splitting factor: its stored tensor precomposed into the slot
     order of its representative, and its member labels in slot order; None
@@ -656,10 +600,9 @@ def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
     seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if opened else 0, tie)
     rho = {0: 1}
     rho.update((l, i + shift) for i, l in enumerate(seq))
-    y = _surface(two, tuple(tuple(rho[l] for l in c) for c in cycles + glued),
-                 empties, g, closed_n)
+    y = op._make(two, tuple(tuple(rho[l] for l in c) for c in cycles + glued),
+                 empties, g, range(1, closed_n + 1))
     perm = op.canonical_perm(y, tie=tie)[1]
-    perm += tuple(range(len(perm), len(perm) + closed_n))
     return precompose_entries(T, perm, table), seq
 
 
@@ -671,10 +614,10 @@ def _glue_splittings(data, key, table, tie, R, colour):
     n = key_arity(key)
     closed_labels = range(1, key_closed(key) + 1)
     if colour == "open":
-        rows, off, cases = _pair_rows(data.space), 0, _open_splittings
+        rows, off, cases = _pair_rows(data.space), 0, op._open_splittings
     else:
         rows = _pair_rows(data.closed_space)
-        off, cases = data.space.dim, _closed_splittings
+        off, cases = data.space.dim, op._closed_splittings
     built = {}
 
     def factor(cycles, arc, empties, g, closed_n):

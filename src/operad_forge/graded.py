@@ -121,18 +121,6 @@ class GradedSymplecticSpace:
     def dim(self) -> int:
         return len(self.degrees)
 
-    def d_entry(self, i: int, j: int) -> Fraction:
-        return self.differential[i][j]
-
-    def omega_of(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum(
-            ui * self.omega[i][j] * vj
-            for i, ui in enumerate(u)
-            if ui
-            for j, vj in enumerate(v)
-            if vj
-        ) or ZERO
-
 
 def validate_space(space: GradedSymplecticSpace) -> list[str]:
     """All structural invariants, exactly; returns human-readable violations."""
@@ -186,8 +174,6 @@ def validate_space(space: GradedSymplecticSpace) -> list[str]:
 class ContractionPair:
     """Bases a_i, b_i with sum_i a_i (x) b_i inverse to the pairing."""
 
-    left: tuple
-    right: tuple
     coefficients: tuple  # coefficients[i][j]: b_i = sum_j coefficients[i][j] a_j
 
 
@@ -199,10 +185,7 @@ def contraction_pair(space: GradedSymplecticSpace) -> ContractionPair:
     coeff = tuple(
         tuple((-1 if space.degrees[j] % 2 else 1) * inv[i][j] for j in range(n)) for i in range(n)
     )
-    left = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
-    return ContractionPair(left=left, right=coeff, coefficients=coeff)
+    return ContractionPair(coefficients=coeff)
 
 
 def pairing_identity_check(space: GradedSymplecticSpace) -> bool:
@@ -257,13 +240,6 @@ class MultiFunctional:
             return self.space.degrees
         return self.space.degrees + self.cspace.degrees
 
-    def slot_of(self, label: int) -> int:
-        if label in self.labels:
-            return self.labels.index(label)
-        if label in self.clabels:
-            return len(self.labels) + self.clabels.index(label)
-        raise LabelMismatch(f"label {label} not carried by this functional")
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -299,9 +275,6 @@ class MultiFunctional:
         return replace(
             self, entries=precompose_entries(self.entries, tuple(perm), self.degree_table)
         )
-
-    def with_labels(self, labels, clabels=()) -> "MultiFunctional":
-        return replace(self, labels=tuple(labels), clabels=tuple(clabels))
 
     def same_entries(self, other: "MultiFunctional") -> bool:
         return self.entries == other.entries

@@ -14,6 +14,17 @@ take an explicit ``colour``.  All structure maps are degree 0, so no signs
 appear in this module.  Dual structure maps are computed twice, generically
 by enumerating the source basis and pairing, and through explicit splitting
 formulas; the test suite checks the two paths agree term for term.
+
+The open-surface splitting family, the ordered splittings of a surface
+along an open end (one boundary cycle rotated and cut into two arcs, or an
+empty boundary split) or along a closed end, is enumerated once, by
+``_open_splittings`` and ``_closed_splittings``.  ``dual_compose_formula``
+and the hand-coded residuals of ``ftalgebra`` both walk it.  Neither
+comparison has it on both sides: the formula is checked against the
+pairing oracle ``dual_compose``, and the hand residuals against
+``ft_residual``, which is built on that oracle.  ``canonical_perm`` returns
+the permutation of every slot, so no caller extends it over the closed
+slots.
 """
 from __future__ import annotations
 
@@ -168,6 +179,8 @@ def basis(kind: str, labels: Iterable, genus2: int, closed: Iterable = (),
     closed = tuple(sorted(closed))
     if kind not in KINDS:
         raise KindMismatch(f"unknown operad kind {kind!r}")
+    if kind != "qoc" and closed:
+        raise KindMismatch("closed labels only exist for the two-coloured kind")
     if kind == "qc":
         x = QCElement(labels=frozenset(labels), genus2=genus2)
         if not x.is_stable():
@@ -175,8 +188,6 @@ def basis(kind: str, labels: Iterable, genus2: int, closed: Iterable = (),
         if genus2 % 2:
             return ()  # closed surfaces carry integer genus only
         return (x,)
-    if kind != "qoc" and closed:
-        raise KindMismatch("closed labels only exist for the two-coloured kind")
     if genus2 + len(labels) + len(closed) <= 2 and not extended:
         raise Unstable(f"corolla ({labels}, {closed}, {genus2}/2) is unstable")
     return _qo_bases(labels, genus2, closed, kind, bool(extended))
@@ -226,10 +237,6 @@ def _cycle_with(x, label):
 def _arc_after(cycle: tuple, label: int) -> tuple:
     k = cycle.index(label)
     return cycle[k + 1 :] + cycle[:k]
-
-
-def all_labels(x) -> frozenset:
-    return open_labels(x) | closed_labels(x)
 
 
 def _merge_sorted(old_cycles: tuple, new_cycles) -> tuple:
@@ -377,13 +384,16 @@ def contract(x, a, b, colour: str = "open", extended: bool = False):
 
 
 def canonical_perm(x, tie: str = "lex"):
-    """Slot permutation carrying x (over open labels [n]) onto its orbit
-    representative.
+    """Slot permutation carrying x (over open labels [n] and closed labels
+    [c]) onto its orbit representative.
 
-    Returns (representative, perm) with perm in 0-based one-line notation:
-    open label l of x becomes label perm[l-1]+1 of the representative.
-    ``tie`` fixes the order among cycles of equal length; any admissible
-    choice produces a valid canonicalizing permutation.
+    Returns (representative, perm) with perm in 0-based one-line notation
+    over all n + c slots, open slots first: open label l of x becomes label
+    perm[l-1]+1 of the representative, and every closed slot is fixed,
+    since the representative keeps the closed labels [c].  Callers
+    precompose a stored tensor by perm as it is.  ``tie`` fixes the order
+    among cycles of equal length; any admissible choice produces a valid
+    canonicalizing permutation.
     """
     if isinstance(x, QCElement):
         return x, tuple(range(len(x.labels)))
@@ -400,13 +410,13 @@ def canonical_perm(x, tie: str = "lex"):
             pos += 1
     bs = b_sequence(x.cycles, x.empties)
     if isinstance(x, QOSurface):
-        rep = QOSurface(cycles=_rep_cycles(bs), empties=bs[0], g=x.g)
-    else:
-        rep = QOCSurface(
-            cycles=_rep_cycles(bs), empties=bs[0], g=x.g,
-            closed=frozenset(range(1, len(x.closed) + 1)),
-        )
-    return rep, tuple(perm)
+        return QOSurface(cycles=_rep_cycles(bs), empties=bs[0], g=x.g), tuple(perm)
+    c = len(x.closed)
+    rep = QOCSurface(
+        cycles=_rep_cycles(bs), empties=bs[0], g=x.g,
+        closed=frozenset(range(1, c + 1)),
+    )
+    return rep, tuple(perm) + tuple(range(n, n + c))
 
 
 def _squash(x):
@@ -483,6 +493,33 @@ def _ordered_splits(items):
             yield tuple(left), tuple(i for i in items if i not in ls)
 
 
+def _open_splittings(cyc, b0, g):
+    """Splitting cases along an open end, as (cycles1, cycles2, e1, e2, g1,
+    arc1, arc2): a rotation of one cycle is cut into the arcs the two glued
+    cycles carry, or an empty boundary becomes both glued cycles."""
+    for m, cm in enumerate(cyc):
+        for cyc1, cyc2 in _ordered_splits(cyc[:m] + cyc[m + 1 :]):
+            for e1 in range(b0 + 1):
+                for g1 in range(g + 1):
+                    for s in range(len(cm)):
+                        word = cm[s:] + cm[:s]
+                        for l in range(len(cm) + 1):
+                            yield cyc1, cyc2, e1, b0 - e1, g1, word[:l], word[l:]
+    for cyc1, cyc2 in _ordered_splits(cyc):
+        for e1 in range(b0):
+            for g1 in range(g + 1):
+                yield cyc1, cyc2, e1, b0 - 1 - e1, g1, (), ()
+
+
+def _closed_splittings(cyc, b0, g):
+    """Splitting cases along a closed end: the cycles, empty boundaries and
+    genus are shared out, and no cycle is cut."""
+    for cyc1, cyc2 in _ordered_splits(cyc):
+        for e1 in range(b0 + 1):
+            for g1 in range(g + 1):
+                yield cyc1, cyc2, e1, b0 - e1, g1, (), ()
+
+
 def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
     """Adjoint of composition, summed over ordered splits of the corolla."""
     if a is None or b is None:
@@ -523,13 +560,12 @@ def _drop(cycles, *skip):
     return tuple(c for k, c in enumerate(cycles) if k not in s)
 
 
-def _rebuild(z, cycles, empties, g, closed=None):
-    if isinstance(z, QOSurface):
-        return QOSurface(cycles=sort_cycles(cycles), empties=empties, g=g)
-    return QOCSurface(
-        cycles=sort_cycles(cycles), empties=empties, g=g,
-        closed=z.closed if closed is None else frozenset(closed),
-    )
+def _make(is_qoc, cycles, empties, g, closed):
+    if is_qoc:
+        return QOCSurface(
+            cycles=sort_cycles(cycles), empties=empties, g=g, closed=frozenset(closed)
+        )
+    return QOSurface(cycles=sort_cycles(cycles), empties=empties, g=g)
 
 
 def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
@@ -550,6 +586,8 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
     cyc = list(z.cycles)
     b0, g = z.empties, z.g
     nb = len(cyc)
+    two = isinstance(z, QOCSurface)
+    zc = z.closed if two else ()
     # one new cycle through a and b, split back into two nonempty cycles
     for i in range(nb):
         for j in range(nb):
@@ -559,21 +597,21 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
             for p in range(len(ci)):
                 for q in range(len(cj)):
                     merged = (a,) + ci[p:] + ci[:p] + (b,) + cj[q:] + cj[:q]
-                    out.add(_rebuild(z, _drop(cyc, i, j) + (merged,), b0, g))
+                    out.add(_make(two, _drop(cyc, i, j) + (merged,), b0, g, zc))
     # one new cycle through a and b, one side splitting off empty
     if b0 > 0:
         for j in range(nb):
             cj = cyc[j]
             for q in range(len(cj)):
                 merged = (a, b) + cj[q:] + cj[:q]
-                out.add(_rebuild(z, _drop(cyc, j) + (merged,), b0 - 1, g))
+                out.add(_make(two, _drop(cyc, j) + (merged,), b0 - 1, g, zc))
         for i in range(nb):
             ci = cyc[i]
             for p in range(len(ci)):
                 merged = (a,) + ci[p:] + ci[:p] + (b,)
-                out.add(_rebuild(z, _drop(cyc, i) + (merged,), b0 - 1, g))
+                out.add(_make(two, _drop(cyc, i) + (merged,), b0 - 1, g, zc))
     if b0 > 1:
-        x = _rebuild(z, tuple(cyc) + ((a, b),), b0 - 2, g)
+        x = _make(two, tuple(cyc) + ((a, b),), b0 - 2, g, zc)
         if is_admissible(x, extended):
             out.add(x)
     # a and b on two cycles that the contraction merges, lowering the genus
@@ -586,24 +624,10 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
                 for l in range(L + 1):
                     ca = (a,) + word[:l]
                     cb = (b,) + word[l:]
-                    out.add(_rebuild(z, _drop(cyc, m) + (ca, cb), b0, g - 1))
+                    out.add(_make(two, _drop(cyc, m) + (ca, cb), b0, g - 1, zc))
         if b0 > 0:
-            out.add(_rebuild(z, tuple(cyc) + ((a,), (b,)), b0 - 1, g - 1))
+            out.add(_make(two, tuple(cyc) + ((a,), (b,)), b0 - 1, g - 1, zc))
     return out
-
-
-def _make(is_qoc, cycles, empties, g, closed):
-    if is_qoc:
-        return QOCSurface(
-            cycles=sort_cycles(cycles), empties=empties, g=g, closed=frozenset(closed)
-        )
-    return QOSurface(cycles=sort_cycles(cycles), empties=empties, g=g)
-
-
-def _subsets(items):
-    items = tuple(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def dual_compose_formula(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
@@ -619,58 +643,20 @@ def dual_compose_formula(kind, z, a=None, b=None, colour="open", extended=False)
                 if x.is_stable() and y.is_stable():
                     out.add((x, y))
         return out
-    cyc = list(z.cycles)
-    b0, g = z.empties, z.g
-    nb = len(cyc)
     is_qoc = kind == "qoc"
     closed_splits = (
         list(_ordered_splits(sorted(z.closed))) if is_qoc else [((), ())]
     )
-    if is_qoc and colour == "closed":
-        for idx1 in _subsets(range(nb)):
-            set1 = set(idx1)
-            cy1 = tuple(cyc[k] for k in idx1)
-            cy2 = tuple(cyc[k] for k in range(nb) if k not in set1)
-            for e in range(b0 + 1):
-                for g1 in range(g + 1):
-                    for c1, c2 in closed_splits:
-                        x = _make(True, cy1, e, g1, frozenset(c1) | {a})
-                        y = _make(True, cy2, b0 - e, g - g1, frozenset(c2) | {b})
-                        if is_admissible(x, extended) and is_admissible(y, extended):
-                            out.add((x, y))
-        return out
-    for m in range(nb):
-        cm = cyc[m]
-        L = len(cm)
-        others = [k for k in range(nb) if k != m]
-        for idx1 in _subsets(others):
-            set1 = set(idx1)
-            cy1 = tuple(cyc[k] for k in idx1)
-            cy2 = tuple(cyc[k] for k in others if k not in set1)
-            for e in range(b0 + 1):
-                for g1 in range(g + 1):
-                    for s in range(L):
-                        word = cm[s:] + cm[:s]
-                        for l in range(L + 1):
-                            ca = (a,) + word[:l]
-                            cb = (b,) + word[l:]
-                            for c1, c2 in closed_splits:
-                                x = _make(is_qoc, cy1 + (ca,), e, g1, c1)
-                                y = _make(is_qoc, cy2 + (cb,), b0 - e, g - g1, c2)
-                                if is_admissible(x, extended) and is_admissible(
-                                    y, extended
-                                ):
-                                    out.add((x, y))
-    if b0 > 0:
-        for idx1 in _subsets(range(nb)):
-            set1 = set(idx1)
-            cy1 = tuple(cyc[k] for k in idx1)
-            cy2 = tuple(cyc[k] for k in range(nb) if k not in set1)
-            for e in range(b0):
-                for g1 in range(g + 1):
-                    for c1, c2 in closed_splits:
-                        x = _make(is_qoc, cy1 + ((a,),), e, g1, c1)
-                        y = _make(is_qoc, cy2 + ((b,),), b0 - 1 - e, g - g1, c2)
-                        if is_admissible(x, extended) and is_admissible(y, extended):
-                            out.add((x, y))
+    opened = colour == "open" or not is_qoc  # one colour: open ends only
+    cases = _open_splittings if opened else _closed_splittings
+    for cy1, cy2, e1, e2, g1, arc1, arc2 in cases(z.cycles, z.empties, z.g):
+        if opened:  # end a starts the cycle carrying arc1, end b arc2's
+            cy1, cy2 = cy1 + ((a,) + arc1,), cy2 + ((b,) + arc2,)
+        for c1, c2 in closed_splits:
+            if not opened:
+                c1, c2 = c1 + (a,), c2 + (b,)
+            x = _make(is_qoc, cy1, e1, g1, c1)
+            y = _make(is_qoc, cy2, e2, z.g - g1, c2)
+            if is_admissible(x, extended) and is_admissible(y, extended):
+                out.add((x, y))
     return out

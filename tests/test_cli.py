@@ -177,6 +177,16 @@ class TestDualTable:
                            "--genus2", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["qo", "ass", "qc"])
+    def test_closed_ends_need_two_colours(self, capsys, kind):
+        """--closed counts closed ends, which only the two-coloured kind
+        has; it is rejected rather than dropped from the component."""
+        code, out, err = run(capsys, "dual-table", "--kind", kind, "--n", "3",
+                             "--genus2", "2", "--closed", "1")
+        assert code == 2
+        assert out == ""
+        assert "closed labels only exist for the two-coloured kind" in err
+
 
 def test_out_of_range_index_is_usage_error(capsys, tmp_path):
     V = G.rich_space(2)
@@ -286,6 +296,15 @@ def test_zero_bound_is_accepted(capsys):
                        "--max-genus2", "0")
     assert code == 0
     assert "checked 0 axiom instances" in out
+
+
+def test_verify_endo_zero_max_n_is_usage_error(capsys):
+    """verify-endo samples arities from 1 to --max-n, so 0 is malformed
+    input named by its bound, rejected before any sampling."""
+    code, out, err = run(capsys, "verify-endo", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("malformed input: ") and "max_n" in err
 
 
 @pytest.mark.parametrize("dim", ["-2", "0", "3"])

@@ -163,12 +163,3 @@ class TestTransversal:
                  rep.empties, rep.g)
             )
         assert len(images) == len(ts)
-
-
-def test_label_table():
-    t = cb.LabelTable()
-    assert t.intern("x") == 1
-    assert t.intern("y") == 2
-    assert t.intern("x") == 1
-    assert t.intern(7) == 7
-    assert t.name(2) == "y"

@@ -88,14 +88,13 @@ class TestEquivariantExtension:
         key = FT.QuantumKey((0, 1, 1), 0)
         f = FT.random_invariant_map(rng, "quantum_ainfty", v4, None, key)
         data = FT.AlgebraData(kind="quantum_ainfty", space=v4, maps={key: f})
-        alpha = FT.extend_by_equivariance(data)
         x = op.qo_surface([(2,), (1, 3)])  # a non-representative element
-        fx = alpha.functional_for(x)
+        fx = FT.functional_for(data, x)
         assert fx.labels == (1, 2, 3)
         assert not fx.is_zero()
         # the representative itself returns the stored tensor
         rep = FT.representative(key)
-        assert alpha.functional_for(rep).entries == f.entries
+        assert FT.functional_for(data, rep).entries == f.entries
 
 
 def _compare(data, keys, specialized):

@@ -48,6 +48,11 @@ class TestBasis:
         # the genus-one surface with no ends stays excluded
         assert all(x.g == 0 for x in els2)
 
+    @pytest.mark.parametrize("kind", ["qc", "qo", "ass"])
+    def test_closed_labels_need_two_colours(self, kind):
+        with pytest.raises(KindMismatch):
+            op.basis(kind, (1, 2, 3), 2, closed=(4,))
+
 
 class TestRelabel:
     def test_identity(self):
@@ -206,6 +211,24 @@ class TestContract:
     def test_missing_label(self):
         with pytest.raises(MissingLabel):
             op.contract(op.qo_surface([(1, 2, 3)]), 1, 9)
+
+
+class TestCanonicalPerm:
+    @pytest.mark.parametrize("tie", ["lex", "revlex"])
+    @pytest.mark.parametrize("kind,o,c,g2", [
+        ("qo", 3, 0, 2), ("qo", 4, 0, 2), ("qoc", 3, 1, 3), ("qoc", 2, 2, 4),
+        ("qoc", 4, 2, 4),
+    ])
+    def test_permutes_all_slots_onto_representative(self, kind, o, c, g2, tie):
+        """The permutation covers the open and the closed slots, fixes the
+        closed ones, and its open part relabels x onto the representative."""
+        closed = range(1, c + 1)
+        for x in op.basis(kind, range(1, o + 1), g2, closed=closed):
+            rep, perm = op.canonical_perm(x, tie=tie)
+            assert len(perm) == o + c
+            assert perm[o:] == tuple(range(o, o + c))
+            rho = {l: perm[l - 1] + 1 for l in range(1, o + 1)}
+            assert op.relabel(x, rho, {l: l for l in closed}) == rep
 
 
 class TestDuals:
@@ -496,7 +519,9 @@ class TestAxiomVerifier:
 
         def broken(x, a, y, b, colour, extended):
             z = real(x, a, y, b, colour, extended)
-            if len(op.all_labels(x)) > len(op.all_labels(y)):
+            if len(op.open_labels(x) | op.closed_labels(x)) > len(
+                op.open_labels(y) | op.closed_labels(y)
+            ):
                 if isinstance(z, op.QCElement):
                     return z._replace(genus2=z.genus2 + 2)
                 return z._replace(g=z.g + 1)
