@@ -10,6 +10,8 @@ with ``q`` the inverse permutation, i.e. the factor starting in slot ``i``
 ends up in slot ``perm[i]``.
 """
 
+from operator import itemgetter
+
 # The benchmark's run record reads this name; there is one implementation.
 BACKEND = "python"
 
@@ -53,6 +55,45 @@ def apply_perm_to_word(perm, word):
     return tuple(out)
 
 
+def inversion_masks(perm):
+    """Per slot i, the bitmask of the slots j > i with perm[j] < perm[i].
+
+    They depend on the permutation alone, so a caller moving many words
+    along one permutation computes them once and reads each word's Koszul
+    sign from them with ``mask_sign``.
+    """
+    n = len(perm)
+    return tuple(
+        sum(1 << j for j in range(i + 1, n) if perm[j] < p)
+        for i, p in enumerate(perm)
+    )
+
+
+def odd_mask(word, parities):
+    """Bitmask of the slots of ``word`` whose letter has odd degree."""
+    mask = 0
+    for i, k in enumerate(word):
+        if parities[k]:
+            mask |= 1 << i
+    return mask
+
+
+def mask_sign(masks, odd):
+    """``koszul_sign`` from a permutation's inversion masks and the odd mask
+    of the word it acts on.
+
+    The sign is -1 to the number of inverted pairs of odd slots, which has
+    the parity of (XOR of masks[i] over the odd slots i) & odd.
+    """
+    acc = 0
+    rest = odd
+    while rest:
+        low = rest & -rest
+        acc ^= masks[low.bit_length() - 1]
+        rest ^= low
+    return -1 if (acc & odd).bit_count() & 1 else 1
+
+
 def precompose_entries(entries, perm, basis_degrees):
     """Entries of ``T o perm`` for a tensor T given as {word: coefficient}.
 
@@ -60,11 +101,15 @@ def precompose_entries(entries, perm, basis_degrees):
     the support of T, the output word is inverse(perm) . w with the matching
     sign koszul(inverse(perm), deg w).
     """
-    inv = invert_perm(perm)
+    if all(p == i for i, p in enumerate(perm)):
+        return dict(entries)
+    # a permutation other than the identity moves at least two slots
+    move = itemgetter(*perm)
+    masks = inversion_masks(invert_perm(perm))
+    parities = tuple(d % 2 for d in basis_degrees)
     out = {}
     for word, value in entries.items():
-        sign = koszul_sign(inv, tuple(basis_degrees[k] for k in word))
-        if sign < 0:
+        if mask_sign(masks, odd_mask(word, parities)) < 0:
             value = -value
-        out[apply_perm_to_word(inv, word)] = value
+        out[move(word)] = value
     return out

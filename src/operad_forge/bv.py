@@ -18,6 +18,16 @@ multiplicity table.
 The bulk producers (the three operations and ``series_from_maps``) sum
 their raw contributions per (component key, word) first and canonicalize
 each distinct word once, which is exact by linearity.
+
+The bracket and the loop operation do not go through the endomorphism
+operad's ``endo_compose``/``endo_contract``, on which the generic residual
+they are checked against is built.  What depends on the shape only (the
+output key, the permutation carrying the glued or contracted surface onto
+its representative, its inversion masks and the section weights) is an
+``lru_cache``d plan per (kind, keys, ends, colour); each factor is split
+around each glued end once per call, and a hash join over the nonzero
+entries of the inverse pairing writes every glued word through the plan's
+permutation into the raw sums with one Koszul sign.
 """
 from __future__ import annotations
 
@@ -26,9 +36,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from . import operads as op
-from ._kernels import apply_perm_to_word, invert_perm, koszul_sign
+from ._kernels import (
+    apply_perm_to_word,
+    invert_perm,
+    inversion_masks,
+    koszul_sign,
+    mask_sign,
+    odd_mask,
+)
 from .combinatorics import (
     block_permutation,
     rep_cycle_slots,
@@ -37,8 +55,13 @@ from .combinatorics import (
     transversal_slot_pair_counts,
     trim_bseq,
 )
-from .endo import _pair_matrix, endo_compose, endo_contract, endo_relabel
-from .errors import KindMismatch, PreconditionViolated, SymmetryViolation
+from .endo import _pair_matrix, _pair_rows
+from .errors import (
+    KindMismatch,
+    LabelMismatch,
+    PreconditionViolated,
+    SymmetryViolation,
+)
 from .ftalgebra import (
     AlgebraData,
     CyclicKey,
@@ -80,13 +103,17 @@ __all__ = [
 
 
 def _rotations(sub, degs):
-    """All rotations of a block with their Koszul signs."""
-    k = len(sub)
+    """All rotations of a block with their Koszul signs.
+
+    Rotating the first r letters past the other k - r costs -1 to the
+    product of the two degree sums, read off the prefix sums.
+    """
+    total = sum(degs)
+    head = 0
     out = []
-    for r in range(k):
-        perm = tuple((i - r) % k for i in range(k))
-        sign = koszul_sign(perm, degs)
-        out.append((apply_perm_to_word(perm, sub), sign))
+    for r, d in enumerate(degs):
+        out.append((sub[r:] + sub[:r], -1 if head * (total - head) % 2 else 1))
+        head += d
     return out
 
 
@@ -137,23 +164,22 @@ class WordSymmetry:
             if len(best_signs) > 1:
                 return None, 0
             sign *= best_signs.pop()
-            pieces.append((length, best))
+            pieces.append((length, best, sum(degs)))
         # arrange equal-length blocks in word order
         by_len: dict = {}
-        for idx, (length, sub) in enumerate(pieces):
-            by_len.setdefault(length, []).append((sub, idx))
+        for length, sub, deg in pieces:
+            by_len.setdefault(length, []).append((sub, deg))
         out = []
         for length in sorted(by_len):
             group = by_len[length]
             order = sorted(range(len(group)), key=lambda i: (group[i][0], i))
             # Koszul sign of permuting the blocks into sorted order
-            degsums = tuple(sum(table[k] for k in sub) for sub, _ in group)
-            sign *= koszul_sign(invert_perm(order), degsums)
-            subs = [group[i][0] for i in order]
-            for s1, s2 in zip(subs, subs[1:]):
-                if s1 == s2 and sum(table[k] for k in s1) % 2:
+            sign *= koszul_sign(invert_perm(order), tuple(deg for _, deg in group))
+            blocks = [group[i] for i in order]
+            for (s1, deg), (s2, _) in zip(blocks, blocks[1:]):
+                if s1 == s2 and deg % 2:
                     return None, 0
-            for sub in subs:
+            for sub, _ in blocks:
                 out.extend(sub)
         tail = word[self.tail :]
         if tail:
@@ -383,119 +409,239 @@ def bv_diff(x: BVElement) -> BVElement:
     return _add_raw(BVElement(x.kind, x.space, x.cspace), raw)
 
 
-def _raw_transported(raw: dict, out_key, sigma, entries: dict, scale, table):
-    """Add the entries, transported along sigma with Koszul signs, times
-    scale."""
-    neg = -scale
-    for w, v in entries.items():
-        sign = koszul_sign(sigma, tuple(table[k] for k in w))
-        rk = (out_key, apply_perm_to_word(sigma, w))
-        raw[rk] = raw.get(rk, ZERO) + (scale if sign > 0 else neg) * v
+def _word_getter(positions):
+    """The function taking a word to its letters at ``positions``."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda word: (word[p],)
+    return lambda word: ()
 
 
-def _delta_terms(x: BVElement, key, colour):
-    """Contract two ends of one representative, collapsing the section to
-    first-two-slot multiplicities."""
-    n = key_arity(key)
-    c = key_closed(key)
-    rep = representative(key)
-    f = x.functional(key)
+@lru_cache(maxsize=None)
+def _delta_plan(kind, key, i, j, colour):
+    """The shape-only part of contracting ends i and j of one colour of the
+    representative of ``key``: (output key, slots of the two ends, getter of
+    the remaining letters in canonical order, inversion masks, scale).
+
+    The move tau sends the two ends to the front and every other slot s to
+    2 + sigma(s), with sigma the canonicalizing permutation of the
+    contracted surface; its Koszul sign is the sign of bringing the ends
+    together in front (in ``endo_contract``'s closed case, bringing them in
+    front of the open block) times the sign of sigma on the rest.
+    """
+    n, c = key_arity(key), key_closed(key)
     if colour == "open":
-        pairs = _slot_pair_counts(x.kind, key)
+        mult = _slot_pair_counts(kind, key)[(i, j)]
         out_fact = math.factorial(max(n - 2, 0)) * math.factorial(c)
+        base = 0
     else:
-        if c < 2:
-            return []
-        pairs = {(0, 1): _open_section_size(x.kind, key)}
+        mult = _open_section_size(kind, key)
         out_fact = math.factorial(n) * math.factorial(c - 2)
-    terms = []
-    for (i, j), mult in pairs.items():
-        la, lb = i + 1, j + 1
-        g = endo_contract(f, la, lb, colour=colour)
-        z = op.natural_contract(rep, la, lb, colour=colour)
-        rep_out, sigma = op.canonical_perm(z)
-        out_key = key_of(x.kind, rep_out)
-        scale = Fraction(-mult, out_fact)
-        terms.append((out_key, sigma, g.entries, scale))
-    return terms
+        base = n
+    z = op.natural_contract(representative(key), i + 1, j + 1, colour=colour)
+    rep_out, sigma = op.canonical_perm(z)
+    pa, pb = base + i, base + j
+    tau = [0] * (n + c)
+    tau[pa], tau[pb] = 0, 1
+    rest = [s for s in range(n + c) if s not in (pa, pb)]
+    for k, s in enumerate(rest):
+        tau[s] = 2 + sigma[k]
+    return (key_of(kind, rep_out), pa, pb,
+            _word_getter(invert_perm(tau)[2:]), inversion_masks(tau),
+            Fraction(-mult, out_fact))
+
+
+def _contracted_pairs(kind, key, colour):
+    """The pairs of ends of one colour the loop operation contracts."""
+    if colour == "open":
+        return _slot_pair_counts(kind, key)
+    return [(0, 1)] if key_closed(key) >= 2 else []
+
+
+def _glued_space(x: BVElement, colour):
+    """The space of the glued colour and the offset of its letters."""
+    if colour == "open":
+        return x.space, 0
+    return x.cspace, x.space.dim
 
 
 def bv_delta(x: BVElement) -> BVElement:
     """The loop contraction weighted by the formal parameter: components of
-    arity n+2 and genus2 G feed components of arity n and genus2 G+2."""
+    arity n+2 and genus2 G feed components of arity n and genus2 G+2.
+
+    Each stored word is contracted through the inverse pairing and moved
+    straight into canonical slot order with one Koszul sign; the sign of
+    the contraction itself, as in ``endo_contract``, is the parity of the
+    whole word.
+    """
     if x.kind == "cyclic_ainfty":
         raise KindMismatch("the genus-zero cyclic kind carries no loop operation")
-    table = x.table()
-    colours = ("open", "closed") if x.kind == "qoc" else ("open",)
+    kind = x.kind
+    parities = tuple(d % 2 for d in x.table())
+    colours = ("open", "closed") if kind == "qoc" else ("open",)
     raw: dict = {}
     for key in list(x.terms):
+        entries = x.functional(key).entries
         for colour in colours:
-            for out_key, sigma, entries, scale in _delta_terms(x, key, colour):
-                _raw_transported(raw, out_key, sigma, entries, scale, table)
-    return _add_raw(BVElement(x.kind, x.space, x.cspace), raw)
+            space, off = _glued_space(x, colour)
+            P = _pair_matrix(space)
+            for i, j in _contracted_pairs(kind, key, colour):
+                out_key, pa, pb, rest, masks, scale = _delta_plan(
+                    kind, key, i, j, colour
+                )
+                for w, v in entries.items():
+                    coeff = P[w[pa] - off][w[pb] - off]
+                    if not coeff:
+                        continue
+                    odd = odd_mask(w, parities)
+                    val = scale * coeff * v
+                    # the contraction's own sign is the parity of the word
+                    if (mask_sign(masks, odd) < 0) != (odd.bit_count() & 1):
+                        val = -val
+                    rk = (out_key, rest(w))
+                    raw[rk] = raw.get(rk, ZERO) + val
+    return _add_raw(BVElement(kind, x.space, x.cspace), raw)
 
 
-def _end_counts(kind, key, colours) -> dict:
-    """Per colour, the multiplicity of each glued slot over the section."""
-    return {
-        colour: _slot_counts(kind, key) if colour == "open"
-        else {0: _open_section_size(kind, key)}
-        for colour in colours
-    }
+def _end_weights(kind, key, colour) -> dict:
+    """Per glued slot of the colour, its weight in the bracket: its
+    multiplicity over the coset section over the factorials of the slots
+    that stay."""
+    n, c = key_arity(key), key_closed(key)
+    if colour == "open":
+        counts = _slot_counts(kind, key)
+        rest = math.factorial(max(n - 1, 0)) * math.factorial(c)
+    else:
+        if c < 1:
+            return {}
+        counts = {0: _open_section_size(kind, key)}
+        rest = math.factorial(n) * math.factorial(c - 1)
+    return {i: Fraction(m, rest) for i, m in counts.items()}
+
+
+def _split_at_end(entries, n, slot, colour, weight, table, parities, off):
+    """One factor's entries split around its glued slot.
+
+    Each entry becomes (glued index, x, y, deg glued, deg x, deg y, odd
+    mask of x, odd mask of y, value times weight), x and y being the open
+    and closed letters that stay.  Moving the glued letter to the front of
+    its colour block costs the Koszul sign of passing the letters before it
+    in the block, as ``endo_compose``'s reordering does.
+    """
+    start = 0 if colour == "open" else n
+    no = n - 1 if colour == "open" else n
+    out = []
+    for w, v in entries.items():
+        g = w[slot]
+        deg_g = table[g] % 2
+        if deg_g and sum(table[k] for k in w[start:slot]) % 2:
+            v = -v
+        rest = w[:slot] + w[slot + 1 :]
+        xs, ys = rest[:no], rest[no:]
+        out.append((
+            g - off, xs, ys, deg_g, sum(table[k] for k in xs) % 2,
+            sum(table[k] for k in ys) % 2, odd_mask(xs, parities),
+            odd_mask(ys, parities), v * weight,
+        ))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bracket_plan(kind, key1, i, key2, j, colour):
+    """The shape-only part of gluing end i of one colour of key1's
+    representative to end j of key2's: (output key, getter moving the
+    assembled word x1 + x2 + y1 + y2 into canonical slot order, its
+    inversion masks, and the offsets of x2, y1 and y2 in that word)."""
+    z = op.natural_compose(representative(key1), i + 1, representative(key2),
+                           j + 1, colour=colour)
+    rep_out, sigma = op.canonical_perm(z)
+    n1, c1 = key_arity(key1), key_closed(key1)
+    n2 = key_arity(key2)
+    nx1, nx2, ny1 = (n1 - 1, n2 - 1, c1) if colour == "open" else (n1, n2, c1 - 1)
+    return (key_of(kind, rep_out), _word_getter(invert_perm(sigma)),
+            inversion_masks(sigma), nx1, nx1 + nx2, nx1 + nx2 + ny1)
 
 
 def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
-    """Glue one end of each factor through the inverse pairing."""
+    """Glue one end of each factor through the inverse pairing.
+
+    Each factor is split around each of its glued ends once; the second
+    one is bucketed by its glued letter and joined with the first through
+    the nonzero entries of the inverse pairing, with ``endo_compose``'s
+    sign.  Each assembled word x1 + x2 + y1 + y2 goes through the planned
+    canonicalizing permutation into the output with one Koszul sign.
+    """
     if x.kind != y.kind:
         raise KindMismatch("bracket of different kinds")
     kind = x.kind
+    out = BVElement(kind, x.space, x.cspace)
+    if not (x.terms and y.terms):
+        return out
+    if (x.space, x.cspace) != (y.space, y.cspace):
+        raise LabelMismatch("functionals over different spaces")
     table = x.table()
+    parities = tuple(d % 2 for d in table)
     colours = ("open", "closed") if kind == "qoc" else ("open",)
-    # labels of the second factor move past every label of the first
-    off = 1 + max(
-        (max(key_arity(k), key_closed(k)) for k in x.terms), default=0
-    )
-    seconds = []
-    for key2 in list(y.terms):
-        f2 = y.functional(key2)
-        rho = {l: l + off for l in f2.labels}
-        rho_c = {l: l + off for l in f2.clabels}
-        seconds.append((
-            key2, key_arity(key2), key_closed(key2), representative(key2),
-            endo_relabel(f2, rho, rho_c), _end_counts(kind, key2, colours),
-        ))
+    fx = {key: x.functional(key).entries for key in x.terms}
+    fy = fx if y is x else {key: y.functional(key).entries for key in y.terms}
     raw: dict = {}
-    for key1 in list(x.terms):
-        n1, c1 = key_arity(key1), key_closed(key1)
-        f1 = x.functional(key1)
-        rep1 = representative(key1)
-        counts1 = _end_counts(kind, key1, colours)
-        for key2, n2, c2, rep2, f2s, counts2 in seconds:
-            for colour in colours:
-                if colour == "open":
-                    out_fact = (
-                        math.factorial(max(n1 - 1, 0))
-                        * math.factorial(max(n2 - 1, 0))
-                        * math.factorial(c1) * math.factorial(c2)
+    for colour in colours:
+        closed = colour == "closed"
+        space, off = _glued_space(x, colour)
+        rows = _pair_rows(space)
+        seconds = []
+        for key2, entries in fy.items():
+            n2 = key_arity(key2)
+            for j, weight in _end_weights(kind, key2, colour).items():
+                buckets: dict = {}
+                for e, x2, y2, deg_e, deg_x2, deg_y2, ox2, oy2, vg in _split_at_end(
+                    entries, n2, n2 * closed + j, colour, weight, table,
+                    parities, off,
+                ):
+                    p_g = (deg_e + deg_x2 + deg_y2) % 2
+                    s_g = p_g * deg_e + (deg_e * deg_x2 if closed else 0)
+                    buckets.setdefault(e, []).append(
+                        (x2, y2, deg_x2, s_g, p_g + deg_e, ox2, oy2, vg)
                     )
-                else:
-                    if c1 < 1 or c2 < 1:
-                        continue
-                    out_fact = (
-                        math.factorial(n1) * math.factorial(n2)
-                        * math.factorial(max(c1 - 1, 0))
-                        * math.factorial(max(c2 - 1, 0))
-                    )
-                for i, m1 in counts1[colour].items():
-                    la = i + 1
-                    for j, m2 in counts2[colour].items():
-                        h = endo_compose(f1, la, f2s, j + 1 + off, colour=colour)
-                        z = op.natural_compose(rep1, la, rep2, j + 1, colour=colour)
-                        rep_out, sigma = op.canonical_perm(z)
-                        out_key = key_of(kind, rep_out)
-                        _raw_transported(raw, out_key, sigma, h.entries,
-                                         Fraction(-m1 * m2, out_fact), table)
-    return _add_raw(BVElement(kind, x.space, x.cspace), raw)
+                seconds.append((key2, j, buckets))
+        for key1, entries in fx.items():
+            n1 = key_arity(key1)
+            for i, weight in _end_weights(kind, key1, colour).items():
+                firsts = _split_at_end(entries, n1, n1 * closed + i, colour,
+                                       -weight, table, parities, off)
+                for key2, j, buckets in seconds:
+                    _bracket_join(raw, _bracket_plan(kind, key1, i, key2, j, colour),
+                               firsts, buckets, rows, closed)
+    return _add_raw(out, raw)
+
+
+def _bracket_join(raw, plan, firsts, buckets, rows, closed):
+    """Add the glued words of one pair of ends, in canonical slot order,
+    to the raw (key, word) sums."""
+    out_key, move, masks, at_x2, at_y1, at_y2 = plan
+    for d, x1, y1, deg_d, deg_x1, deg_y1, ox1, oy1, vf in firsts:
+        deg_u = deg_x1 + deg_y1
+        s_f = deg_d + deg_u + (deg_d * deg_x1 if closed else 0)
+        odd_f = ox1 | oy1 << at_y1
+        for e, coeff in rows[d]:
+            bucket = buckets.get(e)
+            if bucket is None:
+                continue
+            vfc = vf * coeff
+            for x2, y2, deg_x2, s_g, t_g, ox2, oy2, vg in bucket:
+                # endo_compose's sign: p_f + p_g deg_e + (p_g + deg_e) deg_u
+                # + deg_x2 deg_y1, plus the insertion moves when closed
+                s = s_f + s_g + t_g * deg_u + deg_x2 * deg_y1
+                odd = odd_f | ox2 << at_x2 | oy2 << at_y2
+                if mask_sign(masks, odd) < 0:
+                    s += 1
+                val = vfc * vg
+                if s % 2:
+                    val = -val
+                rk = (out_key, move(x1 + x2 + y1 + y2))
+                raw[rk] = raw.get(rk, ZERO) + val
 
 
 def master_residual(S: BVElement) -> BVElement:

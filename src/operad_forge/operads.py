@@ -450,6 +450,13 @@ def natural_compose(x, a: int, y, b: int, colour: str = "open"):
 # dual structure maps: generic pairing path
 
 
+def _require_two_colours(kind, colour, what):
+    """Closed ends exist only on the two-coloured kind; checked before a
+    default pair of ends is drawn from the (empty) closed labels."""
+    if colour == "closed" and kind != "qoc":
+        raise ColourMismatch(f"closed {what} needs the two-coloured kind")
+
+
 def fresh_pair(z, colour: str = "open"):
     pool = open_labels(z) if colour == "open" else closed_labels(z)
     if element_kind(z) == "qc":
@@ -460,6 +467,7 @@ def fresh_pair(z, colour: str = "open"):
 
 def dual_contract(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
     """Adjoint of contraction: the sum of all x with contract(x, a, b) = z."""
+    _require_two_colours(kind, colour, "contraction")
     if a is None or b is None:
         a, b = fresh_pair(z, colour)
     out = FormalSum()
@@ -522,6 +530,7 @@ def _closed_splittings(cyc, b0, g):
 
 def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
     """Adjoint of composition, summed over ordered splits of the corolla."""
+    _require_two_colours(kind, colour, "gluing")
     if a is None or b is None:
         a, b = fresh_pair(z, colour)
     out = FormalSum()
@@ -536,7 +545,7 @@ def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> Form
                     if kind == "qc":
                         xs = basis("qc", set(o1) | {a}, g2a)
                         ys = basis("qc", set(o2) | {b}, g2b)
-                    elif colour == "open" or kind != "qoc":
+                    elif colour == "open":
                         xs = basis(kind, o1 + (a,), g2a, closed=c1, extended=extended)
                         ys = basis(kind, o2 + (b,), g2b, closed=c2, extended=extended)
                     else:
@@ -570,12 +579,13 @@ def _make(is_qoc, cycles, empties, g, closed):
 
 def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
     """Splitting-family form of the contraction adjoint."""
+    _require_two_colours(kind, colour, "contraction")
     if a is None or b is None:
         a, b = fresh_pair(z, colour)
     out = FormalSum()
     if kind == "qc":
         return dual_contract(kind, z, a, b)
-    if kind == "qoc" and colour == "closed":
+    if colour == "closed":
         if z.g >= 1:
             x = QOCSurface(
                 cycles=z.cycles, empties=z.empties, g=z.g - 1, closed=z.closed | {a, b}
@@ -632,6 +642,7 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
 
 def dual_compose_formula(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
     """Splitting-family form of the composition adjoint (ordered pairs)."""
+    _require_two_colours(kind, colour, "gluing")
     if a is None or b is None:
         a, b = fresh_pair(z, colour)
     out = FormalSum()
@@ -647,7 +658,7 @@ def dual_compose_formula(kind, z, a=None, b=None, colour="open", extended=False)
     closed_splits = (
         list(_ordered_splits(sorted(z.closed))) if is_qoc else [((), ())]
     )
-    opened = colour == "open" or not is_qoc  # one colour: open ends only
+    opened = colour == "open"
     cases = _open_splittings if opened else _closed_splittings
     for cy1, cy2, e1, e2, g1, arc1, arc2 in cases(z.cycles, z.empties, z.g):
         if opened:  # end a starts the cycle carrying arc1, end b arc2's

@@ -6,10 +6,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from operad_forge import bv
+from operad_forge import bv, endo
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
-from operad_forge._kernels import apply_perm_to_word
+from operad_forge import operads as op
+from operad_forge._kernels import apply_perm_to_word, koszul_sign
 from operad_forge.errors import KindMismatch, PreconditionViolated
 
 
@@ -150,6 +151,251 @@ class TestMasterEquationEquivalence:
             if FT.key_arity(key) + FT.key_closed(key) > 2 or FT.key_genus2(key) > 4:
                 continue
             assert M.component(key) == X.component(key), key
+
+
+# ---------------------------------------------------------------------------
+# the operations as composites of the endomorphism-operad maps, kept as the
+# reference for the planned joins of bv_bracket and bv_delta
+
+
+def _raw_transported(raw, out_key, sigma, entries, scale, table):
+    """Add the entries, transported along sigma with Koszul signs, times
+    scale."""
+    for w, v in entries.items():
+        sign = koszul_sign(sigma, tuple(table[k] for k in w))
+        rk = (out_key, apply_perm_to_word(sigma, w))
+        raw[rk] = raw.get(rk, Fr(0)) + sign * scale * v
+
+
+def _reference_delta(x, colours=None):
+    """bv_delta through endo_contract, one contraction per pair of ends."""
+    table = x.table()
+    colours = colours or (("open", "closed") if x.kind == "qoc" else ("open",))
+    raw = {}
+    for key in list(x.terms):
+        n, c = FT.key_arity(key), FT.key_closed(key)
+        rep = FT.representative(key)
+        f = x.functional(key)
+        for colour in colours:
+            if colour == "open":
+                pairs = bv._slot_pair_counts(x.kind, key)
+                out_fact = math.factorial(max(n - 2, 0)) * math.factorial(c)
+            else:
+                if c < 2:
+                    continue
+                pairs = {(0, 1): bv._open_section_size(x.kind, key)}
+                out_fact = math.factorial(n) * math.factorial(c - 2)
+            for (i, j), mult in pairs.items():
+                g = endo.endo_contract(f, i + 1, j + 1, colour=colour)
+                z = op.natural_contract(rep, i + 1, j + 1, colour=colour)
+                rep_out, sigma = op.canonical_perm(z)
+                _raw_transported(raw, FT.key_of(x.kind, rep_out), sigma,
+                                 g.entries, Fr(-mult, out_fact), table)
+    return bv._add_raw(bv.BVElement(x.kind, x.space, x.cspace), raw)
+
+
+def _reference_bracket(x, y, colours=None):
+    """bv_bracket through endo_relabel and endo_compose, one gluing per
+    pair of ends."""
+    kind = x.kind
+    table = x.table()
+    colours = colours or (("open", "closed") if kind == "qoc" else ("open",))
+
+    def ends(key, colour):
+        if colour == "open":
+            return bv._slot_counts(kind, key)
+        return {0: bv._open_section_size(kind, key)}
+
+    off = 1 + max(
+        (max(FT.key_arity(k), FT.key_closed(k)) for k in x.terms), default=0
+    )
+    seconds = []
+    for key2 in list(y.terms):
+        f2 = y.functional(key2)
+        rho = {l: l + off for l in f2.labels}
+        rho_c = {l: l + off for l in f2.clabels}
+        seconds.append((key2, endo.endo_relabel(f2, rho, rho_c)))
+    raw = {}
+    for key1 in list(x.terms):
+        n1, c1 = FT.key_arity(key1), FT.key_closed(key1)
+        f1 = x.functional(key1)
+        rep1 = FT.representative(key1)
+        for key2, f2s in seconds:
+            n2, c2 = FT.key_arity(key2), FT.key_closed(key2)
+            rep2 = FT.representative(key2)
+            for colour in colours:
+                if colour == "open":
+                    out_fact = (
+                        math.factorial(max(n1 - 1, 0))
+                        * math.factorial(max(n2 - 1, 0))
+                        * math.factorial(c1) * math.factorial(c2)
+                    )
+                else:
+                    if c1 < 1 or c2 < 1:
+                        continue
+                    out_fact = (
+                        math.factorial(n1) * math.factorial(n2)
+                        * math.factorial(c1 - 1) * math.factorial(c2 - 1)
+                    )
+                for i, m1 in ends(key1, colour).items():
+                    for j, m2 in ends(key2, colour).items():
+                        h = endo.endo_compose(f1, i + 1, f2s, j + 1 + off,
+                                              colour=colour)
+                        z = op.natural_compose(rep1, i + 1, rep2, j + 1,
+                                               colour=colour)
+                        rep_out, sigma = op.canonical_perm(z)
+                        _raw_transported(raw, FT.key_of(kind, rep_out), sigma,
+                                         h.entries, Fr(-m1 * m2, out_fact),
+                                         table)
+    return bv._add_raw(bv.BVElement(kind, x.space, x.cspace), raw)
+
+
+def _mixed_space(pair_degrees):
+    """block_space(pair_degrees), which lists each degree pair twice, in a
+    basis mixing the two vectors of each degree, so that every row of the
+    inverse pairing has two nonzeros."""
+    V = G.block_space(pair_degrees)
+    n = V.dim
+    h = n // 2  # vectors i and i + h share a degree
+    B = [[0] * n for _ in range(n)]
+    for i in range(h):
+        B[i][i], B[i + h][i] = 1, 1
+        B[i][i + h], B[i + h][i + h] = -2, 1
+    omega = [
+        [sum(B[i][j] * V.omega[i][k] * B[k][l] for i in range(n) for k in range(n))
+         for l in range(n)]
+        for j in range(n)
+    ]
+    M = G.GradedSymplecticSpace(
+        basis_names=V.basis_names, degrees=V.degrees,
+        differential=V.differential, omega=omega,
+    )
+    assert G.validate_space(M) == []
+    rows = G.contraction_pair(M).coefficients
+    assert min(sum(1 for c in row if c) for row in rows) == 2
+    return M
+
+
+def _random_element(rng, kind, space, cspace, keys, parity):
+    """A random element of the given word parity; "mixed" sums one of each."""
+    if parity == "mixed":
+        return _random_element(rng, kind, space, cspace, keys, 0).plus(
+            _random_element(rng, kind, space, cspace, keys, 1))
+    return bv.random_bv_element(rng, kind, space, cspace, keys, parity=parity,
+                                density=0.4)
+
+
+class TestPlannedJoins:
+    """bv_bracket and bv_delta equal their endomorphism-operad composites
+    on spaces whose inverse pairing has two nonzeros in every row, for
+    homogeneous elements of both parities and for mixed ones."""
+
+    BOUNDS = {"loop": (3, 2), "cyclic_ainfty": (4, 0),
+              "quantum_ainfty": (3, 2), "qoc": (3, 2)}
+
+    @pytest.mark.parametrize("kind", ["loop", "cyclic_ainfty",
+                                      "quantum_ainfty", "qoc"])
+    @pytest.mark.parametrize("pa, pb", [(0, 1), (1, 1), ("mixed", "mixed")])
+    def test_matches_endo_composites(self, kind, pa, pb):
+        space = _mixed_space([-1, -1])  # degrees (-1, 2, -1, 2)
+        cspace = _mixed_space([0, 0]) if kind == "qoc" else None
+        keys = FT.enumerate_keys(kind, *self.BOUNDS[kind])
+        rng = random.Random(f"{kind}{pa}{pb}")
+        a = _random_element(rng, kind, space, cspace, keys, pa)
+        b = _random_element(rng, kind, space, cspace, keys, pb)
+        assert a.terms and b.terms
+        colours = ("open", "closed") if kind == "qoc" else ("open",)
+        for colour in colours:
+            # every colour glues and contracts something on its own
+            assert not _reference_bracket(a, b, (colour,)).is_zero(), colour
+            if kind != "cyclic_ainfty":
+                assert not _reference_delta(a, (colour,)).is_zero(), colour
+        assert bv.bv_bracket(a, b).terms == _reference_bracket(a, b).terms
+        assert bv.bv_bracket(a, a).terms == _reference_bracket(a, a).terms
+        if kind != "cyclic_ainfty":
+            assert bv.bv_delta(a).terms == _reference_delta(a).terms
+
+
+def test_bv_route_does_not_call_the_endomorphism_operad(monkeypatch, v2):
+    """The master residual and the operations it is built from never reach
+    endo_compose, endo_contract or endo_relabel, on which the generic route
+    they are compared with is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the BV route called the endomorphism operad")
+
+    for name in ("endo_compose", "endo_contract", "endo_relabel"):
+        monkeypatch.setattr(endo, name, refuse)
+        monkeypatch.setattr(bv, name, refuse, raising=False)
+    V4 = G.rich_space(4, with_differential=True)
+    for kind, mn, mg in (("loop", 3, 2), ("cyclic_ainfty", 4, 0),
+                         ("quantum_ainfty", 3, 2), ("qoc", 2, 2)):
+        closed = v2 if kind == "qoc" else None
+        data = FT.random_algebra(kind, V4, mn, mg, random.Random(3),
+                                 closed_space=closed)
+        S = bv.generating_function(data)
+        assert S.terms
+        bv.master_residual(S)
+        assert not bv.bv_bracket(S, S).is_zero()
+        if kind != "cyclic_ainfty":
+            bv.bv_delta(S)
+
+
+def _reference_rotations(sub, degs):
+    """Every rotation of a block, each with its koszul_sign."""
+    k = len(sub)
+    out = []
+    for r in range(k):
+        perm = tuple((i - r) % k for i in range(k))
+        out.append((apply_perm_to_word(perm, sub), koszul_sign(perm, degs)))
+    return out
+
+
+def test_rotation_signs_match_koszul_sign():
+    rng = random.Random(17)
+    table = (0, 1, -1, 2, -3)
+    for k in range(9):
+        for _ in range(30):
+            sub = tuple(rng.randrange(len(table)) for _ in range(k))
+            degs = tuple(table[i] for i in sub)
+            assert bv._rotations(sub, degs) == _reference_rotations(sub, degs)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("cyclic_ainfty", FT.CyclicKey(4)),
+    ("quantum_ainfty", FT.QuantumKey((1, 2, 2), 0)),
+    ("qoc", FT.QocKey((0, 1, 1), 0, 2)),
+])
+def test_stab_word_size_matches_rotation_count(kind, key):
+    """stab_word_size counts the stabilizer elements fixing a canonical
+    word; with the koszul_sign rotations it counts the same."""
+    table = (0, 1, -1, 2, 0, -1)
+    sym = bv.WordSymmetry(kind, key, table)
+    n, c = FT.key_arity(key), FT.key_closed(key)
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(200):
+        word = tuple(rng.randrange(2) for _ in range(n)) + tuple(
+            4 + rng.randrange(2) for _ in range(c))
+        w0, _ = sym.canonical(word)
+        if w0 is None:
+            continue
+        seen += 1
+        size = 1
+        subs = []
+        for start, length in sym.blocks:
+            sub = w0[start : start + length]
+            subs.append((length, sub))
+            size *= sum(1 for cand, _ in _reference_rotations(
+                sub, tuple(table[i] for i in sub)) if cand == sub)
+        for _, grp in itertools.groupby(subs):
+            size *= math.factorial(len(list(grp)))
+        for _, grp in itertools.groupby(w0[sym.tail :]):
+            size *= math.factorial(len(list(grp)))
+        assert sym.stab_word_size(w0) == size
+        assert size == sum(
+            1 for s in FT.stab_group(kind, key) if apply_perm_to_word(s, w0) == w0
+        )
+    assert seen
 
 
 class TestPolynomialForms:

@@ -9,7 +9,10 @@ from operad_forge._kernels import (
     apply_perm_to_word,
     compose_perms,
     invert_perm,
+    inversion_masks,
     koszul_sign,
+    mask_sign,
+    odd_mask,
     precompose_entries,
 )
 
@@ -61,6 +64,32 @@ def test_koszul_examples():
     assert koszul_sign((1, 0), (0, 1)) == 1
     # a 3-cycle on three odd slots composes two adjacent swaps
     assert koszul_sign((1, 2, 0), (1, 1, 1)) == 1
+
+
+def test_mask_sign_matches_pairwise_definition():
+    """The sign read from inversion masks is koszul_sign's count of inverted
+    odd pairs, for lengths 0 to 10 and negative odd degrees."""
+    rng = random.Random(13)
+    table = (0, 1, -1, 2, -3, -2)
+    parities = tuple(d % 2 for d in table)
+    signs = set()
+    for n in range(11):
+        for _ in range(40):
+            perm = random_perm(rng, n)
+            word = tuple(rng.randrange(len(table)) for _ in range(n))
+            got = mask_sign(inversion_masks(perm), odd_mask(word, parities))
+            want = koszul_sign(perm, tuple(table[k] for k in word))
+            assert got == want, (perm, word)
+            signs.add(got)
+    assert signs == {1, -1}
+
+
+def test_precompose_identity_copies_entries():
+    entries = {(0, 1, 2): Fraction(3), (1, 1, 0): Fraction(-1, 2)}
+    out = precompose_entries(entries, (0, 1, 2), (0, 1, -1))
+    assert out == entries
+    assert out is not entries
+    assert precompose_entries({(): Fraction(2)}, (), ()) == {(): Fraction(2)}
 
 
 def test_precompose_matches_per_word_definition():

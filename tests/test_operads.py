@@ -285,6 +285,23 @@ class TestDuals:
                 assert op.dual_compose("qoc", z, colour=colour) == \
                     op.dual_compose_formula("qoc", z, colour=colour)
 
+    @pytest.mark.parametrize("kind, z", [
+        ("qo", op.qo_surface([(1, 2, 3)])),
+        ("ass", op.qo_surface([(1, 2, 3, 4)])),
+        ("qc", op.qc_element((1, 2, 3), 2)),
+    ])
+    @pytest.mark.parametrize("dual", [
+        op.dual_contract, op.dual_compose,
+        op.dual_contract_formula, op.dual_compose_formula,
+    ])
+    def test_closed_ends_need_two_colours(self, kind, z, dual):
+        """A one-coloured kind has no closed ends, with default ends (drawn
+        from the empty closed labels) or explicit ones."""
+        with pytest.raises(ColourMismatch, match="two-coloured kind"):
+            dual(kind, z, colour="closed")
+        with pytest.raises(ColourMismatch, match="two-coloured kind"):
+            dual(kind, z, a=8, b=9, colour="closed")
+
     def test_adjunction_against_structure_maps(self):
         """The coefficient of z in the contraction of x equals the
         coefficient of x in the contraction adjoint of z."""
