@@ -56,10 +56,7 @@ def cmd_verify_endo(args) -> int:
             space = space_from_json(json.load(fh))
     else:
         space = canonical_space(args.dim, with_differential=True)
-    bad = validate_space(space)
-    if bad:
-        print("invalid space: " + "; ".join(bad), file=sys.stderr)
-        return USAGE
+    _require_valid(space)
     report = verify_twisted_axioms(
         space, max_n=args.max_n, samples=args.samples, seed=args.seed
     )
@@ -75,9 +72,18 @@ def cmd_verify_endo(args) -> int:
     return PASS if report.passed else FAIL
 
 
+def _require_valid(*spaces):
+    """A space that breaks an invariant is a usage error (exit 2)."""
+    bad = [v for space in spaces if space is not None for v in validate_space(space)]
+    if bad:
+        raise OperadForgeError("invalid space: " + "; ".join(bad))
+
+
 def _load_algebra(path):
     with open(path) as fh:
-        return ft.algebra_from_json(json.load(fh))
+        data = ft.algebra_from_json(json.load(fh))
+    _require_valid(data.space, data.closed_space)
+    return data
 
 
 def cmd_check_algebra(args) -> int:
@@ -278,7 +284,7 @@ def main(argv=None) -> int:
     except OperadForgeError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(str(exc), file=sys.stderr)
         return USAGE
     except (KeyError, ValueError, json.JSONDecodeError) as exc:

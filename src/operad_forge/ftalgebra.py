@@ -16,14 +16,17 @@ code with the generic route beyond the inverse pairing, the sign and
 permutation kernels, the subset enumeration and the orbit-representative
 lookup (``canonical_perm``, ``key_of``) that finds a stored map.
 
-The gluing term of the open-surface equations is one sum over the ordered
-splittings along an open or a closed end, taken from the enumerators
-``operads._open_splittings`` and ``operads._closed_splittings`` that
-``dual_compose_formula`` also walks.  The generic route never calls them:
-it reaches the splittings through the pairing oracle ``dual_compose``.
-Each splitting factor's map is looked up by the factor's shape (cycle
-lengths, empty boundaries, genus, closed ends) before the factor is built,
-so a shape without a stored map costs one dictionary lookup.
+The gluing and open self-gluing terms of the open-surface equations are
+sums over the ordered splittings along an open or a closed end and over
+the contraction preimages, each preimage up to the swap of the glued ends
+with multiplicity 2 when the swap differs.  They come from the
+enumerators ``operads._open_splittings``, ``_closed_splittings`` and
+``_open_contractions`` that the dual formulas also walk; the generic route
+reaches both families only through the pairing oracles ``dual_compose``
+and ``dual_contract``.  Each splitting factor's map is looked up by the
+factor's shape (cycle lengths, empty boundaries, genus, closed ends)
+before the factor is built, so a shape without a stored map costs one
+dictionary lookup.
 """
 from __future__ import annotations
 
@@ -63,6 +66,7 @@ from .errors import (
 from .graded import (
     GradedSymplecticSpace,
     MultiFunctional,
+    _json_typed,
     format_rational,
     functional_differential,
     parse_int,
@@ -463,10 +467,6 @@ def _unshuffle_perm(labels, first_block):
 # -- open-surface residuals (b-sequence keyed, one or two colours) ----------
 
 
-def _shift_cycles(cycles, offset):
-    return tuple(tuple(l + offset for l in c) for c in cycles)
-
-
 def _stable_open(g, boundaries, arity, closed=0):
     return 4 * g + 2 * boundaries + 2 * closed - 4 + arity > 0
 
@@ -497,49 +497,12 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
     table = space.degrees + (data.closed_space.degrees if two else ())
     P = _pair_matrix(space)
     R = dict(functional_differential(data.functional(key)).entries)
-    cyc = list(rep.cycles)
-    b0, g = rep.empties, rep.g
-    nb = len(cyc)
-
-    def glue_element(new_cycles, empties, gg, skip):
-        kept = _shift_cycles(
-            tuple(c for k, c in enumerate(cyc) if k not in set(skip)), 2
-        )
-        return op._make(two, kept + tuple(new_cycles), empties, gg, closed)
-
-    contr = []
-    # ends 1,2 on a single cycle of the preimage, split apart by the gluing
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            ci, cj = cyc[i], cyc[j]
-            for p in range(len(ci)):
-                for q in range(len(cj)):
-                    cycle = (1,) + tuple(l + 2 for l in ci[p:] + ci[:p]) \
-                        + (2,) + tuple(l + 2 for l in cj[q:] + cj[:q])
-                    contr.append((2, glue_element((cycle,), b0, g, (i, j))))
-    if b0 > 0:
-        for i in range(nb):
-            ci = cyc[i]
-            for p in range(len(ci)):
-                cycle = (1,) + tuple(l + 2 for l in ci[p:] + ci[:p]) + (2,)
-                contr.append((2, glue_element((cycle,), b0 - 1, g, (i,))))
-    if b0 > 1:
-        contr.append((1, glue_element(((1, 2),), b0 - 2, g, ())))
-    # ends 1,2 on two cycles of the preimage, merged by the gluing
-    if g >= 1:
-        for m in range(nb):
-            cm = cyc[m]
-            L = len(cm)
-            for s in range(L):
-                word = cm[s:] + cm[:s]
-                for l in range(L - s, L + 1):
-                    c1 = (1,) + tuple(k + 2 for k in word[:l])
-                    c2 = (2,) + tuple(k + 2 for k in word[l:])
-                    contr.append((2, glue_element((c1, c2), b0, g - 1, (m,))))
-        if b0 > 0:
-            contr.append((1, glue_element(((1,), (2,)), b0 - 1, g - 1, ())))
-    for mult, x in contr:
-        # x lives on [n+2] with 1 and 2 the glued ends; relabelling keeps its key
+    # the preimages live on [n+2] with 1 and 2 the glued ends
+    shifted = tuple(tuple(l + 2 for l in c) for c in rep.cycles)
+    for kept, new, empties, g, mult in op._open_contractions(
+        shifted, rep.empties, rep.g, 1, 2
+    ):
+        x = op._make(two, kept + new, empties, g, closed)
         T = data.tensor(key_of(data.kind, x))
         if not T:
             continue
@@ -771,11 +734,13 @@ def key_to_json(key) -> dict:
 
 
 def key_from_json(kind, doc):
+    _json_typed(doc, dict, "a key")
     if kind == "loop":
         return LoopKey(parse_int(doc["n"]), parse_int(doc["genus"]))
     if kind == "cyclic_ainfty":
         return CyclicKey(parse_int(doc["n"]))
-    bseq = trim_bseq([parse_int(x) for x in doc["b_sequence"]])
+    bseq = _json_typed(doc["b_sequence"], list, "b_sequence")
+    bseq = trim_bseq([parse_int(x) for x in bseq])
     if kind == "quantum_ainfty":
         return QuantumKey(bseq, parse_int(doc["g"]))
     return QocKey(bseq, parse_int(doc["g"]), parse_int(doc["closed"]))
@@ -802,22 +767,31 @@ def algebra_to_json(data: AlgebraData) -> dict:
 
 
 def algebra_from_json(doc) -> AlgebraData:
+    """A mistyped field or a map key or entry index given twice is a ValueError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    _json_typed(doc, dict, "an algebra file")
     kind = doc["kind"]
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown algebra kind {kind!r}")
-    space = space_from_json(doc["space"])
+    space = space_from_json(_json_typed(doc["space"], dict, "space"))
     closed_space = (
-        space_from_json(doc["closed_space"]) if "closed_space" in doc else None
+        space_from_json(_json_typed(doc["closed_space"], dict, "closed_space"))
+        if "closed_space" in doc else None
     )
     maps = {}
-    for m in doc.get("maps", []):
+    for m in _json_typed(doc.get("maps", []), list, "maps"):
+        _json_typed(m, dict, "a map")
         key = key_from_json(kind, m["key"])
-        entries = {
-            tuple(parse_int(i) for i in e["index"]): parse_rational(e["value"])
-            for e in m["entries"]
-        }
+        if key in maps:
+            raise ValueError(f"map key {key_to_json(key)} is given twice")
+        entries = {}
+        for e in _json_typed(m["entries"], list, "entries"):
+            _json_typed(e, dict, "an entry")
+            w = tuple(map(parse_int, _json_typed(e["index"], list, "index")))
+            if w in entries:
+                raise ValueError(f"map {key_to_json(key)}: index {list(w)} is given twice")
+            entries[w] = parse_rational(e["value"])
         maps[key] = make_map(kind, space, closed_space, key, entries)
     return AlgebraData(kind=kind, space=space, maps=maps, closed_space=closed_space)
 

@@ -378,13 +378,32 @@ def space_to_json(space: GradedSymplecticSpace) -> dict:
     }
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_typed(value, kind, field):
+    """``value`` if it has the JSON type ``kind``, else a ``ValueError``
+    naming ``field``: a mistyped field is malformed input, not a TypeError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _matrix_from_json(rows, field):
+    return [[parse_rational(x) for x in _json_typed(row, list, f"a row of {field}")]
+            for row in _json_typed(rows, list, field)]
+
+
 def space_from_json(doc) -> GradedSymplecticSpace:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    names = tuple(b["name"] for b in doc["basis"])
-    degrees = tuple(parse_int(b["degree"]) for b in doc["basis"])
-    omega = [[parse_rational(x) for x in row] for row in doc["omega"]]
-    diff = [[parse_rational(x) for x in row] for row in doc["differential"]]
+    _json_typed(doc, dict, "a space")
+    basis = [_json_typed(b, dict, "a basis entry")
+             for b in _json_typed(doc["basis"], list, "basis")]
+    names = tuple(_json_typed(b["name"], str, "a basis name") for b in basis)
+    degrees = tuple(parse_int(b["degree"]) for b in basis)
+    omega = _matrix_from_json(doc["omega"], "omega")
+    diff = _matrix_from_json(doc["differential"], "differential")
     return GradedSymplecticSpace(
         basis_names=names, degrees=degrees, differential=diff, omega=omega
     )

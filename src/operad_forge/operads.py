@@ -15,16 +15,16 @@ appear in this module.  Dual structure maps are computed twice, generically
 by enumerating the source basis and pairing, and through explicit splitting
 formulas; the test suite checks the two paths agree term for term.
 
-The open-surface splitting family, the ordered splittings of a surface
-along an open end (one boundary cycle rotated and cut into two arcs, or an
-empty boundary split) or along a closed end, is enumerated once, by
-``_open_splittings`` and ``_closed_splittings``.  ``dual_compose_formula``
-and the hand-coded residuals of ``ftalgebra`` both walk it.  Neither
-comparison has it on both sides: the formula is checked against the
-pairing oracle ``dual_compose``, and the hand residuals against
-``ft_residual``, which is built on that oracle.  ``canonical_perm`` returns
-the permutation of every slot, so no caller extends it over the closed
-slots.
+The open-surface families are enumerated once each: the ordered
+splittings along an open end (one boundary cycle rotated and cut into two
+arcs, or an empty boundary split) or a closed end by ``_open_splittings``
+and ``_closed_splittings``, the contraction preimages by
+``_open_contractions``, up to the swap of the two ends.  The dual formulas
+and the hand-coded residuals of ``ftalgebra`` both walk them.  Neither
+comparison has them on both sides: the formulas are checked against the
+pairing oracles, and the hand residuals against ``ft_residual``, which is
+built on those oracles.  ``canonical_perm`` returns the permutation of
+every slot, so no caller extends it over the closed slots.
 """
 from __future__ import annotations
 
@@ -501,6 +501,11 @@ def _ordered_splits(items):
             yield tuple(left), tuple(i for i in items if i not in ls)
 
 
+def _drop(cycles, *skip):
+    s = set(skip)
+    return tuple(c for k, c in enumerate(cycles) if k not in s)
+
+
 def _open_splittings(cyc, b0, g):
     """Splitting cases along an open end, as (cycles1, cycles2, e1, e2, g1,
     arc1, arc2): a rotation of one cycle is cut into the arcs the two glued
@@ -526,6 +531,38 @@ def _closed_splittings(cyc, b0, g):
         for e1 in range(b0 + 1):
             for g1 in range(g + 1):
                 yield cyc1, cyc2, e1, b0 - e1, g1, (), ()
+
+
+def _open_contractions(cyc, b0, g, a, b):
+    """Preimages of a surface under the contraction of open ends a and b, up
+    to the a<->b swap, as (kept cycles, new cycles through a and b, empties,
+    genus, mult); mult is 2 exactly when the swapped surface is a different
+    preimage.  Stability is left to the caller."""
+    # a and b on one cycle, which the contraction splits into two nonempty
+    # cycles, or into one and an empty boundary
+    for i, j in itertools.combinations(range(len(cyc)), 2):
+        ci, cj = cyc[i], cyc[j]
+        for p, q in itertools.product(range(len(ci)), range(len(cj))):
+            merged = (a,) + ci[p:] + ci[:p] + (b,) + cj[q:] + cj[:q]
+            yield _drop(cyc, i, j), (merged,), b0, g, 2
+    if b0 > 0:
+        for i, ci in enumerate(cyc):
+            for p in range(len(ci)):
+                yield _drop(cyc, i), ((a,) + ci[p:] + ci[:p] + (b,),), b0 - 1, g, 2
+    if b0 > 1:
+        yield cyc, ((a, b),), b0 - 2, g, 1
+    # a and b on two cycles that the contraction merges, lowering the genus;
+    # of (s, l) and its swap ((s + l) % L, L - l), exactly one has s + l >= L
+    if g > 0:
+        for m, cm in enumerate(cyc):
+            L = len(cm)
+            for s in range(L):
+                word = cm[s:] + cm[:s]
+                for l in range(L - s, L + 1):
+                    new = ((a,) + word[:l], (b,) + word[l:])
+                    yield _drop(cyc, m), new, b0, g - 1, 2
+        if b0 > 0:
+            yield cyc, ((a,), (b,)), b0 - 1, g - 1, 1
 
 
 def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> FormalSum:
@@ -564,11 +601,6 @@ def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> Form
 # dual structure maps: explicit splitting formulas
 
 
-def _drop(cycles, *skip):
-    s = set(skip)
-    return tuple(c for k, c in enumerate(cycles) if k not in s)
-
-
 def _make(is_qoc, cycles, empties, g, closed):
     if is_qoc:
         return QOCSurface(
@@ -593,50 +625,17 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
             if is_admissible(x, extended):
                 out.add(x)
         return out
-    cyc = list(z.cycles)
-    b0, g = z.empties, z.g
-    nb = len(cyc)
     two = isinstance(z, QOCSurface)
     zc = z.closed if two else ()
-    # one new cycle through a and b, split back into two nonempty cycles
-    for i in range(nb):
-        for j in range(nb):
-            if i == j:
-                continue
-            ci, cj = cyc[i], cyc[j]
-            for p in range(len(ci)):
-                for q in range(len(cj)):
-                    merged = (a,) + ci[p:] + ci[:p] + (b,) + cj[q:] + cj[:q]
-                    out.add(_make(two, _drop(cyc, i, j) + (merged,), b0, g, zc))
-    # one new cycle through a and b, one side splitting off empty
-    if b0 > 0:
-        for j in range(nb):
-            cj = cyc[j]
-            for q in range(len(cj)):
-                merged = (a, b) + cj[q:] + cj[:q]
-                out.add(_make(two, _drop(cyc, j) + (merged,), b0 - 1, g, zc))
-        for i in range(nb):
-            ci = cyc[i]
-            for p in range(len(ci)):
-                merged = (a,) + ci[p:] + ci[:p] + (b,)
-                out.add(_make(two, _drop(cyc, i) + (merged,), b0 - 1, g, zc))
-    if b0 > 1:
-        x = _make(two, tuple(cyc) + ((a, b),), b0 - 2, g, zc)
-        if is_admissible(x, extended):
-            out.add(x)
-    # a and b on two cycles that the contraction merges, lowering the genus
-    if g > 0:
-        for m in range(nb):
-            cm = cyc[m]
-            L = len(cm)
-            for s in range(L):
-                word = cm[s:] + cm[:s]
-                for l in range(L + 1):
-                    ca = (a,) + word[:l]
-                    cb = (b,) + word[l:]
-                    out.add(_make(two, _drop(cyc, m) + (ca, cb), b0, g - 1, zc))
-        if b0 > 0:
-            out.add(_make(two, tuple(cyc) + ((a,), (b,)), b0 - 1, g - 1, zc))
+    swap = {a: b, b: a}
+    for kept, new, empties, g, mult in _open_contractions(z.cycles, z.empties, z.g, a, b):
+        x = _make(two, kept + new, empties, g, zc)
+        if not is_admissible(x, extended):
+            continue
+        out.add(x)
+        if mult == 2:
+            swapped = tuple(tuple(swap.get(l, l) for l in c) for c in new)
+            out.add(_make(two, kept + swapped, empties, g, zc))
     return out
 
 

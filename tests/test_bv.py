@@ -603,6 +603,30 @@ class TestHerbst:
                 assert 4 * bv.herbst_residual(data, key.bseq, key.g, w) == \
                     qres.entries.get(w, Fr(0))
 
+    def test_does_not_share_the_residual_enumerators(self, monkeypatch):
+        """The block-indexed relation has its own merged-cycle and
+        split-cycle loops: with the enumerators of the open-surface families
+        and the joins of the hand-coded residuals made to raise, it still
+        matches the quantum residual it is compared with."""
+        data = self._minimal_data()
+        keys = [k for k in FT.enumerate_keys("quantum_ainfty", 3, 4)
+                if k.bseq[0] == 0]
+        expected = {k: FT.quantum_residual(data, k.bseq, k.g).entries for k in keys}
+        assert any(expected.values())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the relation used the residual enumerators")
+
+        for name in ("_open_contractions", "_open_splittings", "_closed_splittings"):
+            monkeypatch.setattr(op, name, refuse)
+        for name in ("_glue_join", "_pull_back", "_self_glue"):
+            monkeypatch.setattr(FT, name, refuse)
+            monkeypatch.setattr(bv, name, refuse, raising=False)
+        for key in keys:
+            for w in itertools.product(range(data.space.dim), repeat=FT.key_arity(key)):
+                assert 4 * bv.herbst_residual(data, key.bseq, key.g, w) == \
+                    expected[key].get(w, Fr(0))
+
     def test_pairing_symmetry_of_splitting_terms(self):
         """Swapping the two factors of a splitting reproduces the same
         summand, which the right side uses to pair terms."""

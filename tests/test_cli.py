@@ -316,3 +316,110 @@ def test_bad_dimension_is_usage_error(capsys, dim):
     assert code == 2
     assert out == ""
     assert err.startswith("malformed input: ") and "positive and even" in err
+
+
+def _symmetric_omega(space_doc):
+    space_doc["omega"] = [[x.lstrip("-") for x in row] for row in space_doc["omega"]]
+
+
+def _short_basis(space_doc):
+    space_doc["basis"] = space_doc["basis"][:-1]
+
+
+def _qoc_doc():
+    data = FT.AlgebraData(kind="qoc", space=G.rich_space(4), maps={},
+                          closed_space=G.rich_space(2))
+    return FT.algebra_to_json(data)
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "master-eq"])
+@pytest.mark.parametrize("make_doc, field", [
+    (cyclic_doc, "space"), (_qoc_doc, "space"), (_qoc_doc, "closed_space"),
+])
+@pytest.mark.parametrize("defect, message", [
+    (_symmetric_omega, "omega not antisymmetric"),
+    (_short_basis, "basis, degree and matrix sizes disagree"),
+])
+def test_invalid_space_is_usage_error(capsys, tmp_path, command, make_doc, field,
+                                      defect, message):
+    """A space that breaks an invariant is rejected before any check runs,
+    not checked as it is and reported as passing."""
+    doc = make_doc()
+    defect(doc[field])
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid space: ") and message in err
+
+
+def _top_level_array(doc):
+    return [doc]
+
+
+def _set_field(path, value):
+    def edit(doc):
+        *parents, last = path
+        target = doc
+        for p in parents:
+            target = target[p]
+        target[last] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_top_level_array, "an algebra file must be an object", id="array"),
+    pytest.param(_set_field(["space"], None), "space must be an object",
+                 id="space-null"),
+    pytest.param(_set_field(["maps"], {}), "maps must be an array", id="maps-object"),
+    pytest.param(_set_field(["maps", 0, "entries"], {}), "entries must be an array",
+                 id="entries-object"),
+    pytest.param(_set_field(["maps", 0, "entries", 0, "index"], 5),
+                 "index must be an array", id="index-number"),
+    pytest.param(None, "Is a directory", id="directory"),
+])
+def test_structurally_malformed_input_is_usage_error(capsys, tmp_path, edit,
+                                                     message):
+    """A field of the wrong JSON type, or an input path that is not a
+    readable file, is a usage error (exit 2), not a traceback."""
+    if edit is None:
+        path = tmp_path
+    else:
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(edit(cyclic_doc())))
+    for command in ("check-algebra", "master-eq"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def _duplicate_key(doc):
+    twin = json.loads(json.dumps(doc["maps"][0]))
+    twin["entries"][0]["value"] = "1"
+    doc["maps"].append(twin)
+
+
+def _duplicate_index(doc):
+    entries = doc["maps"][0]["entries"]
+    entries.append(dict(entries[0], value="1"))
+
+
+@pytest.mark.parametrize("duplicate, message", [
+    (_duplicate_key, "map key {'n': 3} is given twice"),
+    (_duplicate_index, "map {'n': 3}: index [0, 0, 0] is given twice"),
+])
+def test_duplicate_record_is_usage_error(capsys, tmp_path, duplicate, message):
+    """f3(0,0,0) given as both -1 and 1, in two maps with one key or twice
+    in one map, is malformed input, not whichever record came last."""
+    doc = cyclic_doc()
+    duplicate(doc)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check-algebra", "master-eq"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err

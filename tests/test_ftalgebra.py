@@ -7,6 +7,7 @@ import pytest
 
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
+from operad_forge import operads as op
 from operad_forge.errors import (
     KeyMissing,
     SymmetryViolation,
@@ -151,6 +152,59 @@ class TestSpecializations:
                    else lambda d, k: FT.quantum_residual(d, k.bseq, k.g))
         _compare(data, FT.enumerate_keys(kind, *bounds), lambda k: special(data, k))
         assert repeats and not any(repeats)
+
+    @staticmethod
+    def _open_cases(v2, v4):
+        """Both open-surface kinds on random data, with every key's generic
+        and hand-coded residual, computed before any guard is installed."""
+        cases = []
+        for kind, bounds in (("quantum_ainfty", (3, 4)), ("qoc", (3, 4))):
+            data = FT.random_algebra(kind, v4, *bounds, random.Random(19),
+                                     closed_space=v2 if kind == "qoc" else None,
+                                     density=1.0)
+            hand = (FT.qoc_residual if kind == "qoc"
+                    else lambda d, k: FT.quantum_residual(d, k.bseq, k.g))
+            for key in FT.enumerate_keys(kind, *bounds):
+                cases.append((data, key, FT.ft_residual(data, key).entries,
+                              hand(data, key).entries))
+        assert any(generic for _, _, generic, _ in cases)
+        return cases
+
+    def test_generic_residual_does_not_walk_the_enumerators(self, monkeypatch,
+                                                             v2, v4):
+        """ft_residual reaches the preimages only through the pairing
+        oracles: with the shared enumerators and the explicit dual formulas
+        made to raise, it still equals the hand-coded residual."""
+        cases = self._open_cases(v2, v4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generic residual walked a formula")
+
+        for name in ("_open_contractions", "_open_splittings", "_closed_splittings",
+                     "dual_contract_formula", "dual_compose_formula"):
+            monkeypatch.setattr(op, name, refuse)
+        for data, key, _, hand in cases:
+            assert FT.ft_residual(data, key).entries == hand, key
+
+    def test_hand_residual_does_not_call_the_oracles(self, monkeypatch, v2, v4):
+        """The hand-coded open-surface residuals never reach the pairing
+        oracles or the endomorphism operations the generic one is built on:
+        with those made to raise, they still equal the generic residual."""
+        cases = self._open_cases(v2, v4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hand residual called the generic route")
+
+        for name in ("dual_contract", "dual_compose"):
+            monkeypatch.setattr(op, name, refuse)
+        for name in ("endo_contract", "endo_compose"):
+            monkeypatch.setattr(FT, name, refuse)
+        for data, key, generic, _ in cases:
+            if data.kind == "qoc":
+                got = FT.qoc_residual(data, key)
+            else:
+                got = FT.quantum_residual(data, key.bseq, key.g)
+            assert got.entries == generic, key
 
     def test_quantum_many_empty_boundaries(self, v4):
         """Keys with two or more empty boundaries, at doubled genus up to 6,

@@ -312,6 +312,44 @@ class TestDuals:
                     expected = 1 if op.contract(x, 3, 4) == z else 0
                     assert pre.get(x, 0) == expected
 
+    @pytest.mark.parametrize("kind", ["qo", "qoc"])
+    def test_open_contractions_up_to_the_swap(self, kind):
+        """The enumerator yields each open contraction preimage once up to
+        the a<->b swap: a mult-1 preimage is its own swap, a mult-2 one is
+        not and its swap is never yielded, and with the swaps added the
+        preimages are those of the pairing oracle."""
+        two = kind == "qoc"
+        checked = 0
+        for n in range(5):
+            for g2 in range(5):
+                for c in range(5 - n) if two else (0,):
+                    try:
+                        els = op.basis(kind, range(1, n + 1), g2, closed=range(1, c + 1))
+                    except Unstable:
+                        continue
+                    for z in els:
+                        a, b = op.fresh_pair(z)
+                        rho = {l: l for l in z.labels} | {a: b, b: a}
+                        ident = {l: l for l in op.closed_labels(z)}
+                        yielded, swaps, count = set(), set(), 0
+                        for kept, new, e, g, mult in op._open_contractions(
+                            z.cycles, z.empties, z.g, a, b
+                        ):
+                            x = op._make(two, kept + new, e, g, op.closed_labels(z))
+                            swapped = op.relabel(x, rho, ident)
+                            assert (swapped == x) == (mult == 1), x
+                            assert x not in yielded, x
+                            yielded.add(x)
+                            if mult == 2:
+                                swaps.add(swapped)
+                            count += mult
+                        assert yielded.isdisjoint(swaps), z
+                        oracle = op.dual_contract(kind, z)
+                        assert count == len(oracle), z
+                        assert yielded | swaps == set(oracle), z
+                        checked += bool(oracle)
+        assert checked
+
 
 class TestAxiomVerifier:
     def test_small_bounds_pass(self):
