@@ -28,6 +28,16 @@ its representative, its inversion masks and the section weights) is an
 around each glued end once per call, and a hash join over the nonzero
 entries of the inverse pairing writes every glued word through the plan's
 permutation into the raw sums with one Koszul sign.
+
+The block-indexed relation ``herbst_residual`` is planned the same way,
+once per profile (bseq, g): the plan lists its merged-cycle, split-cycle
+and splitting terms, each with its scale, the map key and source positions
+of each string vertex, and the inversion masks of the one permutation
+taking the source word (d, e) + args to the vertex target words.  Koszul
+signs compose, so that permutation's sign, read with one ``mask_sign``,
+is the sign of the reordering times the sign of each vertex's block
+permutation.  The relation shares the vertex plans, the inverse pairing
+rows and the kernels with the route it checks, and nothing else.
 """
 from __future__ import annotations
 
@@ -875,158 +885,169 @@ def _check_minimal(data: AlgebraData):
 
 
 @lru_cache(maxsize=None)
-def _perm_from_positions(sources):
-    """Permutation sending source slot s to its position in ``sources``."""
-    return invert_perm(sources)
+def _herbst_plan(bseq, g):
+    """The word-independent part of the block-indexed relation of the
+    profile (bseq, g): its arity and its terms (scale, vertices, inversion
+    masks), in the order merged-cycle, split-cycle, splitting.
 
-
-def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
-    """Left minus right side of the minimal block-indexed relation."""
-    _check_minimal(data)
-    bseq = trim_bseq(bseq)
-    if bseq[0] != 0:
-        raise PreconditionViolated("the relation is indexed by profiles without "
-                                   "empty boundaries")
+    A term reads its vertex words off the source word (d, e) + args, in
+    which a is slot 0, b slot 1 and label l slot l + 1: each vertex is
+    (map key, getter of the source slots filling the key's target word).
+    Listed in the order of the vertex's block-indexed word, those slots
+    go through its block permutation into target order.  The masks are
+    those of the composite, which sends each source slot to its slot in
+    the target words side by side; its Koszul sign is the sign of
+    reordering the source word into the block-indexed words times the
+    sign of each vertex's block permutation.
+    """
     rep = representative(QuantumKey(bseq, g))
-    cyc = list(rep.cycles)
+    cyc = [tuple(l + 1 for l in c) for c in rep.cycles]  # as source slots
     nb = len(cyc)
-    n = rep.arity
-    args = tuple(args)
-    if len(args) != n:
-        raise PreconditionViolated("argument word has the wrong length")
-    space = data.space
-    table = space.degrees
-    dim = space.dim
-    P = _pair_matrix(space)
-    slot_of = {}
-    for c in cyc:
-        for l in c:
-            slot_of[l] = l + 1  # source index: 0 = a, 1 = b, label l at l+1
-    arg_degs = tuple(table[k] for k in args)
+    terms = []
 
-    def koszul_to(sources, d, e):
-        degs = (table[d], table[e]) + arg_degs
-        perm = _perm_from_positions(sources)
-        return koszul_sign(perm, degs)
+    def add(scale, vertices):
+        # vertices: (genus, boundaries, blocks, source positions) per vertex
+        parts, targets = [], []
+        for gv, b_total, blocks, sources in vertices:
+            _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks,
+                                        0, "stable")
+            at = apply_perm_to_word(perm, sources)
+            parts.append((key, _word_getter(at)))
+            targets += at
+        terms.append((scale, tuple(parts),
+                      inversion_masks(invert_perm(targets))))
 
-    def vword(labels):
-        return tuple(args[l - 1] for l in labels)
-
-    acc = ZERO
-    # merged-cycle terms
+    # merged-cycle terms: a and b join two boundary cycles into one
     for i in range(nb):
         for j in range(i + 1, nb):
             ci, cj = cyc[i], cyc[j]
-            rest = [cyc[k] for k in range(nb) if k not in (i, j)]
-            rest_labels = [l for c in rest for l in c]
+            rest = [c for k, c in enumerate(cyc) if k not in (i, j)]
+            tail = tuple(l for c in rest for l in c)
+            blocks = (len(ci) + len(cj) + 2,) + tuple(len(c) for c in rest)
             for p in range(len(ci)):
                 for q in range(len(cj)):
-                    ordered = list(ci[p:] + ci[:p]) + list(cj[q:] + cj[:q])
-                    blocks = (len(ci) + len(cj) + 2,) + tuple(len(c) for c in rest)
-                    sources = tuple(
-                        [0] + [slot_of[l] for l in ci[p:] + ci[:p]]
-                        + [1] + [slot_of[l] for l in cj[q:] + cj[:q]]
-                        + [slot_of[l] for l in rest_labels]
-                    )
-                    for d in range(dim):
-                        for e in range(dim):
-                            if not P[d][e]:
-                                continue
-                            word = (d,) + vword(ci[p:] + ci[:p]) + (e,) \
-                                + vword(cj[q:] + cj[:q]) + vword(rest_labels)
-                            val = string_vertex_F(
-                                data, g, rep.boundaries - 1, blocks, word
-                            )
-                            if val:
-                                acc += P[d][e] * koszul_to(sources, d, e) * val
-    # split-cycle terms
+                    add(-HALF, [(g, nb - 1, blocks, (0,) + ci[p:] + ci[:p]
+                                 + (1,) + cj[q:] + cj[:q] + tail)])
+    # split-cycle terms: a and b cut one boundary cycle in two
     if g >= 1:
         for m in range(nb):
             cm = cyc[m]
             L = len(cm)
-            rest = [cyc[k] for k in range(nb) if k != m]
-            rest_labels = [l for c in rest for l in c]
+            rest = [c for k, c in enumerate(cyc) if k != m]
+            tail = tuple(l for c in rest for l in c)
             for s in range(L):
                 wordm = cm[s:] + cm[:s]
                 for l in range(L - s, L + 1):
-                    arc1, arc2 = wordm[:l], wordm[l:]
                     blocks = (l + 1, L - l + 1) + tuple(len(c) for c in rest)
-                    sources = tuple(
-                        [0] + [slot_of[x] for x in arc1]
-                        + [1] + [slot_of[x] for x in arc2]
-                        + [slot_of[x] for x in rest_labels]
-                    )
-                    for d in range(dim):
-                        for e in range(dim):
-                            if not P[d][e]:
-                                continue
-                            word = (d,) + vword(arc1) + (e,) + vword(arc2) \
-                                + vword(rest_labels)
-                            val = string_vertex_F(
-                                data, g - 1, rep.boundaries + 1, blocks, word
-                            )
-                            if val:
-                                acc += P[d][e] * koszul_to(sources, d, e) * val
-    # splitting terms (the right-hand side, weighted by one half)
-    rhs = ZERO
+                    add(-HALF, [(g - 1, nb + 1, blocks,
+                                 (0,) + wordm[:l] + (1,) + wordm[l:] + tail)])
+    # splitting terms: one half of the right-hand side, each vertex carrying
+    # its own minus one half
     for m in range(nb):
         cm = cyc[m]
         L = len(cm)
         others = [k for k in range(nb) if k != m]
         for r in range(len(others) + 1):
             for I in itertools.combinations(others, r):
-                setI = set(I)
-                J = tuple(k for k in others if k not in setI)
                 cyc1 = [cyc[k] for k in I]
-                cyc2 = [cyc[k] for k in J]
-                lab1 = [l for c in cyc1 for l in c]
-                lab2 = [l for c in cyc2 for l in c]
+                cyc2 = [cyc[k] for k in others if k not in I]
+                lab1 = tuple(l for c in cyc1 for l in c)
+                lab2 = tuple(l for c in cyc2 for l in c)
                 for g1 in range(g + 1):
                     g2 = g - g1
                     for s in range(L):
                         wordm = cm[s:] + cm[:s]
                         for l in range(L + 1):
-                            arc1, arc2 = wordm[:l], wordm[l:]
                             if not (g1 > 0 or I or l >= 2):
                                 continue
-                            if not (g2 > 0 or J or L - l >= 2):
+                            if not (g2 > 0 or cyc2 or L - l >= 2):
                                 continue
-                            blocks1 = (l + 1,) + tuple(len(c) for c in cyc1)
-                            blocks2 = (L - l + 1,) + tuple(len(c) for c in cyc2)
-                            sources = tuple(
-                                [0] + [slot_of[x] for x in arc1]
-                                + [slot_of[x] for x in lab1]
-                                + [1] + [slot_of[x] for x in arc2]
-                                + [slot_of[x] for x in lab2]
-                            )
-                            for d in range(dim):
-                                for e in range(dim):
-                                    if not P[d][e]:
-                                        continue
-                                    w1 = (d,) + vword(arc1) + vword(lab1)
-                                    w2 = (e,) + vword(arc2) + vword(lab2)
-                                    v1 = string_vertex_F(
-                                        data, g1, len(cyc1) + 1, blocks1, w1
-                                    )
-                                    if not v1:
-                                        continue
-                                    v2 = string_vertex_F(
-                                        data, g2, len(cyc2) + 1, blocks2, w2
-                                    )
-                                    if not v2:
-                                        continue
-                                    rhs += (
-                                        P[d][e] * koszul_to(sources, d, e) * v1 * v2
-                                    )
-    return acc - HALF * rhs
+                            add(-HALF * HALF * HALF, [
+                                (g1, len(cyc1) + 1,
+                                 (l + 1,) + tuple(len(c) for c in cyc1),
+                                 (0,) + wordm[:l] + lab1),
+                                (g2, len(cyc2) + 1,
+                                 (L - l + 1,) + tuple(len(c) for c in cyc2),
+                                 (1,) + wordm[l:] + lab2),
+                            ])
+    return rep.arity, tuple(terms)
+
+
+def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
+    """Left minus right side of the minimal block-indexed relation.
+
+    The terms come from ``_herbst_plan``, which holds per term its scale
+    (-1/2 for the merged-cycle and split-cycle terms, -1/8 for a
+    splitting term: one half of the right side times one half per
+    vertex), the map key and source positions of each vertex, and
+    inversion masks.  Per nonzero entry (d, e, c) of the inverse pairing a
+    term gathers its vertex words from (d, e) + args and looks each up in
+    its stored tensor.  Its sign is the Koszul sign of reordering
+    (d, e) + args into the vertex words times that of each vertex's block
+    permutation; Koszul signs compose, so this is the sign of the
+    composite permutation, one ``mask_sign`` of its masks on the odd mask
+    of (d, e) + args.
+    """
+    _check_minimal(data)
+    bseq = trim_bseq(bseq)
+    if bseq[0] != 0:
+        raise PreconditionViolated("the relation is indexed by profiles without "
+                                   "empty boundaries")
+    n, terms = _herbst_plan(bseq, g)
+    args = tuple(args)
+    if len(args) != n:
+        raise PreconditionViolated("argument word has the wrong length")
+    space = data.space
+    parities = tuple(d % 2 for d in space.degrees)
+    odd_args = odd_mask(args, parities) << 2
+    pairs = [
+        ((d, e) + args, odd_args | parities[d] | parities[e] << 1, c)
+        for d, row in enumerate(_pair_rows(space)) for e, c in row
+    ]
+    tensor = data.tensor
+    acc = ZERO
+    for scale, vertices, masks in terms:
+        total = ZERO
+        if len(vertices) == 1:
+            ((key, at),) = vertices
+            T = tensor(key)
+            if not T:
+                continue
+            for src, odd, c in pairs:
+                v = T.get(at(src))
+                if v:
+                    total += c * v if mask_sign(masks, odd) > 0 else -c * v
+        else:
+            (key1, at1), (key2, at2) = vertices
+            T1, T2 = tensor(key1), tensor(key2)
+            if not (T1 and T2):
+                continue
+            for src, odd, c in pairs:
+                v1 = T1.get(at1(src))
+                if not v1:
+                    continue
+                v2 = T2.get(at2(src))
+                if not v2:
+                    continue
+                v = c * v1 * v2
+                total += v if mask_sign(masks, odd) > 0 else -v
+        if total:
+            acc += scale * total
+    return acc
 
 
 def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElement:
-    """Block-indexed form of the generating series."""
+    """Block-indexed form of the generating series.
+
+    A block-indexed word can only be nonzero where its target word is in
+    the support of the stored tensor, so each (composition, genus, empty
+    boundaries) walks that support and maps each target word back through
+    the vertex's block permutation.
+    """
     if data.kind != "quantum_ainfty":
         raise KindMismatch("the block-indexed series needs open-surface data")
     out = BVElement(data.kind, data.space, None)
-    dim = data.space.dim
+    table = data.space.degrees
     for n in range(0, max_n + 1):
         for bbar in range(0 if n == 0 else 1, n + 1):
             for comp in _compositions(n, bbar):
@@ -1047,8 +1068,11 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                         denom = math.factorial(bbar)
                         for l in comp:
                             denom *= l
-                        table = data.space.degrees
-                        for word in itertools.product(range(dim), repeat=n):
+                        _, vkey, vperm = _vertex_plan(data.kind, g, b, comp, 0,
+                                                      "stable")
+                        back = _word_getter(vperm)
+                        for target in data.tensor(vkey):
+                            word = back(target)
                             val = string_vertex_F(data, g, b, comp, word)
                             if not val:
                                 continue

@@ -66,6 +66,7 @@ from .errors import (
 from .graded import (
     GradedSymplecticSpace,
     MultiFunctional,
+    _json_object,
     _json_typed,
     format_rational,
     functional_differential,
@@ -733,8 +734,19 @@ def key_to_json(key) -> dict:
     return {"b_sequence": list(key.bseq), "g": key.g, "closed": key.closed}
 
 
+_KEY_FIELDS = {
+    "loop": ("n", "genus"),
+    "cyclic_ainfty": ("n",),
+    "quantum_ainfty": ("b_sequence", "g"),
+    "qoc": ("b_sequence", "g", "closed"),
+}
+_ALGEBRA_FIELDS = ("kind", "space", "maps", "closed_space")
+_MAP_FIELDS = ("key", "entries")
+_ENTRY_FIELDS = ("index", "value")
+
+
 def key_from_json(kind, doc):
-    _json_typed(doc, dict, "a key")
+    _json_object(doc, _KEY_FIELDS[kind], "a key")
     if kind == "loop":
         return LoopKey(parse_int(doc["n"]), parse_int(doc["genus"]))
     if kind == "cyclic_ainfty":
@@ -767,10 +779,11 @@ def algebra_to_json(data: AlgebraData) -> dict:
 
 
 def algebra_from_json(doc) -> AlgebraData:
-    """A mistyped field or a map key or entry index given twice is a ValueError."""
+    """A mistyped or unknown field or a map key or entry index given twice
+    is a ValueError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    _json_typed(doc, dict, "an algebra file")
+    _json_object(doc, _ALGEBRA_FIELDS, "an algebra file")
     kind = doc["kind"]
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown algebra kind {kind!r}")
@@ -781,13 +794,13 @@ def algebra_from_json(doc) -> AlgebraData:
     )
     maps = {}
     for m in _json_typed(doc.get("maps", []), list, "maps"):
-        _json_typed(m, dict, "a map")
+        _json_object(m, _MAP_FIELDS, "a map")
         key = key_from_json(kind, m["key"])
         if key in maps:
             raise ValueError(f"map key {key_to_json(key)} is given twice")
         entries = {}
         for e in _json_typed(m["entries"], list, "entries"):
-            _json_typed(e, dict, "an entry")
+            _json_object(e, _ENTRY_FIELDS, "an entry")
             w = tuple(map(parse_int, _json_typed(e["index"], list, "index")))
             if w in entries:
                 raise ValueError(f"map {key_to_json(key)}: index {list(w)} is given twice")

@@ -389,6 +389,16 @@ def _json_typed(value, kind, field):
     return value
 
 
+def _json_object(value, known, field):
+    """``value`` if it is an object with no field outside ``known``, else a
+    ``ValueError`` naming ``field`` or the first unknown field: a
+    misspelled field is malformed input, not a field to skip."""
+    for name in _json_typed(value, dict, field):
+        if name not in known:
+            raise ValueError(f"unknown field {name!r} in {field}")
+    return value
+
+
 def _matrix_from_json(rows, field):
     return [[parse_rational(x) for x in _json_typed(row, list, f"a row of {field}")]
             for row in _json_typed(rows, list, field)]

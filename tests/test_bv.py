@@ -10,7 +10,8 @@ from operad_forge import bv, endo
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
 from operad_forge import operads as op
-from operad_forge._kernels import apply_perm_to_word, koszul_sign
+from operad_forge._kernels import apply_perm_to_word, invert_perm, koszul_sign
+from operad_forge.combinatorics import trim_bseq
 from operad_forge.errors import KindMismatch, PreconditionViolated
 
 
@@ -647,6 +648,188 @@ class TestHerbst:
             if FT.key_arity(key) > 4 or FT.key_genus2(key) > 4:
                 continue
             assert S1.component(key) == S2.component(key), key
+
+
+def _reference_herbst_residual(data, bseq, g, args, families=None):
+    """herbst_residual evaluated term by term through string_vertex_F, one
+    Koszul sign for the reordering and one per vertex; ``families`` picks
+    some of "merged", "split" and "splitting"."""
+    families = families or ("merged", "split", "splitting")
+    bv._check_minimal(data)
+    bseq = trim_bseq(bseq)
+    if bseq[0] != 0:
+        raise PreconditionViolated("the relation is indexed by profiles without "
+                                   "empty boundaries")
+    rep = FT.representative(FT.QuantumKey(bseq, g))
+    cyc = list(rep.cycles)
+    nb = len(cyc)
+    n = rep.arity
+    args = tuple(args)
+    if len(args) != n:
+        raise PreconditionViolated("argument word has the wrong length")
+    space = data.space
+    table = space.degrees
+    dim = space.dim
+    P = endo._pair_matrix(space)
+    slot_of = {}
+    for c in cyc:
+        for l in c:
+            slot_of[l] = l + 1  # source index: 0 = a, 1 = b, label l at l+1
+    arg_degs = tuple(table[k] for k in args)
+
+    def koszul_to(sources, d, e):
+        degs = (table[d], table[e]) + arg_degs
+        return koszul_sign(invert_perm(sources), degs)
+
+    def vword(labels):
+        return tuple(args[l - 1] for l in labels)
+
+    acc = Fr(0)
+    # merged-cycle terms
+    for i in range(nb if "merged" in families else 0):
+        for j in range(i + 1, nb):
+            ci, cj = cyc[i], cyc[j]
+            rest = [cyc[k] for k in range(nb) if k not in (i, j)]
+            rest_labels = [l for c in rest for l in c]
+            for p in range(len(ci)):
+                for q in range(len(cj)):
+                    blocks = (len(ci) + len(cj) + 2,) + tuple(len(c) for c in rest)
+                    sources = tuple(
+                        [0] + [slot_of[l] for l in ci[p:] + ci[:p]]
+                        + [1] + [slot_of[l] for l in cj[q:] + cj[:q]]
+                        + [slot_of[l] for l in rest_labels]
+                    )
+                    for d in range(dim):
+                        for e in range(dim):
+                            if not P[d][e]:
+                                continue
+                            word = (d,) + vword(ci[p:] + ci[:p]) + (e,) \
+                                + vword(cj[q:] + cj[:q]) + vword(rest_labels)
+                            val = bv.string_vertex_F(
+                                data, g, rep.boundaries - 1, blocks, word
+                            )
+                            if val:
+                                acc += P[d][e] * koszul_to(sources, d, e) * val
+    # split-cycle terms
+    if g >= 1 and "split" in families:
+        for m in range(nb):
+            cm = cyc[m]
+            L = len(cm)
+            rest = [cyc[k] for k in range(nb) if k != m]
+            rest_labels = [l for c in rest for l in c]
+            for s in range(L):
+                wordm = cm[s:] + cm[:s]
+                for l in range(L - s, L + 1):
+                    arc1, arc2 = wordm[:l], wordm[l:]
+                    blocks = (l + 1, L - l + 1) + tuple(len(c) for c in rest)
+                    sources = tuple(
+                        [0] + [slot_of[x] for x in arc1]
+                        + [1] + [slot_of[x] for x in arc2]
+                        + [slot_of[x] for x in rest_labels]
+                    )
+                    for d in range(dim):
+                        for e in range(dim):
+                            if not P[d][e]:
+                                continue
+                            word = (d,) + vword(arc1) + (e,) + vword(arc2) \
+                                + vword(rest_labels)
+                            val = bv.string_vertex_F(
+                                data, g - 1, rep.boundaries + 1, blocks, word
+                            )
+                            if val:
+                                acc += P[d][e] * koszul_to(sources, d, e) * val
+    # splitting terms (the right-hand side, weighted by one half)
+    rhs = Fr(0)
+    for m in range(nb if "splitting" in families else 0):
+        cm = cyc[m]
+        L = len(cm)
+        others = [k for k in range(nb) if k != m]
+        for r in range(len(others) + 1):
+            for I in itertools.combinations(others, r):
+                setI = set(I)
+                J = tuple(k for k in others if k not in setI)
+                cyc1 = [cyc[k] for k in I]
+                cyc2 = [cyc[k] for k in J]
+                lab1 = [l for c in cyc1 for l in c]
+                lab2 = [l for c in cyc2 for l in c]
+                for g1 in range(g + 1):
+                    g2 = g - g1
+                    for s in range(L):
+                        wordm = cm[s:] + cm[:s]
+                        for l in range(L + 1):
+                            arc1, arc2 = wordm[:l], wordm[l:]
+                            if not (g1 > 0 or I or l >= 2):
+                                continue
+                            if not (g2 > 0 or J or L - l >= 2):
+                                continue
+                            blocks1 = (l + 1,) + tuple(len(c) for c in cyc1)
+                            blocks2 = (L - l + 1,) + tuple(len(c) for c in cyc2)
+                            sources = tuple(
+                                [0] + [slot_of[x] for x in arc1]
+                                + [slot_of[x] for x in lab1]
+                                + [1] + [slot_of[x] for x in arc2]
+                                + [slot_of[x] for x in lab2]
+                            )
+                            for d in range(dim):
+                                for e in range(dim):
+                                    if not P[d][e]:
+                                        continue
+                                    w1 = (d,) + vword(arc1) + vword(lab1)
+                                    w2 = (e,) + vword(arc2) + vword(lab2)
+                                    v1 = bv.string_vertex_F(
+                                        data, g1, len(cyc1) + 1, blocks1, w1
+                                    )
+                                    if not v1:
+                                        continue
+                                    v2 = bv.string_vertex_F(
+                                        data, g2, len(cyc2) + 1, blocks2, w2
+                                    )
+                                    if not v2:
+                                        continue
+                                    rhs += (
+                                        P[d][e] * koszul_to(sources, d, e) * v1 * v2
+                                    )
+    return acc - Fr(1, 2) * rhs
+
+
+class TestPlannedHerbst:
+    """herbst_residual, walking its per-profile plan, equals the term-by-term
+    evaluation through string_vertex_F on every word of every profile up
+    to arity 4 and doubled genus 4."""
+
+    FAMILIES = ("merged", "split", "splitting")
+
+    @pytest.mark.parametrize("space", [
+        G.rich_space(4),
+        _mixed_space([-1, -1]),  # degrees (-1, 2, -1, 2)
+    ], ids=["rich", "mixed"])
+    def test_matches_term_by_term_evaluation(self, space):
+        rng = random.Random(31)
+        maps = {}
+        for key in FT.enumerate_keys("quantum_ainfty", 6, 4):
+            if key.bseq[0] > 0:
+                continue
+            f = FT.random_invariant_map(rng, "quantum_ainfty", space, None, key,
+                                        density=0.3)
+            if f.entries:
+                maps[key] = f
+        data = FT.AlgebraData(kind="quantum_ainfty", space=space, maps=maps)
+        seen = set()
+        words = 0
+        for key in FT.enumerate_keys("quantum_ainfty", 4, 4):
+            if key.bseq[0] > 0:
+                continue
+            for w in itertools.product(range(space.dim), repeat=FT.key_arity(key)):
+                got = bv.herbst_residual(data, key.bseq, key.g, w)
+                parts = {
+                    family: _reference_herbst_residual(data, key.bseq, key.g, w,
+                                                       (family,))
+                    for family in self.FAMILIES
+                }
+                assert got == sum(parts.values()), (key, w)
+                seen.update(family for family, v in parts.items() if v)
+                words += 1
+        assert words and seen == set(self.FAMILIES)
 
 
 class TestSolutions:

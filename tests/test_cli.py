@@ -101,6 +101,22 @@ class TestCheckAlgebra:
         assert code == 2
         assert "stabilizer" in err
 
+    @pytest.mark.parametrize("field", ["map", "genus"])
+    def test_unknown_field(self, capsys, tmp_path, field):
+        """A misspelled "maps" would read as the zero algebra, which passes,
+        and an extra key field would be dropped: both are malformed input."""
+        doc = cyclic_doc()
+        if field == "map":
+            doc["map"] = doc.pop("maps")
+        else:
+            doc["maps"][0]["key"]["genus"] = 7
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-algebra", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"unknown field '{field}'" in err and "Traceback" not in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -81,6 +81,45 @@ class TestJsonRoundTrip:
             assert back.tensor(key) == data.tensor(key)
 
 
+    @pytest.mark.parametrize("kind", ["loop", "cyclic_ainfty", "quantum_ainfty",
+                                      "qoc"])
+    def test_keys_and_space_round_trip(self, kind, v4):
+        keys = FT.enumerate_keys(kind, 3, 2)
+        assert keys
+        for key in keys:
+            doc = json.loads(json.dumps(FT.key_to_json(key)))
+            assert FT.key_from_json(kind, doc) == key
+        back = G.space_from_json(json.dumps(G.space_to_json(v4)))
+        assert back == v4
+
+    @pytest.mark.parametrize("where, field", [
+        ("document", "map"),
+        ("map", "weight"),
+        ("entry", "note"),
+        ("key", "genus"),
+    ])
+    def test_unknown_fields_are_rejected(self, where, field):
+        """A misspelled or extra field is malformed input, at every level
+        of the file, instead of being read as absent."""
+        V = G.rich_space(4)
+        key = FT.QuantumKey((0, 0, 0, 1), 0)
+        f = FT.random_invariant_map(random.Random(6), "quantum_ainfty", V, None,
+                                    key, density=1.0)
+        data = FT.AlgebraData(kind="quantum_ainfty", space=V, maps={key: f})
+        doc = FT.algebra_to_json(data)
+        assert FT.algebra_from_json(doc).tensor(key) == f.entries
+        if where == "document":
+            doc[field] = doc.pop("maps")
+        elif where == "map":
+            doc["maps"][0][field] = 1
+        elif where == "entry":
+            doc["maps"][0]["entries"][0][field] = "x"
+        else:
+            doc["maps"][0]["key"][field] = 7
+        with pytest.raises(ValueError, match=f"unknown field '{field}'"):
+            FT.algebra_from_json(doc)
+
+
 class TestEquivariantExtension:
     def test_relabelled_element(self, v4):
         import operad_forge.operads as op
