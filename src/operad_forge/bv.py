@@ -15,9 +15,26 @@ the representative's orbit; only the positions the section elements assign
 to the first one or two slots enter, so the section collapses to a
 multiplicity table.
 
+Each key has one ``lru_cache``d symmetry plan (``WordSymmetry``): its
+cycle blocks grouped by length, and, once a class is expanded into its
+invariant functional, the stabilizer as pairs of word getter and inversion
+masks.  A canonical word rotates each block to its least rotation, trying
+only the rotations that start at the block's least letter and reading each
+sign off the block's odd mask; it sorts a group of equal-length blocks only
+when the group has more than one member, and the tail by the inversions
+among its odd letters.  The plan shares ``stab_group`` and the kernels with
+the generic route, and nothing else.
+
 The bulk producers (the three operations and ``series_from_maps``) sum
 their raw contributions per (component key, word) first and canonicalize
-each distinct word once, which is exact by linearity.
+each distinct word once, which is exact by linearity.  Within one call the
+sums are integer numerators over one common denominator: the product of
+the lcm of the value denominators, the lcm of the weight denominators
+(stabilizer orders, end weights, contraction scales) and the lcm of the
+inverse pairing's denominators, with the first two taken per factor in
+the bracket.  It must be the product: a weighted value has a denominator
+dividing the product of the two lcms, not in general their joint lcm.
+Each class becomes one ``Fraction`` at the end.
 
 The bracket and the loop operation do not go through the endomorphism
 operad's ``endo_compose``/``endo_contract``, on which the generic residual
@@ -65,7 +82,7 @@ from .combinatorics import (
     transversal_slot_pair_counts,
     trim_bseq,
 )
-from .endo import _pair_matrix, _pair_rows
+from .endo import _pair_rows
 from .errors import (
     KindMismatch,
     LabelMismatch,
@@ -82,6 +99,7 @@ from .ftalgebra import (
     key_closed,
     key_of,
     representative,
+    stab_group,
 )
 from .graded import MultiFunctional, functional_differential
 
@@ -112,112 +130,160 @@ __all__ = [
 # word canonicalization under the representative's stabilizer
 
 
-def _rotations(sub, degs):
-    """All rotations of a block with their Koszul signs.
+def _rotation_sign(odd, r):
+    """Koszul sign of rotating the first r letters of a block past the rest,
+    read from the block's odd mask: -1 to the product of the two degree
+    sums, which is odd exactly when the head is odd and the whole block
+    even."""
+    if (odd & ((1 << r) - 1)).bit_count() & 1 and not odd.bit_count() & 1:
+        return -1
+    return 1
 
-    Rotating the first r letters past the other k - r costs -1 to the
-    product of the two degree sums, read off the prefix sums.
+
+def _least_rotation(sub, parities):
+    """(least rotation of a block, its sign, the block's odd mask), or None
+    when two rotations reach it with opposite signs.
+
+    A least rotation starts at the block's least letter, so only those
+    rotations are compared.
     """
-    total = sum(degs)
-    head = 0
-    out = []
-    for r, d in enumerate(degs):
-        out.append((sub[r:] + sub[:r], -1 if head * (total - head) % 2 else 1))
-        head += d
-    return out
+    odd = odd_mask(sub, parities)
+    m = min(sub)
+    r = sub.index(m)
+    best = sub[r:] + sub[:r] if r else sub
+    sign = _rotation_sign(odd, r)
+    if sub.count(m) > 1:
+        for q in range(r + 1, len(sub)):
+            if sub[q] != m:
+                continue
+            cand = sub[q:] + sub[:q]
+            if cand > best:
+                continue
+            s = _rotation_sign(odd, q)
+            if cand < best:
+                best, sign = cand, s
+            elif s != sign:
+                return None
+    return best, sign, odd
 
 
-def _sort_with_sign(word, table):
-    """Sorted word and the Koszul sign of the sorting permutation."""
-    perm = invert_perm(sorted(range(len(word)), key=lambda i: (word[i], i)))
-    return apply_perm_to_word(perm, word), koszul_sign(
-        perm, tuple(table[k] for k in word)
-    )
+def _odd_inversions(odds):
+    """Parity of the inverted pairs among the odd items, listed in word
+    order, and whether one of them repeats: sorting costs -1 to that
+    parity, and a repeated odd item kills the class."""
+    flips = 0
+    for i, a in enumerate(odds):
+        for b in odds[i + 1 :]:
+            if b < a:
+                flips += 1
+            elif b == a:
+                return 0, True
+    return flips & 1, False
 
 
 class WordSymmetry:
-    """Canonical forms of dual words under a representative's stabilizer.
+    """The symmetry plan of one key: canonical forms of dual words under the
+    representative's stabilizer, and the expansion of classes back over it.
 
     The stabilizer rotates each cycle block, permutes blocks of equal
     length and permutes the tail from slot ``tail`` on freely.  The loop
     kind has no blocks and its whole word is the tail; the cyclic kind has
     the single block of its n slots; the open-surface kinds have one block
-    per cycle and their closed slots as the tail.
+    per cycle, listed by nondecreasing length, and their closed slots as
+    the tail.  The plan holds the blocks grouped by length; a group with one
+    member is never sorted.  The stabilizer itself (``stab_group``) is held,
+    once a class is expanded, as pairs of word getter and inversion masks,
+    so that each sign is one ``mask_sign``.
     """
 
     def __init__(self, kind, key, table):
-        self.table = table
+        self.kind, self.key = kind, key
+        self.parities = tuple(d % 2 for d in table)
         n = key_arity(key)
         if kind == "loop":
-            self.blocks, self.tail = [], 0
+            blocks, self.tail = [], 0
         elif kind == "cyclic_ainfty":
-            self.blocks, self.tail = [(0, n)] if n else [], n
+            blocks, self.tail = [(0, n)] if n else [], n
         else:
-            self.blocks, self.tail = rep_cycle_slots(key.bseq), n
+            blocks, self.tail = rep_cycle_slots(key.bseq), n
+        groups: dict = {}
+        for start, length in blocks:
+            groups.setdefault(length, []).append(start)
+        self.groups = tuple((length, tuple(starts))
+                            for length, starts in groups.items())
+        self._group = None
 
     def canonical(self, word):
         """(canonical word, sign) or (None, 0) for a vanishing class."""
-        table = self.table
-        word = tuple(word)
+        parities = self.parities
         sign = 1
-        pieces = []
-        for start, length in self.blocks:
-            sub = word[start : start + length]
-            degs = tuple(table[k] for k in sub)
-            best = None
-            best_signs = set()
-            for cand, s in _rotations(sub, degs):
-                if best is None or cand < best:
-                    best, best_signs = cand, {s}
-                elif cand == best:
-                    best_signs.add(s)
-            if len(best_signs) > 1:
-                return None, 0
-            sign *= best_signs.pop()
-            pieces.append((length, best, sum(degs)))
-        # arrange equal-length blocks in word order
-        by_len: dict = {}
-        for length, sub, deg in pieces:
-            by_len.setdefault(length, []).append((sub, deg))
         out = []
-        for length in sorted(by_len):
-            group = by_len[length]
-            order = sorted(range(len(group)), key=lambda i: (group[i][0], i))
-            # Koszul sign of permuting the blocks into sorted order
-            sign *= koszul_sign(invert_perm(order), tuple(deg for _, deg in group))
-            blocks = [group[i] for i in order]
-            for (s1, deg), (s2, _) in zip(blocks, blocks[1:]):
-                if s1 == s2 and deg % 2:
+        for length, starts in self.groups:
+            rots = []
+            for start in starts:
+                rot = _least_rotation(word[start : start + length], parities)
+                if rot is None:
                     return None, 0
-            for sub, _ in blocks:
-                out.extend(sub)
+                sign *= rot[1]
+                rots.append(rot)
+            if len(rots) > 1:
+                # arrange equal-length blocks in word order
+                flip, repeated = _odd_inversions(
+                    [r[0] for r in rots if r[2].bit_count() & 1])
+                if repeated:
+                    return None, 0
+                sign *= -1 if flip else 1
+                rots.sort(key=itemgetter(0))
+            for rot in rots:
+                out += rot[0]
         tail = word[self.tail :]
-        if tail:
-            wc, sc = _sort_with_sign(tail, table)
-            for a, b in zip(wc, wc[1:]):
-                if a == b and table[a] % 2:
-                    return None, 0
-            sign *= sc
-            out.extend(wc)
+        if len(tail) > 1:
+            flip, repeated = _odd_inversions([k for k in tail if parities[k]])
+            if repeated:
+                return None, 0
+            sign *= -1 if flip else 1
+            tail = sorted(tail)
+        out += tail
         return tuple(out), sign
 
     def stab_word_size(self, word0):
         """Number of stabilizer elements fixing the canonical word."""
         size = 1
-        subs = []
-        for start, length in self.blocks:
-            sub = word0[start : start + length]
-            subs.append((length, sub))
-            size *= sum(
-                1
-                for cand, _ in _rotations(sub, tuple(self.table[k] for k in sub))
-                if cand == sub
-            )
-        for _, grp in itertools.groupby(subs):
-            size *= math.factorial(len(list(grp)))
+        for length, starts in self.groups:
+            subs = [word0[start : start + length] for start in starts]
+            for sub in subs:
+                # the rotations fixing sub are the multiples of its period
+                for q in range(1, length):
+                    if sub[q] == sub[0] and sub[q:] + sub[:q] == sub:
+                        size *= length // q
+                        break
+            for _, grp in itertools.groupby(subs):
+                size *= math.factorial(len(list(grp)))
         for _, grp in itertools.groupby(word0[self.tail :]):
             size *= math.factorial(len(list(grp)))
         return size
+
+    def expand(self, comp: dict) -> dict:
+        """The invariant entries of the classes ``comp`` (canonical word to
+        coefficient, of any number type): each word of a class's orbit gets
+        the coefficient times the word's stabilizer size, with the Koszul
+        sign of the stabilizer element reaching it."""
+        group = self._group
+        if group is None:
+            group = self._group = tuple(
+                (_word_getter(invert_perm(s)), inversion_masks(s))
+                for s in stab_group(self.kind, self.key)
+            )
+        parities = self.parities
+        entries = {}
+        for w0, c in comp.items():
+            base = c * self.stab_word_size(w0)
+            odd = odd_mask(w0, parities)
+            for move, masks in group:
+                w = move(w0)
+                if w not in entries:
+                    entries[w] = base if mask_sign(masks, odd) > 0 else -base
+        return entries
 
 
 @lru_cache(maxsize=None)
@@ -346,20 +412,8 @@ class BVElement:
 
     def functional(self, key) -> MultiFunctional:
         """The invariant functional carried by one component."""
-        from .ftalgebra import stab_group
-
-        table = self.table()
-        sym = _symmetry(self.kind, key, table)
-        entries = {}
-        comp = self.terms.get(key, {})
-        for w0, c in comp.items():
-            base = c * sym.stab_word_size(w0)
-            for s in stab_group(self.kind, key):
-                w = apply_perm_to_word(s, w0)
-                if w in entries:
-                    continue
-                sign = koszul_sign(s, tuple(table[k] for k in w0))
-                entries[w] = sign * base
+        plan = _symmetry(self.kind, key, self.table())
+        entries = plan.expand(self.terms.get(key, {}))
         n, cc = key_arity(key), key_closed(key)
         return MultiFunctional(
             space=self.space, labels=tuple(range(1, n + 1)), entries=entries,
@@ -368,30 +422,58 @@ class BVElement:
         )
 
 
-def _add_raw(out: BVElement, raw: dict) -> BVElement:
-    """Add raw contributions summed per (key, word): one canonicalization
-    per distinct word instead of one per contribution."""
-    for (key, word), value in raw.items():
-        out.add_term(key, word, value)
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(*{v.denominator for v in values})
+
+
+def _numerators(values: dict, denom: int) -> dict:
+    """The values as integer numerators over ``denom``, a multiple of each
+    value's denominator."""
+    return {k: v.numerator * (denom // v.denominator) for k, v in values.items()}
+
+
+def _add_raw(out: BVElement, raw: dict, denom: int = 1) -> BVElement:
+    """Fill the empty element ``out`` with raw contributions summed per
+    (key, word), as numerators over the common denominator ``denom``: the
+    plan of each key is looked up once, each distinct word canonicalized
+    once, and each class written as one ``Fraction``."""
+    table = out.table()
+    sums: dict = {}  # key -> (canonical, numerator per canonical word)
+    for (key, word), num in raw.items():
+        if not num:
+            continue
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = (_symmetry(out.kind, key, table).canonical, {})
+        w0, sign = acc[0](word)
+        if w0 is not None:
+            acc[1][w0] = acc[1].get(w0, 0) + (num if sign > 0 else -num)
+    for key, (_, acc) in sums.items():
+        comp = {w0: Fraction(num, denom) for w0, num in acc.items() if num}
+        if comp:
+            out.terms[key] = comp
     return out
-
-
-def _raw_scaled(raw: dict, key, entries: dict, scale: Fraction):
-    for w, v in entries.items():
-        rk = (key, w)
-        raw[rk] = raw.get(rk, ZERO) + scale * v
 
 
 def series_from_maps(kind, space, cspace, families: dict) -> BVElement:
     """The coinvariant series with one summand per stabilizer coset.
 
     ``families`` maps component keys to full invariant entry dicts; each
-    component contributes with weight one over its stabilizer order.
+    component contributes with weight one over its stabilizer order.  The
+    raw sums are numerators over the lcm of the value denominators times
+    the lcm of the stabilizer orders.
     """
+    dv = _lcm_of_denominators(
+        v for entries in families.values() for v in entries.values()
+    )
+    orders = {key: _stab_size(kind, key) for key in families}
+    ds = math.lcm(*orders.values())
     raw: dict = {}
     for key, entries in families.items():
-        _raw_scaled(raw, key, entries, Fraction(1, _stab_size(kind, key)))
-    return _add_raw(BVElement(kind, space, cspace), raw)
+        weight = ds // orders[key]
+        for w, num in _numerators(entries, dv).items():
+            raw[(key, w)] = weight * num
+    return _add_raw(BVElement(kind, space, cspace), raw, dv * ds)
 
 
 def generating_function(data: AlgebraData) -> BVElement:
@@ -411,12 +493,10 @@ def generating_function(data: AlgebraData) -> BVElement:
 
 def bv_diff(x: BVElement) -> BVElement:
     """Slotwise Leibniz differential, degree +1, preserving components."""
-    raw: dict = {}
-    for key in list(x.terms):
-        f = x.functional(key)
-        df = functional_differential(f)
-        _raw_scaled(raw, key, df.entries, Fraction(1, _stab_size(x.kind, key)))
-    return _add_raw(BVElement(x.kind, x.space, x.cspace), raw)
+    return series_from_maps(x.kind, x.space, x.cspace, {
+        key: functional_differential(x.functional(key)).entries
+        for key in x.terms
+    })
 
 
 def _word_getter(positions):
@@ -477,6 +557,33 @@ def _glued_space(x: BVElement, colour):
     return x.cspace, x.space.dim
 
 
+def _integer_functionals(x: BVElement):
+    """Per key, the invariant entries of x as integer numerators over the
+    lcm of its class coefficients' denominators; and that lcm."""
+    denom = _lcm_of_denominators(
+        v for comp in x.terms.values() for v in comp.values()
+    )
+    table = x.table()
+    return {
+        key: _symmetry(x.kind, key, table).expand(_numerators(comp, denom))
+        for key, comp in x.terms.items()
+    }, denom
+
+
+def _integer_pairing(x: BVElement, colours):
+    """Per glued colour, the rows of the inverse pairing as (column,
+    integer numerator) over the lcm of their denominators; and that lcm."""
+    rows = {colour: _pair_rows(_glued_space(x, colour)[0]) for colour in colours}
+    denom = _lcm_of_denominators(
+        c for rs in rows.values() for row in rs for _, c in row
+    )
+    return {
+        colour: tuple(tuple((e, c.numerator * (denom // c.denominator))
+                            for e, c in row) for row in rs)
+        for colour, rs in rows.items()
+    }, denom
+
+
 def bv_delta(x: BVElement) -> BVElement:
     """The loop contraction weighted by the formal parameter: components of
     arity n+2 and genus2 G feed components of arity n and genus2 G+2.
@@ -491,28 +598,32 @@ def bv_delta(x: BVElement) -> BVElement:
     kind = x.kind
     parities = tuple(d % 2 for d in x.table())
     colours = ("open", "closed") if kind == "qoc" else ("open",)
+    fx, dv = _integer_functionals(x)
+    rows, dp = _integer_pairing(x, colours)
+    pairing = {colour: [dict(row) for row in rs] for colour, rs in rows.items()}
+    jobs = [
+        (key, colour, _delta_plan(kind, key, i, j, colour))
+        for key in fx for colour in colours
+        for i, j in _contracted_pairs(kind, key, colour)
+    ]
+    ds = _lcm_of_denominators(plan[5] for _, _, plan in jobs)
     raw: dict = {}
-    for key in list(x.terms):
-        entries = x.functional(key).entries
-        for colour in colours:
-            space, off = _glued_space(x, colour)
-            P = _pair_matrix(space)
-            for i, j in _contracted_pairs(kind, key, colour):
-                out_key, pa, pb, rest, masks, scale = _delta_plan(
-                    kind, key, i, j, colour
-                )
-                for w, v in entries.items():
-                    coeff = P[w[pa] - off][w[pb] - off]
-                    if not coeff:
-                        continue
-                    odd = odd_mask(w, parities)
-                    val = scale * coeff * v
-                    # the contraction's own sign is the parity of the word
-                    if (mask_sign(masks, odd) < 0) != (odd.bit_count() & 1):
-                        val = -val
-                    rk = (out_key, rest(w))
-                    raw[rk] = raw.get(rk, ZERO) + val
-    return _add_raw(BVElement(kind, x.space, x.cspace), raw)
+    for key, colour, (out_key, pa, pb, rest, masks, scale) in jobs:
+        pair = pairing[colour]
+        off = _glued_space(x, colour)[1]
+        sn = scale.numerator * (ds // scale.denominator)
+        for w, v in fx[key].items():
+            coeff = pair[w[pa] - off].get(w[pb] - off)
+            if coeff is None:
+                continue
+            odd = odd_mask(w, parities)
+            val = sn * coeff * v
+            # the contraction's own sign is the parity of the word
+            if (mask_sign(masks, odd) < 0) != (odd.bit_count() & 1):
+                val = -val
+            rk = (out_key, rest(w))
+            raw[rk] = raw.get(rk, 0) + val
+    return _add_raw(BVElement(kind, x.space, x.cspace), raw, dv * dp * ds)
 
 
 def _end_weights(kind, key, colour) -> dict:
@@ -558,6 +669,22 @@ def _split_at_end(entries, n, slot, colour, weight, table, parities, off):
     return out
 
 
+def _integer_factor(x: BVElement, colours):
+    """One factor of the bracket in integers: its entries (as
+    ``_integer_functionals``) and the weights of its ends (as
+    ``_end_weights``), each over the lcm of their own denominators, and the
+    factor's denominator, the product of the two lcms.  A weighted entry
+    has a denominator dividing that product but not, in general, the lcm
+    of both sets of denominators."""
+    entries, dv = _integer_functionals(x)
+    weights = {(key, colour): _end_weights(x.kind, key, colour)
+               for key in entries for colour in colours}
+    dw = _lcm_of_denominators(
+        w for ws in weights.values() for w in ws.values()
+    )
+    return entries, {kc: _numerators(ws, dw) for kc, ws in weights.items()}, dv * dw
+
+
 @lru_cache(maxsize=None)
 def _bracket_plan(kind, key1, i, key2, j, colour):
     """The shape-only part of gluing end i of one colour of key1's
@@ -594,17 +721,18 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     table = x.table()
     parities = tuple(d % 2 for d in table)
     colours = ("open", "closed") if kind == "qoc" else ("open",)
-    fx = {key: x.functional(key).entries for key in x.terms}
-    fy = fx if y is x else {key: y.functional(key).entries for key in y.terms}
+    fx, wx, dx = _integer_factor(x, colours)
+    fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
+    pairing, dp = _integer_pairing(x, colours)
     raw: dict = {}
     for colour in colours:
         closed = colour == "closed"
-        space, off = _glued_space(x, colour)
-        rows = _pair_rows(space)
+        off = _glued_space(x, colour)[1]
+        rows = pairing[colour]
         seconds = []
         for key2, entries in fy.items():
             n2 = key_arity(key2)
-            for j, weight in _end_weights(kind, key2, colour).items():
+            for j, weight in wy[key2, colour].items():
                 buckets: dict = {}
                 for e, x2, y2, deg_e, deg_x2, deg_y2, ox2, oy2, vg in _split_at_end(
                     entries, n2, n2 * closed + j, colour, weight, table,
@@ -618,13 +746,13 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
                 seconds.append((key2, j, buckets))
         for key1, entries in fx.items():
             n1 = key_arity(key1)
-            for i, weight in _end_weights(kind, key1, colour).items():
+            for i, weight in wx[key1, colour].items():
                 firsts = _split_at_end(entries, n1, n1 * closed + i, colour,
                                        -weight, table, parities, off)
                 for key2, j, buckets in seconds:
                     _bracket_join(raw, _bracket_plan(kind, key1, i, key2, j, colour),
                                firsts, buckets, rows, closed)
-    return _add_raw(out, raw)
+    return _add_raw(out, raw, dx * dp * dy)
 
 
 def _bracket_join(raw, plan, firsts, buckets, rows, closed):
@@ -651,7 +779,7 @@ def _bracket_join(raw, plan, firsts, buckets, rows, closed):
                 if s % 2:
                     val = -val
                 rk = (out_key, move(x1 + x2 + y1 + y2))
-                raw[rk] = raw.get(rk, ZERO) + val
+                raw[rk] = raw.get(rk, 0) + val
 
 
 def master_residual(S: BVElement) -> BVElement:
@@ -759,9 +887,17 @@ def qc_poly_bracket(x: BVElement, y: BVElement) -> BVElement:
                                 continue
                             for r1, s1 in _poly_right_derivative(w1, i, table):
                                 for r2, s2 in _poly_left_derivative(w2, j, table):
-                                    word, sm = _sort_with_sign(r1 + r2, table)
+                                    # sorted with its own Koszul sign,
+                                    # apart from the symmetry plan
+                                    word = r1 + r2
+                                    perm = invert_perm(sorted(
+                                        range(len(word)),
+                                        key=lambda p: (word[p], p)))
+                                    sm = koszul_sign(perm, tuple(
+                                        table[k] for k in word))
                                     out.add_term(
-                                        out_key, word, wij * s1 * s2 * sm * cc
+                                        out_key, apply_perm_to_word(perm, word),
+                                        wij * s1 * s2 * sm * cc,
                                     )
     return out
 

@@ -226,9 +226,10 @@ class MultiFunctional:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
         object.__setattr__(self, "clabels", tuple(sorted(self.clabels)))
-        object.__setattr__(
-            self, "entries", {w: Fraction(v) for w, v in self.entries.items() if v}
-        )
+        object.__setattr__(self, "entries", {
+            w: v if type(v) is Fraction else Fraction(v)
+            for w, v in self.entries.items() if v
+        })
 
     @property
     def arity(self) -> int:

@@ -10,8 +10,13 @@ from operad_forge import bv, endo
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
 from operad_forge import operads as op
-from operad_forge._kernels import apply_perm_to_word, invert_perm, koszul_sign
-from operad_forge.combinatorics import trim_bseq
+from operad_forge._kernels import (
+    apply_perm_to_word,
+    invert_perm,
+    koszul_sign,
+    odd_mask,
+)
+from operad_forge.combinatorics import rep_cycle_slots, trim_bseq
 from operad_forge.errors import KindMismatch, PreconditionViolated
 
 
@@ -352,13 +357,148 @@ def _reference_rotations(sub, degs):
 
 
 def test_rotation_signs_match_koszul_sign():
+    """The plan's rotation sign, read from a block's odd mask, is the
+    koszul_sign of the rotation; its least rotation is the least of all
+    rotations, or None when two of them reach it with opposite signs."""
     rng = random.Random(17)
     table = (0, 1, -1, 2, -3)
+    parities = tuple(d % 2 for d in table)
+    vanishing = 0
     for k in range(9):
         for _ in range(30):
             sub = tuple(rng.randrange(len(table)) for _ in range(k))
             degs = tuple(table[i] for i in sub)
-            assert bv._rotations(sub, degs) == _reference_rotations(sub, degs)
+            ref = _reference_rotations(sub, degs)
+            odd = odd_mask(sub, parities)
+            assert [bv._rotation_sign(odd, r) for r in range(k)] == [
+                s for _, s in ref]
+            if not k:
+                continue
+            least = min(cand for cand, _ in ref)
+            signs = {s for cand, s in ref if cand == least}
+            expected = None if len(signs) > 1 else (least, signs.pop(), odd)
+            assert bv._least_rotation(sub, parities) == expected
+            vanishing += expected is None
+    assert vanishing
+
+
+def _reference_blocks(kind, key):
+    """The (start, length) cycle blocks of the representative of key and
+    the first slot of its freely permuted tail."""
+    n = FT.key_arity(key)
+    if kind == "loop":
+        return [], 0
+    if kind == "cyclic_ainfty":
+        return [(0, n)] if n else [], n
+    return rep_cycle_slots(key.bseq), n
+
+
+def _reference_sort_with_sign(word, table):
+    """Sorted word and the Koszul sign of the sorting permutation."""
+    perm = invert_perm(sorted(range(len(word)), key=lambda i: (word[i], i)))
+    return apply_perm_to_word(perm, word), koszul_sign(
+        perm, tuple(table[k] for k in word)
+    )
+
+
+def _reference_canonical(kind, key, table, word):
+    """The canonical form of a word as a class of the key, built from every
+    rotation of every block: (canonical word, sign) or (None, 0)."""
+    blocks, tail_start = _reference_blocks(kind, key)
+    word = tuple(word)
+    sign = 1
+    pieces = []
+    for start, length in blocks:
+        sub = word[start : start + length]
+        degs = tuple(table[k] for k in sub)
+        best = None
+        best_signs = set()
+        for cand, s in _reference_rotations(sub, degs):
+            if best is None or cand < best:
+                best, best_signs = cand, {s}
+            elif cand == best:
+                best_signs.add(s)
+        if len(best_signs) > 1:
+            return None, 0
+        sign *= best_signs.pop()
+        pieces.append((length, best, sum(degs)))
+    # arrange equal-length blocks in word order
+    by_len = {}
+    for length, sub, deg in pieces:
+        by_len.setdefault(length, []).append((sub, deg))
+    out = []
+    for length in sorted(by_len):
+        group = by_len[length]
+        order = sorted(range(len(group)), key=lambda i: (group[i][0], i))
+        # Koszul sign of permuting the blocks into sorted order
+        sign *= koszul_sign(invert_perm(order), tuple(deg for _, deg in group))
+        blocks = [group[i] for i in order]
+        for (s1, deg), (s2, _) in zip(blocks, blocks[1:]):
+            if s1 == s2 and deg % 2:
+                return None, 0
+        for sub, _ in blocks:
+            out.extend(sub)
+    tail = word[tail_start:]
+    if tail:
+        wc, sc = _reference_sort_with_sign(tail, table)
+        for a, b in zip(wc, wc[1:]):
+            if a == b and table[a] % 2:
+                return None, 0
+        sign *= sc
+        out.extend(wc)
+    return tuple(out), sign
+
+
+def _reference_stab_word_size(kind, key, table, word0):
+    """Number of stabilizer elements fixing the canonical word, counting
+    the rotations of each block that fix it."""
+    blocks, tail_start = _reference_blocks(kind, key)
+    size = 1
+    subs = []
+    for start, length in blocks:
+        sub = word0[start : start + length]
+        subs.append((length, sub))
+        size *= sum(
+            1
+            for cand, _ in _reference_rotations(sub, tuple(table[k] for k in sub))
+            if cand == sub
+        )
+    for _, grp in itertools.groupby(subs):
+        size *= math.factorial(len(list(grp)))
+    for _, grp in itertools.groupby(word0[tail_start:]):
+        size *= math.factorial(len(list(grp)))
+    return size
+
+
+@pytest.mark.parametrize("kind, max_n, max_genus2", [
+    ("loop", 4, 4), ("cyclic_ainfty", 5, 0), ("quantum_ainfty", 4, 4),
+    ("qoc", 3, 2),
+])
+@pytest.mark.parametrize("space", [G.rich_space(4), _mixed_space([-1, -1])],
+                         ids=["rich", "mixed"])
+def test_symmetry_plan_matches_reference(kind, max_n, max_genus2, space):
+    """On every word of every key, the symmetry plan gives the canonical
+    form, sign and stabilizer size that the all-rotations reference
+    gives."""
+    cspace = space if kind == "qoc" else None
+    table = space.degrees + (cspace.degrees if cspace else ())
+    dim = space.dim
+    vanishing = fixed = 0
+    for key in FT.enumerate_keys(kind, max_n, max_genus2):
+        plan = bv._symmetry(kind, key, table)
+        n, c = FT.key_arity(key), FT.key_closed(key)
+        for wo in itertools.product(range(dim), repeat=n):
+            for wc in itertools.product(range(dim, 2 * dim), repeat=c):
+                word = wo + wc
+                got = plan.canonical(word)
+                assert got == _reference_canonical(kind, key, table, word), (
+                    key, word)
+                size = plan.stab_word_size(word)
+                assert size == _reference_stab_word_size(kind, key, table,
+                                                         word), (key, word)
+                vanishing += got[0] is None
+                fixed += size > 1
+    assert vanishing and fixed
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -381,22 +521,87 @@ def test_stab_word_size_matches_rotation_count(kind, key):
         if w0 is None:
             continue
         seen += 1
-        size = 1
-        subs = []
-        for start, length in sym.blocks:
-            sub = w0[start : start + length]
-            subs.append((length, sub))
-            size *= sum(1 for cand, _ in _reference_rotations(
-                sub, tuple(table[i] for i in sub)) if cand == sub)
-        for _, grp in itertools.groupby(subs):
-            size *= math.factorial(len(list(grp)))
-        for _, grp in itertools.groupby(w0[sym.tail :]):
-            size *= math.factorial(len(list(grp)))
+        size = _reference_stab_word_size(kind, key, table, w0)
         assert sym.stab_word_size(w0) == size
         assert size == sum(
             1 for s in FT.stab_group(kind, key) if apply_perm_to_word(s, w0) == w0
         )
     assert seen
+
+
+def _reference_diff(x):
+    """bv_diff with every contribution added by add_term in Fractions."""
+    out = bv.BVElement(x.kind, x.space, x.cspace)
+    for key in x.terms:
+        stab = bv._stab_size(x.kind, key)
+        for w, v in G.functional_differential(x.functional(key)).entries.items():
+            out.add_term(key, w, v / stab)
+    return out
+
+
+def _coprime_element(rng, kind, space, cspace, keys, parity):
+    """A random element whose class coefficients have the denominators 2,
+    3, 5 and 7."""
+    x = _random_element(rng, kind, space, cspace, keys, parity)
+    out = bv.BVElement(kind, space, cspace)
+    for key, comp in x.terms.items():
+        for w, v in comp.items():
+            out.add_term(key, w, Fr(v.numerator, rng.choice((2, 3, 5, 7))))
+    return out
+
+
+def _all_nonzero_fractions(x):
+    return all(type(v) is Fr and v for comp in x.terms.values()
+               for v in comp.values())
+
+
+class TestCommonDenominator:
+    """The operations sum integer numerators over one denominator per call:
+    per factor the lcm of its class coefficients' denominators times the
+    lcm of its weights', times the lcm of the inverse pairing's.  With
+    coefficients over 2, 3, 5 and 7 and a pairing over 9 they still equal
+    the Fraction references exactly."""
+
+    @pytest.mark.parametrize("kind", ["loop", "cyclic_ainfty",
+                                      "quantum_ainfty", "qoc"])
+    def test_bracket(self, kind):
+        space = _mixed_space([-1, -1])  # inverse pairing over 9
+        cspace = _mixed_space([0, 0]) if kind == "qoc" else None
+        keys = FT.enumerate_keys(kind, *TestPlannedJoins.BOUNDS[kind])
+        rng = random.Random(f"coprime {kind}")
+        a = _coprime_element(rng, kind, space, cspace, keys, "mixed")
+        b = _coprime_element(rng, kind, space, cspace, keys, 1)
+        assert {v.denominator for comp in a.terms.values()
+                for v in comp.values()} >= {2, 3, 5, 7}
+        for got, ref in ((bv.bv_bracket(a, b), _reference_bracket(a, b)),
+                         (bv.bv_bracket(a, a), _reference_bracket(a, a))):
+            assert got.terms and got.terms == ref.terms
+            assert _all_nonzero_fractions(got)
+
+    @pytest.mark.parametrize("kind, max_n, max_genus2", [
+        ("loop", 4, 2), ("quantum_ainfty", 4, 2), ("qoc", 3, 2),
+    ])
+    def test_delta(self, kind, max_n, max_genus2):
+        """Bounds at which some contraction scale has a denominator."""
+        space = _mixed_space([-1, -1])
+        cspace = _mixed_space([0, 0]) if kind == "qoc" else None
+        keys = FT.enumerate_keys(kind, max_n, max_genus2)
+        rng = random.Random(f"coprime delta {kind}")
+        a = _coprime_element(rng, kind, space, cspace, keys, "mixed")
+        got = bv.bv_delta(a)
+        assert got.terms and got.terms == _reference_delta(a).terms
+        assert _all_nonzero_fractions(got)
+
+    @pytest.mark.parametrize("kind, max_n, max_genus2", [
+        ("loop", 4, 4), ("cyclic_ainfty", 4, 0), ("quantum_ainfty", 3, 4),
+    ])
+    def test_diff(self, v4, kind, max_n, max_genus2):
+        keys = FT.enumerate_keys(kind, max_n, max_genus2)
+        rng = random.Random(f"coprime diff {kind}")
+        a = _coprime_element(rng, kind, v4, None, keys, "mixed")
+        got = bv.bv_diff(a)
+        assert got.terms and got.terms == _reference_diff(a).terms
+        assert _all_nonzero_fractions(got)
 
 
 class TestPolynomialForms:
@@ -460,7 +665,8 @@ class TestPolynomialForms:
 
 class TestAccumulation:
     """Summing raw contributions per (key, word) before canonicalizing gives
-    the element that adding them one by one gives."""
+    the element that adding them one by one gives, whether the sums are
+    Fractions or integer numerators over a common denominator."""
 
     @pytest.mark.parametrize("kind, max_n, max_genus2", [
         ("loop", 4, 2), ("cyclic_ainfty", 4, 0), ("quantum_ainfty", 4, 2),
@@ -502,6 +708,13 @@ class TestAccumulation:
         got = bv._add_raw(bv.BVElement(kind, v2, cspace), raw)
         assert ref.terms
         assert got.terms == ref.terms
+        # the same sums as integer numerators over a common denominator
+        denom = math.lcm(*(v.denominator for v in raw.values()))
+        assert denom > 1
+        numerators = {rk: int(v * denom) for rk, v in raw.items()}
+        got = bv._add_raw(bv.BVElement(kind, v2, cspace), numerators, denom)
+        assert got.terms == ref.terms
+        assert _all_nonzero_fractions(got)
 
 
 class TestStringVertices:

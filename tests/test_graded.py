@@ -183,3 +183,20 @@ class TestSpaceHash:
         assert cls is G.GradedSymplecticSpace and cls(*args) == space
         back = pickle.loads(pickle.dumps(space))
         assert back == space and hash(back) == hash(space)
+
+
+class TestFunctionalEntries:
+    def test_entries_are_nonzero_fractions(self):
+        """int, Fraction and string values come out as Fractions equal to
+        the input, a Fraction value is kept as it is, and zeros of any type
+        are dropped."""
+        half = Fr(1, 2)
+        f = G.MultiFunctional(
+            space=two_dim(), labels=(2, 1),
+            entries={(0, 1): 3, (1, 0): half, (0, 0): 0, (1, 1): Fr(0),
+                     (1, 2): "-2/6"},
+        )
+        assert f.entries == {(0, 1): Fr(3), (1, 0): half, (1, 2): Fr(-1, 3)}
+        assert all(type(v) is Fr and v for v in f.entries.values())
+        assert f.entries[(1, 0)] is half
+        assert f.labels == (1, 2)
