@@ -47,12 +47,17 @@ each element's ends per colour (axioms 1 and 3-8, before the product loops),
 its relabellings by every slot permutation (axiom 2, ``_ActionTable``) and,
 for axiom 3, its generator maps, its relabelling by each generator and each
 generator's map with each end dropped (``_glue_data``, once per element and
-colour in one verifier run).
+colour in one verifier run).  The gluing memo lives for one axiom check:
+each check memoizes the uncached ``_compose`` and ``_contract`` bodies it
+finds in ``operads`` when it starts (``_memo``) and drops that memo when
+it returns, so the process-wide caches keep no verifier entries.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import operads as op
 from .errors import Unstable
@@ -221,6 +226,14 @@ def _free_map(kind, rho_o, rho_c, colour, *drop):
     return o, c
 
 
+def _memo(fn):
+    """A memo of ``fn`` for one axiom check, around the uncached body behind
+    ``operads``' process-wide cache.  Each check passes ``op._compose`` or
+    ``op._contract`` as it finds them when it starts, so a replaced
+    ``op._compose`` is seen."""
+    return lru_cache(maxsize=None)(inspect.unwrap(fn))
+
+
 def verify_axioms(kind, max_n, max_genus2, extended=False) -> AxiomReport:
     """Check axioms 1-8 within the bounds and report every failure: on the
     reduced instances of the module docstring, and exhaustively for any
@@ -267,6 +280,7 @@ def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Gluing is symmetric in its two factors.  Like ``_ax5``-``_ax8``, it
     returns the number of instances covered, and with ``reduced`` runs on
     each factor's orbit representatives only."""
+    compose = _memo(op._compose)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
         xs = _factors(kind, s1, extended, reduced=reduced)
@@ -276,8 +290,8 @@ def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                 n0 = report.checked
                 for a in ex[colour]:
                     for b in ey[colour]:
-                        lhs = op._compose(x, a, y, b, colour, extended)
-                        rhs = op._compose(y, b, x, a, colour, extended)
+                        lhs = compose(x, a, y, b, colour, extended)
+                        rhs = compose(y, b, x, a, colour, extended)
                         report.checked += 1
                         if lhs != rhs:
                             report.fail(1, (x, a, y, b, colour), lhs, rhs)
@@ -386,6 +400,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     generator and each generator's map with each end dropped.  Each instance
     then makes one ``relabel`` of the glued surface by the joined free maps
     and one ``_compose`` of the relabelled factors, and records the pair."""
+    compose = _memo(op._compose)
     memo = {}
 
     def data(x, colour):
@@ -405,7 +420,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                 for y, dy in data_y:
                     for a, row_x in data_x:
                         for b, row_y in dy:
-                            z = op._compose(x, a, y, b, colour, extended)
+                            z = compose(x, a, y, b, colour, extended)
                             covered += len(row_x) * len(row_y)
                             if reduced:
                                 pairs = [(rx, row_y[0]) for rx in row_x]
@@ -414,13 +429,14 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                                 pairs = itertools.product(row_x, row_y)
                             for (xr, ia, fo, fc), (yr, ib, go, gc) in pairs:
                                 lhs = _relabel(kind, z, {**fo, **go}, {**fc, **gc})
-                                rhs = op._compose(xr, ia, yr, ib, colour, extended)
+                                rhs = compose(xr, ia, yr, ib, colour, extended)
                                 report.record(3, (x, a, y, b, colour), lhs, rhs)
     return covered
 
 
 def _ax4(report, kind, corollas, max_n, max_genus2, extended):
     """Contraction is equivariant."""
+    contract = _memo(op._contract)
     for shape in corollas:
         if shape[2] + 2 > max_genus2:
             continue
@@ -428,20 +444,21 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
             gens = _generator_maps(kind, x)
             for colour in _colours(kind):
                 for a, b in itertools.combinations(_ends(x, colour), 2):
-                    z = op.contract(x, a, b, colour=colour, extended=extended)
+                    z = contract(x, a, b, colour, extended)
                     for rho_o, rho_c in gens:
                         look = rho_o if (colour == "open" or kind != "qoc") else rho_c
                         ro, rc = _free_map(kind, rho_o, rho_c, colour, a, b)
                         lhs = _relabel(kind, z, ro, rc)
-                        rhs = op.contract(
+                        rhs = contract(
                             _relabel(kind, x, rho_o, rho_c), look[a], look[b],
-                            colour=colour, extended=extended,
+                            colour, extended,
                         )
                         report.record(4, (x, a, b, colour), lhs, rhs)
 
 
 def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Contractions commute."""
+    contract = _memo(op._contract)
     covered = 0
     for shape in corollas:
         if shape[2] + 4 > max_genus2:
@@ -453,14 +470,10 @@ def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                     for c, d in itertools.combinations(ex[col2], 2):
                         if col1 == col2 and ({a, b} & {c, d} or (a, b) >= (c, d)):
                             continue
-                        lhs = op.contract(
-                            op.contract(x, c, d, colour=col2, extended=extended),
-                            a, b, colour=col1, extended=extended,
-                        )
-                        rhs = op.contract(
-                            op.contract(x, a, b, colour=col1, extended=extended),
-                            c, d, colour=col2, extended=extended,
-                        )
+                        lhs = contract(contract(x, c, d, col2, extended),
+                                       a, b, col1, extended)
+                        rhs = contract(contract(x, a, b, col1, extended),
+                                       c, d, col2, extended)
                         report.record(5, (x, a, b, c, d, col1, col2), lhs, rhs)
             covered += (report.checked - n0) * wx
     return covered
@@ -468,6 +481,7 @@ def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
 
 def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Contracting across a gluing agrees in either order."""
+    compose, contract = _memo(op._compose), _memo(op._contract)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
         xs = _factors(kind, s1, extended, reduced=reduced)
@@ -483,12 +497,12 @@ def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                             for d in ey[col_cd]:
                                 if col_ab == col_cd and d == b:
                                     continue
-                                lhs = op._contract(
-                                    op._compose(x, c, y, d, col_cd, extended),
+                                lhs = contract(
+                                    compose(x, c, y, d, col_cd, extended),
                                     a, b, col_ab, extended,
                                 )
-                                rhs = op._contract(
-                                    op._compose(x, a, y, b, col_ab, extended),
+                                rhs = contract(
+                                    compose(x, a, y, b, col_ab, extended),
                                     c, d, col_cd, extended,
                                 )
                                 report.checked += 1
@@ -502,6 +516,7 @@ def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
 
 def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Gluing commutes with a contraction inside one factor."""
+    compose, contract = _memo(op._compose), _memo(op._contract)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
         xs = _factors(kind, s1, extended, reduced=reduced)
@@ -514,12 +529,12 @@ def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                         if col_ab == col_cd and a in (c, d):
                             continue
                         for b in ey[col_ab]:
-                            lhs = op._compose(
-                                op._contract(x, c, d, col_cd, extended),
+                            lhs = compose(
+                                contract(x, c, d, col_cd, extended),
                                 a, y, b, col_ab, extended,
                             )
-                            rhs = op._contract(
-                                op._compose(x, a, y, b, col_ab, extended),
+                            rhs = contract(
+                                compose(x, a, y, b, col_ab, extended),
                                 c, d, col_cd, extended,
                             )
                             report.checked += 1
@@ -533,6 +548,7 @@ def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
 
 def _ax8(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Gluing is associative."""
+    compose = _memo(op._compose)
     covered = 0
     third = {}  # the third factors, by shape and label offsets
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
@@ -554,17 +570,17 @@ def _ax8(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                     n0 = report.checked
                     for a in ex[col_ab]:
                         for b in ey[col_ab]:
-                            xy = op._compose(x, a, y, b, col_ab, extended)
+                            xy = compose(x, a, y, b, col_ab, extended)
                             for c in ey[col_cd]:
                                 if col_ab == col_cd and c == b:
                                     continue
                                 for d in ez[col_cd]:
-                                    lhs = op._compose(
+                                    lhs = compose(
                                         x, a,
-                                        op._compose(y, c, z, d, col_cd, extended),
+                                        compose(y, c, z, d, col_cd, extended),
                                         b, col_ab, extended,
                                     )
-                                    rhs = op._compose(xy, c, z, d, col_cd, extended)
+                                    rhs = compose(xy, c, z, d, col_cd, extended)
                                     report.checked += 1
                                     if lhs != rhs:
                                         report.fail(

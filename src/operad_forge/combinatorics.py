@@ -200,9 +200,14 @@ class QOCSurface(NamedTuple):
         )
 
 
+def _cycle_order(c: tuple[int, ...]):
+    """Sort key of the canonical order: by length, then lexicographically."""
+    return len(c), c
+
+
 def sort_cycles(cycles: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Canonical order: by length, then lexicographically on the rotation."""
-    return tuple(sorted((canonicalize_cycle(c) for c in cycles), key=lambda c: (len(c), c)))
+    return tuple(sorted((canonicalize_cycle(c) for c in cycles), key=_cycle_order))
 
 
 def orbit_representative(bseq: Sequence[int], g: int) -> QOSurface:

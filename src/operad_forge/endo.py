@@ -49,6 +49,19 @@ def _pair_rows(space: GradedSymplecticSpace):
     )
 
 
+def _pairing(space: GradedSymplecticSpace):
+    """``(_pair_matrix(space), _pair_rows(space))``, looked up once per space
+    object and kept on it.  Those caches are keyed by value: a lookup with a
+    space that equals the cached key but is another object (one read back
+    from JSON) compares both Fraction matrices, so each object pays that
+    once, and equal spaces still share one cache entry."""
+    memo = space.__dict__
+    got = memo.get("_pairing")
+    if got is None:
+        got = memo["_pairing"] = (_pair_matrix(space), _pair_rows(space))
+    return got
+
+
 def _slots(f: MultiFunctional, opens, closeds):
     """Slot indices for colour-tagged label sequences."""
     no = len(f.labels)
@@ -120,7 +133,7 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
     glue_space = space if colour == "open" else cspace
     if glue_space is None:
         raise MissingLabel("no closed space present")
-    rows = _pair_rows(glue_space)
+    rows = _pairing(glue_space)[1]
     off = 0 if colour == "open" else space.dim
     table = f.degree_table
     if colour == "open":
@@ -211,7 +224,7 @@ def endo_contract(f: MultiFunctional, a, b, colour: str = "open") -> MultiFuncti
     lc = [l for l in f.clabels if colour == "open" or l not in (a, b)]
     space, cspace = f.space, f.cspace
     glue_space = space if colour == "open" else cspace
-    P = _pair_matrix(glue_space)
+    P = _pairing(glue_space)[0]
     off = 0 if colour == "open" else space.dim
     table = f.degree_table
     if colour == "open":

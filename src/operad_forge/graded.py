@@ -103,7 +103,8 @@ class GradedSymplecticSpace:
         object.__setattr__(self, "omega", _as_matrix(self.omega))
         # Spaces key lru caches (``endo._pair_matrix``, ``endo._pair_rows``);
         # hashing the Fraction matrices once here, not on every lookup, keeps
-        # those lookups cheap.  Equality stays field-wise.
+        # those lookups cheap.  Equality stays field-wise, so ``endo._pairing``
+        # keeps each object's lookup on the object.
         object.__setattr__(self, "_hash", hash(
             (self.basis_names, self.degrees, self.differential, self.omega)
         ))
@@ -253,23 +254,45 @@ class MultiFunctional:
     def value(self, word) -> Fraction:
         return self.entries.get(tuple(word), ZERO)
 
+    def _derived(self, entries: dict, degree) -> "MultiFunctional":
+        """This functional's spaces and labels with ``entries``, which must be
+        nonzero ``Fraction``s, and ``degree``.  ``__post_init__`` does not run
+        again: the labels are sorted already and the entries are not copied."""
+        out = object.__new__(MultiFunctional)
+        # field by field, in field order, so the instance keeps its compact
+        # shared-key attribute storage
+        for name, value in (("space", self.space), ("labels", self.labels),
+                            ("entries", entries), ("degree", degree),
+                            ("cspace", self.cspace), ("clabels", self.clabels)):
+            object.__setattr__(out, name, value)
+        return out
+
     def scaled(self, c) -> "MultiFunctional":
         c = Fraction(c)
         if not c:
-            return replace(self, entries={})
-        return replace(self, entries={w: c * v for w, v in self.entries.items()})
+            return self._derived({}, self.degree)
+        return self._derived({w: c * v for w, v in self.entries.items()}, self.degree)
 
     def plus(self, other: "MultiFunctional") -> "MultiFunctional":
+        return self._sum(other, False)
+
+    def minus(self, other: "MultiFunctional") -> "MultiFunctional":
+        return self._sum(other, True)
+
+    def _sum(self, other, negate) -> "MultiFunctional":
+        """self + other, or self - other; the degree is other's when self has
+        no entries."""
         if (self.labels, self.clabels) != (other.labels, other.clabels):
             raise LabelMismatch("functionals over different label sets")
         entries = dict(self.entries)
+        get = entries.get
         for w, v in other.entries.items():
-            entries[w] = entries.get(w, ZERO) + v
-        degree = self.degree if self.entries else other.degree
-        return replace(self, entries=entries, degree=degree)
-
-    def minus(self, other: "MultiFunctional") -> "MultiFunctional":
-        return self.plus(other.scaled(-1))
+            v = get(w, ZERO) - v if negate else get(w, ZERO) + v
+            if v:
+                entries[w] = v
+            else:
+                entries.pop(w, None)
+        return self._derived(entries, self.degree if self.entries else other.degree)
 
     def precompose_slots(self, perm) -> "MultiFunctional":
         """The functional T o perm on the same label set."""

@@ -37,6 +37,7 @@ from .combinatorics import (
     QCElement,
     QOCSurface,
     QOSurface,
+    _cycle_order,
     _rep_cycles,
     b_sequence,
     canonicalize_cycle,
@@ -201,18 +202,35 @@ def relabel(x, rho: dict, rho_closed: dict | None = None):
     """Functorial relabelling; one map per colour for two-coloured elements.
 
     Each label is mapped in one pass; a label the map lacks surfaces as the
-    lookup's ``KeyError`` and is reported as ``MissingLabel``."""
+    lookup's ``KeyError`` and is reported as ``MissingLabel``.  Whether the
+    map is injective on the open labels is checked once per call; only a
+    map that is not goes through ``sort_cycles``, whose ``DuplicateLabel``
+    reports two labels of one cycle sent to one."""
     if isinstance(x, QCElement):
         try:
             labels = frozenset(map(rho.__getitem__, x.labels))
         except KeyError:
             raise _missing("relabelling", x.labels, rho) from None
         return QCElement(labels=labels, genus2=x.genus2)
+    get = rho.__getitem__
     try:
-        mapped = tuple(tuple(map(rho.__getitem__, c)) for c in x.cycles)
+        mapped = [tuple(map(get, c)) for c in x.cycles]
     except KeyError:
         raise _missing("relabelling", x.labels, rho) from None
-    cycles = sort_cycles(mapped)
+    if len(set().union(*mapped)) == sum(map(len, mapped)):
+        # Injective on the open labels, so no cycle repeats a label: rotate
+        # each to its minimum without canonicalize_cycle's duplicate check.
+        cycles = []
+        for c in mapped:
+            if len(c) > 1:
+                k = c.index(min(c))
+                if k:
+                    c = c[k:] + c[:k]
+            cycles.append(c)
+        cycles.sort(key=_cycle_order)
+        cycles = tuple(cycles)
+    else:
+        cycles = sort_cycles(mapped)  # raises DuplicateLabel within a cycle
     if isinstance(x, QOSurface):
         return QOSurface(cycles=cycles, empties=x.empties, g=x.g)
     rho_closed = rho_closed if rho_closed is not None else rho
@@ -243,7 +261,7 @@ def _merge_sorted(old_cycles: tuple, new_cycles) -> tuple:
     """Insert freshly produced cycles among already-canonical ones."""
     items = list(old_cycles)
     items.extend(canonicalize_cycle(c) for c in new_cycles)
-    items.sort(key=lambda c: (len(c), c))
+    items.sort(key=_cycle_order)
     return tuple(items)
 
 

@@ -175,6 +175,23 @@ class TestSpaceHash:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert two_dim(omega=[[0, 2], [-2, 0]]) != two_dim()
 
+    def test_pairing_kept_per_space_object(self):
+        """``endo._pairing`` looks each space object up in the value-keyed
+        caches once: an equal copy gets the cached matrix and rows
+        themselves, and a second call on either object makes no lookup."""
+        space = G.rich_space(4, with_differential=True)
+        copy = G.space_from_json(json.loads(json.dumps(G.space_to_json(space))))
+        matrix, rows = endo._pair_matrix(space), endo._pair_rows(space)
+        got = endo._pairing(copy)
+        assert got[0] is matrix and got[1] is rows
+        before = (endo._pair_matrix.cache_info(), endo._pair_rows.cache_info())
+        assert endo._pairing(copy) is got
+        assert endo._pairing(space) == got
+        assert endo._pairing(space) is endo._pairing(space)
+        after = (endo._pair_matrix.cache_info(), endo._pair_rows.cache_info())
+        assert after[0].hits + after[1].hits == before[0].hits + before[1].hits + 2
+        assert pickle.loads(pickle.dumps(copy)) == copy
+
     def test_pickle_rebuilds_through_init(self):
         """An unpickled space is built by ``__init__``, so its hash is taken
         from its fields in the receiving interpreter, not copied."""
@@ -200,3 +217,53 @@ class TestFunctionalEntries:
         assert all(type(v) is Fr and v for v in f.entries.values())
         assert f.entries[(1, 0)] is half
         assert f.labels == (1, 2)
+
+
+class TestFunctionalArithmetic:
+    """``scaled``, ``plus`` and ``minus`` give exact entries, drop zeros and
+    keep the labels; ``plus`` and ``minus`` take the other degree when the
+    first operand has no entries."""
+
+    @staticmethod
+    def make(entries, degree, labels=(1, 2)):
+        return G.MultiFunctional(space=two_dim(), labels=labels, entries=entries,
+                                 degree=degree)
+
+    def test_scaled(self):
+        f = self.make({(0, 1): Fr(1, 2), (1, 0): 3}, -1)
+        g = f.scaled(Fr(-2, 3))
+        assert g.entries == {(0, 1): Fr(-1, 3), (1, 0): Fr(-2)}
+        assert (g.degree, g.labels, g.space) == (-1, (1, 2), f.space)
+        assert all(type(v) is Fr for v in g.entries.values())
+        zero = f.scaled(0)
+        assert zero.entries == {} and zero.degree == -1
+        assert self.make({}, 2).scaled(5) == self.make({}, 2)
+        assert f.entries == {(0, 1): Fr(1, 2), (1, 0): Fr(3)}
+
+    def test_plus_and_minus(self):
+        f = self.make({(0, 1): Fr(1, 2), (1, 0): 3}, -1)
+        g = self.make({(0, 1): Fr(-1, 2), (1, 1): 1}, None)
+        s = f.plus(g)
+        assert s.entries == {(1, 0): Fr(3), (1, 1): Fr(1)} and s.degree == -1
+        d = f.minus(g)
+        assert d.entries == {(0, 1): Fr(1), (1, 0): Fr(3), (1, 1): Fr(-1)}
+        assert d.degree == -1
+        assert f.minus(f).entries == {} and f.minus(f).degree == -1
+        assert f.plus(f.scaled(-1)) == self.make({}, -1)
+        assert f.entries == {(0, 1): Fr(1, 2), (1, 0): Fr(3)}
+        assert g.entries == {(0, 1): Fr(-1, 2), (1, 1): Fr(1)}
+
+    def test_empty_operands(self):
+        f = self.make({(0, 1): Fr(1, 2)}, -1)
+        empty = self.make({}, 4)
+        assert empty.plus(f) == self.make({(0, 1): Fr(1, 2)}, -1)
+        assert empty.minus(f) == self.make({(0, 1): Fr(-1, 2)}, -1)
+        assert f.plus(empty) == f and f.minus(empty) == f
+        both = empty.plus(self.make({}, 7))
+        assert both.entries == {} and both.degree == 7
+
+    def test_label_mismatch(self):
+        with pytest.raises(G.LabelMismatch):
+            self.make({}, 0).plus(self.make({}, 0, labels=(1, 3)))
+        with pytest.raises(G.LabelMismatch):
+            self.make({}, 0).minus(self.make({}, 0, labels=(1,)))

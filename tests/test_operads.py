@@ -2,14 +2,18 @@
 import functools
 import itertools
 import math
+import random
+import re
 
 import pytest
 
 from operad_forge import axioms as ax
 from operad_forge import operads as op
 from operad_forge.axioms import AxiomReport, verify_axioms
+from operad_forge.combinatorics import sort_cycles
 from operad_forge.errors import (
     ColourMismatch,
+    DuplicateLabel,
     KindMismatch,
     LabelCollision,
     MissingLabel,
@@ -91,6 +95,52 @@ class TestRelabel:
         with pytest.raises(MissingLabel) as exc:
             op.relabel(x, rho, rho_closed)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("x", [
+        op.qo_surface([(1, 2, 3), (4,)], 0, 1),
+        op.qoc_surface([(1, 2, 3)], closed=(1, 2)),
+    ])
+    def test_non_injective_map_raises_duplicate_label(self, x):
+        """Two labels of one cycle sent to one label raise ``DuplicateLabel``
+        with ``sort_cycles``' message."""
+        rho = {1: 1, 2: 3, 3: 3, 4: 4}
+        with pytest.raises(DuplicateLabel) as exc:
+            op.relabel(x, rho)
+        with pytest.raises(DuplicateLabel) as want:
+            sort_cycles([tuple(rho[l] for l in c) for c in x.cycles])
+        assert str(exc.value) == str(want.value) == \
+            "cycle with repeated labels: (1, 3, 3)"
+
+    @pytest.mark.parametrize("kind", ["qo", "ass", "qoc"])
+    def test_cycles_match_sort_cycles(self, kind):
+        """On every basis element up to arity 4 and genus2 4, seeded maps
+        (injective into a wider label range, or not injective) give the
+        cycles, or the error, of ``sort_cycles`` on the mapped cycles."""
+        rng = random.Random(4)
+        seen = 0
+        for o, c, g2 in itertools.product(range(5), range(5), range(5)):
+            if o + c > 4 or (kind != "qoc" and c):
+                continue
+            try:
+                xs = op.basis(kind, range(1, o + 1), g2, closed=range(1, c + 1))
+            except Unstable:
+                continue
+            for x in xs:
+                ident = {l: l for l in op.closed_labels(x)}
+                for _ in range(6):
+                    rho = dict(zip(range(1, o + 1), rng.sample(range(1, 12), o)))
+                    if rng.random() < 0.3:
+                        rho = {l: rng.randint(1, 3) for l in rho}
+                    mapped = [tuple(rho[l] for l in cyc) for cyc in x.cycles]
+                    try:
+                        want = sort_cycles(mapped)
+                    except DuplicateLabel as exc:
+                        with pytest.raises(DuplicateLabel, match=re.escape(str(exc))):
+                            op.relabel(x, rho, ident)
+                        continue
+                    assert op.relabel(x, rho, ident).cycles == want, (x, rho)
+                    seen += 1
+        assert seen > 10
 
 
 class TestCompose:
@@ -376,6 +426,55 @@ class TestAxiomVerifier:
         report = verify_axioms("qo", 2, 4)
         assert not report.passed
         assert report.failures == self._exhaustive("qo", 2, 4).failures
+
+    @pytest.mark.parametrize("kind,n,g2,checked,per_axiom,covered", [
+        ("qo", 3, 4, 2804,
+         {1: 163, 2: 565, 3: 1529, 4: 88, 5: 0, 6: 48, 7: 15, 8: 396},
+         {1: 331, 2: 565, 3: 2265, 4: 88, 5: 0, 6: 96, 7: 30, 8: 1116}),
+        ("qoc", 2, 3, 63,
+         {1: 16, 2: 17, 3: 28, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2},
+         {1: 16, 2: 17, 3: 28, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2}),
+    ])
+    def test_gluing_memo_lives_for_one_check(self, kind, n, g2, checked,
+                                             per_axiom, covered):
+        """Each axiom check glues through its own memo: ``verify_axioms``
+        leaves the process-wide ``_compose``/``_contract`` caches as it
+        found them, and its counts are unchanged."""
+        before = op._compose.cache_info(), op._contract.cache_info()
+        report = verify_axioms(kind, n, g2)
+        assert (op._compose.cache_info(), op._contract.cache_info()) == before
+        assert (report.checked, report.per_axiom, report.covered, report.failures) \
+            == (checked, per_axiom, covered, [])
+
+    def test_gluing_memo_sees_a_replaced_compose(self, monkeypatch):
+        """A ``_compose`` replaced before the run is what every check's memo
+        wraps; the fallback then runs with its own memo, and the
+        process-wide caches still stay as they were."""
+        cached = op._compose
+        real = cached.__wrapped__
+
+        def broken(x, a, y, b, colour, extended):
+            z = real(x, a, y, b, colour, extended)
+            if isinstance(z, op.QOSurface) and a < b:
+                return op.QOSurface(cycles=z.cycles, empties=z.empties, g=z.g + 1)
+            return z
+
+        monkeypatch.setattr(op, "_compose", broken)
+        before = cached.cache_info(), op._contract.cache_info()
+        report = verify_axioms("qo", 2, 4)
+        assert (cached.cache_info(), op._contract.cache_info()) == before
+        assert report.checked == 144
+        assert report.per_axiom == {1: 50, 2: 25, 3: 65, 4: 4, 5: 0, 6: 0, 7: 0, 8: 0}
+        assert report.covered == {1: 25, 2: 25, 3: 81, 4: 4, 5: 0, 6: 0, 7: 0, 8: 0}
+        assert len(report.failures) == 25
+        assert {f["axiom"] for f in report.failures} == {1}
+        assert report.failures[0] == {
+            "axiom": 1,
+            "instance": "(QOSurface(cycles=((1, 2),), empties=1, g=0), 1, "
+                        "QOSurface(cycles=((3, 4),), empties=1, g=0), 3, 'open')",
+            "lhs": "QOSurface(cycles=((2, 4),), empties=2, g=1)",
+            "rhs": "QOSurface(cycles=((2, 4),), empties=2, g=0)",
+        }
 
     @staticmethod
     def _all_pairs_ax2(kind, max_n, max_g2):
