@@ -6,17 +6,26 @@ degree +1 operation.  Two-coloured functionals carry separate open and
 closed slot blocks (opens first); closed-end operations insert into the
 closed block.
 
-Every operation below pins a particular slot assignment for the result and
-then transports back to the ascending one; results are independent of that
-choice, which `tests/test_endo.py` exercises explicitly.
+Every operation below is defined through a particular slot assignment:
+each factor is moved into glue order, the join is signed there, and the
+result is transported back to the ascending assignment.  Each of those
+steps multiplies by -1 to a quadratic form in the parities of the letters,
+so one form per call (``_SignForm``) carries their product, and the join
+reads every stored word once, as it is stored.  Results are independent of
+the assignment chosen, which `tests/test_endo.py` exercises explicitly.
+
+The joins sum integer numerators: each factor's entries over the lcm of
+their denominators and the inverse pairing over the lcm of its own, so a
+result is over the product of those lcms.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from ._kernels import precompose_entries
+from ._kernels import odd_mask, precompose_entries
 from .errors import LabelCollision, LabelMismatch, MissingLabel, SingularOmega
 from .graded import (
     GradedSymplecticSpace,
@@ -29,6 +38,9 @@ __all__ = [
     "endo_relabel",
     "endo_compose",
     "endo_contract",
+    "endo_compose_raw",
+    "endo_contract_raw",
+    "endo_sum_raw",
     "verify_twisted_axioms",
     "TwistedAxiomReport",
 ]
@@ -62,6 +74,26 @@ def _pairing(space: GradedSymplecticSpace):
     return got
 
 
+def _integer_pairing(space: GradedSymplecticSpace):
+    """``(matrix, rows, den)``: the inverse pairing as integer numerators
+    over the lcm ``den`` of its denominators, laid out as in ``_pairing``.
+
+    Kept on the space object beside ``_pairing``, for the same reason: a
+    cache keyed by the space would compare an equal space read back from
+    JSON with its key on every call."""
+    memo = space.__dict__
+    got = memo.get("_integer_pairing")
+    if got is None:
+        matrix = _pairing(space)[0]
+        den = math.lcm(*{c.denominator for row in matrix for c in row})
+        matrix = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                       for row in matrix)
+        rows = tuple(tuple((e, c) for e, c in enumerate(row) if c)
+                     for row in matrix)
+        got = memo["_integer_pairing"] = (matrix, rows, den)
+    return got
+
+
 def _slots(f: MultiFunctional, opens, closeds):
     """Slot indices for colour-tagged label sequences."""
     no = len(f.labels)
@@ -75,8 +107,98 @@ def _reorder_slots(f: MultiFunctional, slot_order) -> dict:
     return precompose_entries(f.entries, tuple(slot_order), f.degree_table)
 
 
-def _deg_of(word, table):
-    return sum(table[k] for k in word)
+def _picker(slots):
+    """The function taking a word to the tuple of its letters at ``slots``."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (i,) = slots
+        return lambda w: (w[i],)
+    return lambda w: ()
+
+
+class _SignForm:
+    """-1 to a quadratic form over GF(2) in the odd-degree indicators z_i of
+    the letters of a word: the sum of z_i z_j over the recorded pairs of
+    slots plus the sum of z_i over the recorded linear slots.
+
+    ``rows[i]`` is the bitmask of the slots j > i paired with i, and
+    ``linear`` the bitmask of the linear slots.  Koszul signs of moving
+    slots and the signs of the gluing formulas are all of this shape, so
+    one form holds the product of the signs of a whole operation.
+    """
+
+    def __init__(self, n):
+        self.rows = [0] * n
+        self.linear = 0
+
+    def add_linear(self, slots):
+        """Add the sum of z over ``slots``."""
+        for i in slots:
+            self.linear ^= 1 << i
+
+    def add_product(self, first, second):
+        """Add (sum of z over ``first``) * (sum of z over ``second``)."""
+        for i in first:
+            for j in second:
+                if i == j:
+                    self.linear ^= 1 << i  # z_i z_i = z_i
+                elif i < j:
+                    self.rows[i] ^= 1 << j
+                else:
+                    self.rows[j] ^= 1 << i
+
+    def add_move(self, before, after):
+        """Add the Koszul sign of bringing the letters at the slots listed
+        in ``before`` into the order in which ``after`` lists them."""
+        rank = {s: k for k, s in enumerate(after)}
+        before = list(before)
+        for x, i in enumerate(before):
+            for j in before[x + 1 :]:
+                if rank[i] > rank[j]:
+                    self.add_product((i,), (j,))
+
+
+def _form_at(rows, linear, z):
+    """``(parity, acc)`` of a form at the odd mask ``z``: acc is the XOR of
+    ``rows`` over the odd slots, and the parity counts the pairs and linear
+    slots among them (``_kernels.mask_sign`` with a linear part)."""
+    acc = 0
+    rest = z
+    while rest:
+        low = rest & -rest
+        acc ^= rows[low.bit_length() - 1]
+        rest ^= low
+    return ((acc ^ linear) & z).bit_count() & 1, acc
+
+
+def _lcm_of_denominators(entries: dict) -> int:
+    return math.lcm(*{v.denominator for v in entries.values()})
+
+
+def _signed_numerators(entries: dict, parities, rows, linear):
+    """The entries as ``(word, numerator, odd mask, acc)`` over the lcm of
+    their denominators, and that lcm; each numerator carries the sign of
+    the form ``rows``, ``linear`` at its word, and acc is as in
+    ``_form_at``."""
+    den = _lcm_of_denominators(entries)
+    at: dict = {}  # the form per odd mask; a word has few distinct ones
+    out = []
+    for w, v in entries.items():
+        z = odd_mask(w, parities)
+        got = at.get(z)
+        if got is None:
+            got = at[z] = _form_at(rows, linear, z)
+        n = v.numerator * (den // v.denominator)
+        out.append((w, -n if got[0] else n, z, got[1]))
+    return out, den
+
+
+def _as_functional(f: MultiFunctional, labels, clabels, nums, den, degree):
+    """The functional over f's spaces with the given raw result."""
+    entries = {w: Fraction(n, den) for w, n in nums.items()}
+    return MultiFunctional._built(f.space, labels, entries, degree, f.cspace,
+                                  clabels)
 
 
 def endo_relabel(f: MultiFunctional, rho: dict, rho_closed: dict | None = None):
@@ -96,7 +218,8 @@ def endo_relabel(f: MultiFunctional, rho: dict, rho_closed: dict | None = None):
     inv_c = {rho_closed[l]: l for l in f.clabels}
     slots = _slots(f, [inv_o[l] for l in new_open], [inv_c[l] for l in new_closed])
     entries = _reorder_slots(f, slots)
-    return replace(f, labels=tuple(new_open), clabels=tuple(new_closed), entries=entries)
+    return MultiFunctional._built(f.space, tuple(new_open), entries, f.degree,
+                                  f.cspace, tuple(new_closed))
 
 
 def _split_labels(f, drop, colour):
@@ -113,6 +236,22 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
     labels of each factor (opens then closeds per factor) and may arrange
     each block arbitrarily.
     """
+    return _as_functional(f, *endo_compose_raw(f, a, g, b, colour, order))
+
+
+def endo_compose_raw(f: MultiFunctional, a, g: MultiFunctional, b,
+                     colour: str = "open", order=None):
+    """``endo_compose`` as ``(labels, clabels, numerators, den, degree)``:
+    the result's ascending labels per colour, its nonzero integer
+    numerators by word over the denominator ``den``, and its degree.
+
+    In glue order (the glued end first, or first among the closeds) f reads
+    d x1 y1 and g reads e x2 y2, with x the opens and y the closeds left;
+    the join pairs d with e and assembles x1 x2 y1 y2 with the sign
+    p_f + p_g |e| + (p_g + |e|) |u| + |x2| |y1|, plus |d| |x1| + |e| |x2|
+    for a closed end, where u = x1 y1, v = x2 y2, p_f = |d| + |u| and
+    p_g = |e| + |v|.  Slots are numbered over the concatenation f g.
+    """
     if f.space is not g.space or f.cspace is not g.cspace:
         if f.space != g.space or f.cspace != g.cspace:
             raise LabelMismatch("functionals over different spaces")
@@ -128,93 +267,86 @@ def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
         raise LabelCollision("factors share labels")
     if order is not None:
         lo1, lc1, lo2, lc2 = [list(part) for part in order]
-    space = f.space
-    cspace = f.cspace
-    glue_space = space if colour == "open" else cspace
+    glue_space = f.space if colour == "open" else f.cspace
     if glue_space is None:
         raise MissingLabel("no closed space present")
-    rows = _pairing(glue_space)[1]
-    off = 0 if colour == "open" else space.dim
-    table = f.degree_table
+    _, rows, den_p = _integer_pairing(glue_space)
+    off = 0 if colour == "open" else f.space.dim
+    nf, ng = f.arity, g.arity
+    x1, y1 = _slots(f, lo1, ()), _slots(f, (), lc1)
+    x2 = [nf + s for s in _slots(g, lo2, ())]
+    y2 = [nf + s for s in _slots(g, (), lc2)]
     if colour == "open":
-        slots_f = _slots(f, [a] + lo1, lc1)
-        slots_g = _slots(g, [b] + lo2, lc2)
-        slot_f, slot_g = 0, 0
+        d, e = _slots(f, (a,), ()), [nf + s for s in _slots(g, (b,), ())]
+        glue_f, glue_g = d + x1 + y1, e + x2 + y2
     else:
-        slots_f = _slots(f, lo1, [a] + lc1)
-        slots_g = _slots(g, lo2, [b] + lc2)
-        slot_f, slot_g = len(lo1), len(lo2)
-    F = _reorder_slots(f, slots_f)
-    G = _reorder_slots(g, slots_g)
-    no1, nc1 = len(lo1), len(lc1)
-    no2, nc2 = len(lo2), len(lc2)
-    # hash join: bucket the second factor by its glued index, with the
-    # slices and degree sums each entry contributes
+        d, e = _slots(f, (), (a,)), [nf + s for s in _slots(g, (), (b,))]
+        glue_f, glue_g = x1 + d + y1, x2 + e + y2
+    u = x1 + y1
+    form = _SignForm(nf + ng)
+    form.add_move(range(nf), glue_f)
+    form.add_move(range(nf, nf + ng), glue_g)
+    form.add_linear(range(nf))  # p_f
+    form.add_product(range(nf, nf + ng), e)  # p_g |e|
+    form.add_product(list(range(nf, nf + ng)) + e, u)  # (p_g + |e|) |u|
+    form.add_product(x2, y1)
+    if colour == "closed":
+        form.add_product(d, x1)
+        form.add_product(e, x2)
+    # transport from the assembly x1 x2 y1 y2 to ascending labels per colour
+    labels, clabels = sorted(lo1 + lo2), sorted(lc1 + lc2)
+    at_open = dict(zip(lo1 + lo2, x1 + x2))
+    at_closed = dict(zip(lc1 + lc2, y1 + y2))
+    final = [at_open[l] for l in labels] + [at_closed[l] for l in clabels]
+    form.add_move(x1 + x2 + y1 + y2, final)
+    pick = _picker(final)
+    parities = tuple(k % 2 for k in f.degree_table)
+    low = (1 << nf) - 1
+    F, den_f = _signed_numerators(f.entries, parities, form.rows[:nf],
+                                  form.linear & low)
+    G, den_g = _signed_numerators(g.entries, parities,
+                                  [r >> nf for r in form.rows[nf:]],
+                                  form.linear >> nf)
+    # hash join: bucket the second factor by its glued index; a pair's sign
+    # is the product of its two entries' own signs and of the form's pairs
+    # across the factors, (acc of f >> nf) & (odd mask of g)
+    sd, se = d[0], e[0] - nf
     buckets: dict = {}
-    for wg, vg in G.items():
-        if colour == "open":
-            x2 = wg[1 : 1 + no2]
-            y2 = wg[1 + no2 :]
-        else:
-            x2 = wg[:no2]
-            y2 = wg[no2 + 1 :]
-        deg_e = table[wg[slot_g]]
-        deg_x2 = _deg_of(x2, table)
-        deg_y2 = _deg_of(y2, table)
-        deg_v = deg_x2 + deg_y2
-        p_g = (deg_e + deg_v) % 2
-        buckets.setdefault(wg[slot_g] - off, []).append(
-            (x2, y2, deg_e, deg_x2, p_g, vg)
-        )
+    for wg, m, z, _ in G:
+        buckets.setdefault(wg[se] - off, []).append((wg, m, z))
     out: dict = {}
-    for wf, vf in F.items():
-        d = wf[slot_f] - off
-        if colour == "open":
-            x1 = wf[1 : 1 + no1]
-            y1 = wf[1 + no1 :]
-        else:
-            x1 = wf[:no1]
-            y1 = wf[no1 + 1 :]
-        deg_d = table[wf[slot_f]]
-        deg_x1 = _deg_of(x1, table)
-        deg_y1 = _deg_of(y1, table)
-        deg_u = deg_x1 + deg_y1
-        p_f = (deg_d + deg_u) % 2
-        for e, coeff in rows[d]:
-            bucket = buckets.get(e)
+    get = out.get
+    for wf, n, _, acc in F:
+        cross = acc >> nf
+        for col, c in rows[wf[sd] - off]:
+            bucket = buckets.get(col)
             if bucket is None:
                 continue
-            vfc = vf * coeff
-            for x2, y2, deg_e, deg_x2, p_g, vg in bucket:
-                s = p_f + p_g * deg_e + (p_g + deg_e) * deg_u
-                s += deg_x2 * deg_y1  # interleave the two closed blocks
-                if colour == "closed":
-                    s += deg_d * deg_x1 + deg_e * deg_x2  # insertion moves
-                word = x1 + x2 + y1 + y2
-                val = vfc * vg
-                if s % 2:
+            nc = n * c
+            for wg, m, z in bucket:
+                word = pick(wf + wg)
+                val = nc * m
+                if (cross & z).bit_count() & 1:
                     val = -val
-                out[word] = out.get(word, ZERO) + val
-    out = {w: v for w, v in out.items() if v}
-    # transport from the assembly order to the ascending one, per colour
-    res_labels = sorted(lo1 + lo2)
-    res_clabels = sorted(lc1 + lc2)
-    pos_open = {l: i for i, l in enumerate(lo1 + lo2)}
-    shift = len(pos_open)
-    pos_closed = {l: shift + i for i, l in enumerate(lc1 + lc2)}
-    perm = tuple(
-        [pos_open[l] for l in res_labels] + [pos_closed[l] for l in res_clabels]
-    )
-    out = precompose_entries(out, perm, table)
+                out[word] = get(word, 0) + val
     degree = None if None in (f.degree, g.degree) else f.degree + g.degree + 1
-    return MultiFunctional(
-        space=space, labels=tuple(res_labels), entries=out, degree=degree,
-        cspace=cspace, clabels=tuple(res_clabels),
-    )
+    return (tuple(labels), tuple(clabels), {w: v for w, v in out.items() if v},
+            den_f * den_g * den_p, degree)
 
 
 def endo_contract(f: MultiFunctional, a, b, colour: str = "open") -> MultiFunctional:
     """Contract ends a and b of f against the inverse pairing."""
+    return _as_functional(f, *endo_contract_raw(f, a, b, colour))
+
+
+def endo_contract_raw(f: MultiFunctional, a, b, colour: str = "open"):
+    """``endo_contract`` as ``(labels, clabels, numerators, den, degree)``,
+    laid out as ``endo_compose_raw``'s.
+
+    In glue order f reads d e x y (d e among the closeds, after x, for a
+    closed pair); the contraction keeps x y with the sign
+    |d| + |e| + |x| + |y|, plus (|d| + |e|) |x| for a closed pair.
+    """
     if a == b:
         raise MissingLabel("contraction needs two distinct labels")
     pool = f.labels if colour == "open" else f.clabels
@@ -222,42 +354,79 @@ def endo_contract(f: MultiFunctional, a, b, colour: str = "open") -> MultiFuncti
         raise MissingLabel(f"labels {a},{b} are not both {colour} ends")
     lo = [l for l in f.labels if colour == "closed" or l not in (a, b)]
     lc = [l for l in f.clabels if colour == "open" or l not in (a, b)]
-    space, cspace = f.space, f.cspace
-    glue_space = space if colour == "open" else cspace
-    P = _pairing(glue_space)[0]
-    off = 0 if colour == "open" else space.dim
-    table = f.degree_table
+    glue_space = f.space if colour == "open" else f.cspace
+    P, _, den_p = _integer_pairing(glue_space)
+    off = 0 if colour == "open" else f.space.dim
+    n = f.arity
+    x, y = _slots(f, lo, ()), _slots(f, (), lc)
     if colour == "open":
-        slots = _slots(f, [a, b] + lo, lc)
-        base = 0
+        sa, sb = _slots(f, (a, b), ())
+        glue = [sa, sb] + x + y
     else:
-        slots = _slots(f, lo, [a, b] + lc)
-        base = len(lo)
-    F = _reorder_slots(f, slots)
-    no = len(lo)
+        sa, sb = _slots(f, (), (a, b))
+        glue = x + [sa, sb] + y
+    form = _SignForm(n)
+    form.add_move(range(n), glue)
+    form.add_linear(range(n))
+    if colour == "closed":
+        form.add_product((sa, sb), x)  # the pair moves past the opens
+    # the kept slots are in stored order, which is ascending per colour
+    pick = _picker(x + y)
+    parities = tuple(k % 2 for k in f.degree_table)
+    rows, linear = form.rows, form.linear
+    den_f = _lcm_of_denominators(f.entries)
+    at: dict = {}
     out: dict = {}
-    for wf, vf in F.items():
-        d = wf[base] - off
-        e = wf[base + 1] - off
-        coeff = P[d][e]
-        if not coeff:
+    get = out.get
+    for w, v in f.entries.items():
+        c = P[w[sa] - off][w[sb] - off]
+        if not c:
             continue
-        word = wf[:base] + wf[base + 2 :]
-        deg_de = table[wf[base]] + table[wf[base + 1]]
-        p_f = (deg_de + _deg_of(word, table)) % 2
-        s = p_f
-        if colour == "closed":
-            s += deg_de * _deg_of(wf[:base], table)  # insertion moves past opens
-        val = vf * coeff
-        if s % 2:
-            val = -val
-        out[word] = out.get(word, ZERO) + val
-    out = {w: v for w, v in out.items() if v}
+        z = odd_mask(w, parities)
+        odd = at.get(z)
+        if odd is None:
+            odd = at[z] = _form_at(rows, linear, z)[0]
+        val = c * v.numerator * (den_f // v.denominator)
+        word = pick(w)
+        out[word] = get(word, 0) - val if odd else get(word, 0) + val
     degree = None if f.degree is None else f.degree + 1
-    return MultiFunctional(
-        space=space, labels=tuple(sorted(lo)), entries=out, degree=degree,
-        cspace=cspace, clabels=tuple(sorted(lc)),
-    )
+    return (tuple(lo), tuple(lc), {w: v for w, v in out.items() if v},
+            den_f * den_p, degree)
+
+
+def endo_sum_raw(f: MultiFunctional, terms) -> MultiFunctional:
+    """f plus the sum of c * term over the pairs (c, term) in ``terms``,
+    with c rational and the terms raw, as ``endo_compose_raw`` and
+    ``endo_contract_raw`` return them, on f's labels.
+
+    The terms are summed in place as integer numerators over a running
+    common denominator, and each word is written as one ``Fraction`` at
+    the end; the result has f's degree."""
+    den = 1
+    acc: dict = {}
+    for c, (labels, clabels, nums, t, _) in terms:
+        if (labels, clabels) != (f.labels, f.clabels):
+            raise LabelMismatch("functionals over different label sets")
+        c = Fraction(c)
+        t *= c.denominator
+        if den % t:
+            grow = math.lcm(den, t) // den
+            for w in acc:
+                acc[w] *= grow
+            den *= grow
+        scale = c.numerator * (den // t)
+        get = acc.get
+        for w, n in nums.items():
+            acc[w] = get(w, 0) + scale * n
+    entries = dict(f.entries)
+    for w, n in acc.items():
+        if n:
+            v = entries.get(w, ZERO) + Fraction(n, den)
+            if v:
+                entries[w] = v
+            else:
+                del entries[w]
+    return f._derived(entries, f.degree)
 
 
 # ---------------------------------------------------------------------------

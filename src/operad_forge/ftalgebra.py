@@ -56,7 +56,13 @@ from .combinatorics import (
     rep_cycle_slots,
     trim_bseq,
 )
-from .endo import _pair_matrix, _pair_rows, endo_compose, endo_contract
+from .endo import (
+    _pair_matrix,
+    _pair_rows,
+    endo_compose_raw,
+    endo_contract_raw,
+    endo_sum_raw,
+)
 from .errors import (
     KeyMissing,
     KindMismatch,
@@ -293,11 +299,12 @@ def functional_for(data: AlgebraData, x) -> MultiFunctional:
         y = op.relabel(x, rho)
     rep, sigma = op.canonical_perm(y)
     base = data.functional(key_of(data.kind, rep))
-    T = base.precompose_slots(sigma) if sigma else base
-    return MultiFunctional(
-        space=data.space, labels=tuple(lo), entries=T.entries, degree=0,
-        cspace=data.closed_space if data.kind == "qoc" else None,
-        clabels=tuple(lc),
+    entries = base.entries
+    if sigma:
+        entries = precompose_entries(entries, tuple(sigma), base.degree_table)
+    return MultiFunctional._built(
+        data.space, tuple(lo), entries, 0,
+        data.closed_space if data.kind == "qoc" else None, tuple(lc),
     )
 
 
@@ -308,24 +315,26 @@ def functional_for(data: AlgebraData, x) -> MultiFunctional:
 def ft_residual(data: AlgebraData, key) -> MultiFunctional:
     """d(alpha) minus the contraction and gluing terms, at one representative."""
     check_key(data.kind, key)
-    rep = representative(key)
-    okind = OPERAD_OF[data.kind]
     R = functional_differential(data.functional(key))
+    return endo_sum_raw(R, _ft_terms(data, representative(key)))
+
+
+def _ft_terms(data: AlgebraData, rep):
+    """``(weight, raw term)`` for each term of the generic residual at rep:
+    each contraction with weight -1 and each gluing with weight -1/2."""
+    okind = OPERAD_OF[data.kind]
     colours = ("open", "closed") if data.kind == "qoc" else ("open",)
     for colour in colours:
         if data.kind == "cyclic_ainfty":
             continue
         a, b = op.fresh_pair(rep, colour)
         for x in op.dual_contract(okind, rep, a, b, colour=colour):
-            R = R.minus(endo_contract(functional_for(data, x), a, b, colour=colour))
+            yield -1, endo_contract_raw(functional_for(data, x), a, b, colour)
     for colour in colours:
         a, b = op.fresh_pair(rep, colour)
         for x, y in op.dual_compose(okind, rep, a, b, colour=colour):
-            term = endo_compose(
-                functional_for(data, x), a, functional_for(data, y), b, colour=colour
-            )
-            R = R.minus(term.scaled(HALF))
-    return R
+            yield -HALF, endo_compose_raw(functional_for(data, x), a,
+                                          functional_for(data, y), b, colour)
 
 
 # ---------------------------------------------------------------------------

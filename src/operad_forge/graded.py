@@ -13,7 +13,7 @@ vector ``i`` in ``d(a_j)``; ``omega[i][j] = omega(a_i, a_j)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -254,18 +254,26 @@ class MultiFunctional:
     def value(self, word) -> Fraction:
         return self.entries.get(tuple(word), ZERO)
 
-    def _derived(self, entries: dict, degree) -> "MultiFunctional":
-        """This functional's spaces and labels with ``entries``, which must be
-        nonzero ``Fraction``s, and ``degree``.  ``__post_init__`` does not run
-        again: the labels are sorted already and the entries are not copied."""
+    @staticmethod
+    def _built(space, labels: tuple, entries: dict, degree, cspace,
+               clabels: tuple) -> "MultiFunctional":
+        """A functional from fields that are normalized already: ascending
+        label tuples and nonzero ``Fraction`` entries.  ``__post_init__`` does
+        not run, so the labels are not sorted and the entries not copied."""
         out = object.__new__(MultiFunctional)
         # field by field, in field order, so the instance keeps its compact
         # shared-key attribute storage
-        for name, value in (("space", self.space), ("labels", self.labels),
+        for name, value in (("space", space), ("labels", labels),
                             ("entries", entries), ("degree", degree),
-                            ("cspace", self.cspace), ("clabels", self.clabels)):
+                            ("cspace", cspace), ("clabels", clabels)):
             object.__setattr__(out, name, value)
         return out
+
+    def _derived(self, entries: dict, degree) -> "MultiFunctional":
+        """This functional's spaces and labels with ``entries``, which must be
+        nonzero ``Fraction``s, and ``degree``; see ``_built``."""
+        return self._built(self.space, self.labels, entries, degree,
+                           self.cspace, self.clabels)
 
     def scaled(self, c) -> "MultiFunctional":
         c = Fraction(c)
@@ -296,8 +304,9 @@ class MultiFunctional:
 
     def precompose_slots(self, perm) -> "MultiFunctional":
         """The functional T o perm on the same label set."""
-        return replace(
-            self, entries=precompose_entries(self.entries, tuple(perm), self.degree_table)
+        return self._derived(
+            precompose_entries(self.entries, tuple(perm), self.degree_table),
+            self.degree,
         )
 
     def same_entries(self, other: "MultiFunctional") -> bool:
@@ -359,7 +368,7 @@ def functional_differential(f: MultiFunctional) -> MultiFunctional:
             prefix += table[w[slot]]
     entries = {w: v for w, v in entries.items() if v}
     degree = None if f.degree is None else f.degree + 1
-    return replace(f, entries=entries, degree=degree)
+    return f._derived(entries, degree)
 
 
 def random_functional(rng, space, labels, degree=0, cspace=None, clabels=(),

@@ -325,11 +325,14 @@ class TestPlannedJoins:
 def test_bv_route_does_not_call_the_endomorphism_operad(monkeypatch, v2):
     """The master residual and the operations it is built from never reach
     endo_compose, endo_contract or endo_relabel, on which the generic route
-    they are compared with is built."""
+    they are compared with is built, nor the integer forms
+    endo_compose_raw and endo_contract_raw, or endo_sum_raw, which sums
+    them in the generic route."""
     def refuse(*args, **kwargs):
         raise AssertionError("the BV route called the endomorphism operad")
 
-    for name in ("endo_compose", "endo_contract", "endo_relabel"):
+    for name in ("endo_compose", "endo_contract", "endo_relabel",
+                 "endo_compose_raw", "endo_contract_raw", "endo_sum_raw"):
         monkeypatch.setattr(endo, name, refuse)
         monkeypatch.setattr(bv, name, refuse, raising=False)
     V4 = G.rich_space(4, with_differential=True)

@@ -1,18 +1,25 @@
 """The twisted endomorphism operad: signed axioms and slot assignments."""
+import itertools
+import json
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
-from operad_forge._kernels import precompose_entries
+from operad_forge._kernels import apply_perm_to_word, precompose_entries
 from operad_forge.endo import (
     endo_compose,
+    endo_compose_raw,
     endo_contract,
+    endo_contract_raw,
     endo_relabel,
+    endo_sum_raw,
     verify_twisted_axioms,
 )
-from operad_forge.errors import LabelCollision, MissingLabel
+from operad_forge.errors import LabelCollision, LabelMismatch, MissingLabel
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +231,244 @@ class TestHashJoin:
             want = _all_pairs_compose(f, a, g, b, colour)
             assert want
             assert got.entries == want
+
+
+def _mixed_pairs(pair_degrees):
+    """block_space(pair_degrees), which lists each degree pair twice, in a
+    basis mixing the two vectors of each degree (tests/test_bv.py builds
+    the same spaces); for [-1, -1] the inverse pairing is over 9."""
+    V = G.block_space(pair_degrees)
+    n = V.dim
+    h = n // 2  # vectors i and i + h share a degree
+    B = [[0] * n for _ in range(n)]
+    for i in range(h):
+        B[i][i], B[i + h][i] = 1, 1
+        B[i][i + h], B[i + h][i + h] = -2, 1
+    omega = [
+        [sum(B[i][j] * V.omega[i][k] * B[k][l] for i in range(n) for k in range(n))
+         for l in range(n)]
+        for j in range(n)
+    ]
+    M = G.GradedSymplecticSpace(
+        basis_names=V.basis_names, degrees=V.degrees,
+        differential=V.differential, omega=omega,
+    )
+    assert G.validate_space(M) == []
+    return M
+
+
+def _reference_contract(f, a, b, colour):
+    """endo_contract in Fractions: f moved into glue order, then each entry
+    contracted through the inverse pairing with its sign."""
+    lo = [l for l in f.labels if colour == "closed" or l not in (a, b)]
+    lc = [l for l in f.clabels if colour == "open" or l not in (a, b)]
+    if colour == "open":
+        P = G.contraction_pair(f.space).coefficients
+        off, base = 0, 0
+        slots = [f.labels.index(l) for l in [a, b] + lo]
+        slots += [len(f.labels) + f.clabels.index(l) for l in lc]
+    else:
+        P = G.contraction_pair(f.cspace).coefficients
+        off, base = f.space.dim, len(lo)
+        slots = [f.labels.index(l) for l in lo]
+        slots += [len(f.labels) + f.clabels.index(l) for l in [a, b] + lc]
+    table = f.degree_table
+    F = precompose_entries(f.entries, tuple(slots), table)
+    out = {}
+    for wf, vf in F.items():
+        coeff = P[wf[base] - off][wf[base + 1] - off]
+        if not coeff:
+            continue
+        word = wf[:base] + wf[base + 2:]
+        deg_de = table[wf[base]] + table[wf[base + 1]]
+        s = deg_de + sum(table[k] for k in word)
+        if colour == "closed":
+            s += deg_de * sum(table[k] for k in wf[:base])
+        val = vf * coeff
+        out[word] = out.get(word, Fr(0)) + (-val if s % 2 else val)
+    return {w: v for w, v in out.items() if v}
+
+
+def _coprime(rng, h):
+    """h with each entry's numerator put over one of 2, 3, 5 and 7."""
+    entries = {w: Fr(v.numerator, rng.choice((2, 3, 5, 7)))
+               for w, v in h.entries.items()}
+    return G.MultiFunctional(space=h.space, labels=h.labels, entries=entries,
+                             degree=h.degree, cspace=h.cspace, clabels=h.clabels)
+
+
+def _coprime_maps(rng, data):
+    """data's maps with the entries of each stabilizer orbit of words put
+    over 2, 3, 5 and 7 in turn; a map scaled on whole orbits stays
+    invariant."""
+    dens = itertools.cycle((2, 3, 5, 7))
+    maps = {}
+    for key, f in data.maps.items():
+        gens = FT.stab_generators(data.kind, key)
+        scale = {}
+        for w in sorted(f.entries):
+            if w in scale:
+                continue
+            p = next(dens)
+            c = Fr(rng.choice([k for k in range(-9, 10) if k % p]), p) / f.entries[w]
+            scale[w] = c
+            todo = [w]
+            while todo:
+                u = todo.pop()
+                for perm in gens:
+                    v = apply_perm_to_word(perm, u)
+                    if v not in scale:
+                        scale[v] = c
+                        todo.append(v)
+        maps[key] = G.MultiFunctional(
+            space=f.space, labels=f.labels, degree=f.degree, cspace=f.cspace,
+            clabels=f.clabels, entries={w: v * scale[w] for w, v in f.entries.items()},
+        )
+    return maps
+
+
+def _nonzero_fractions(entries):
+    return all(type(v) is Fr and v for v in entries.values())
+
+
+def _hand_residual(data, key):
+    if data.kind == "loop":
+        return FT.loop_residual(data, key.n, key.genus)
+    if data.kind == "cyclic_ainfty":
+        return FT.cyclic_residual(data, key.n)
+    if data.kind == "quantum_ainfty":
+        return FT.quantum_residual(data, key.bseq, key.g)
+    return FT.qoc_residual(data, key)
+
+
+class TestCommonDenominator:
+    """endo_compose and endo_contract sum integer numerators: per factor
+    over the lcm of its entries' denominators, times the lcm of the inverse
+    pairing's; ft_residual sums their raw terms over a running common
+    denominator.  With coefficients over 2, 3, 5 and 7 and a pairing over 9
+    they still equal the Fraction references exactly."""
+
+    @pytest.mark.parametrize("colour, a, b", [("open", 2, 5), ("closed", 1, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compose_and_contract(self, colour, a, b, seed):
+        M = _mixed_pairs([-1, -1])  # degrees (-1, 2, -1, 2)
+        assert {c.denominator for row in G.contraction_pair(M).coefficients
+                for c in row if c} == {9}
+        W = G.rich_space(4)
+        cases = [(W, M)] if colour == "closed" else [(M, W), (M, M)]
+        rng = random.Random(seed)
+        contracted = 0
+        for space, cspace in cases:
+            table = space.degrees + cspace.degrees
+            factors = []
+            for labels, clabels in (((1, 2, 3), (1, 2)), ((4, 5), (3, 4))):
+                # the degree of a random word, so that the factor has entries
+                word = [rng.randrange(space.dim) for _ in labels]
+                word += [space.dim + rng.randrange(cspace.dim) for _ in clabels]
+                h = G.random_functional(
+                    rng, space, labels, degree=-sum(table[k] for k in word),
+                    cspace=cspace, clabels=clabels, density=1.0, max_num=9,
+                )
+                factors.append(_coprime(rng, h))
+            f, g = factors
+            assert math.lcm(*{v.denominator for h in factors
+                              for v in h.entries.values()}) == 210
+            got = endo_compose(f, a, g, b, colour=colour)
+            assert got.entries
+            assert got.entries == _all_pairs_compose(f, a, g, b, colour)
+            assert _nonzero_fractions(got.entries)
+            for h in factors:
+                pool = h.labels if colour == "open" else h.clabels
+                for x, y in ((pool[0], pool[1]), (pool[1], pool[0])):
+                    got = endo_contract(h, x, y, colour=colour)
+                    assert got.entries == _reference_contract(h, x, y, colour)
+                    assert _nonzero_fractions(got.entries)
+                    contracted += len(got.entries)
+        assert contracted
+
+    def test_sum_raw(self):
+        """endo_sum_raw adds weighted raw terms over a running common
+        denominator; it equals the Fraction sum of the public results."""
+        M = _mixed_pairs([-1, -1])  # degrees (-1, 2, -1, 2)
+        rng = random.Random(3)
+
+        def rand(labels, degree):
+            return _coprime(rng, G.random_functional(
+                rng, M, labels, degree=degree, density=1.0, max_num=9))
+
+        # every term and the base live on the labels 2, 3, 5, 6
+        f, g = rand((1, 2, 3), 0), rand((4, 5, 6), 0)
+        f2, g2 = rand((2, 3, 8), 0), rand((5, 6, 9), 0)
+        h = rand((1, 2, 3, 5, 6, 7), 0)
+        base = rand((2, 3, 5, 6), 1)
+        terms = [(Fr(-1, 2), endo_compose_raw(f, 1, g, 4)),
+                 (Fr(3, 7), endo_compose_raw(f2, 8, g2, 9)),
+                 (5, endo_contract_raw(h, 1, 7))]
+        assert all(t[1][2] for t in terms)
+        want = base
+        for c, (labels, clabels, nums, den, degree) in terms:
+            want = want.plus(base._built(M, labels, {
+                w: Fr(n, den) * c for w, n in nums.items()}, degree, None, clabels))
+        got = endo_sum_raw(base, iter(terms))
+        assert got.entries == want.entries and got.labels == base.labels
+        assert got.degree == base.degree and _nonzero_fractions(got.entries)
+        with pytest.raises(LabelMismatch):
+            endo_sum_raw(base, [(1, endo_contract_raw(h, 1, 2))])
+
+    @pytest.mark.parametrize("kind, bounds", [
+        ("loop", (3, 2)), ("cyclic_ainfty", (6, 0)),
+        ("quantum_ainfty", (3, 2)), ("qoc", (3, 2)),
+    ])
+    def test_generic_residual(self, kind, bounds):
+        space = _mixed_pairs([-1, -1])
+        cspace = _mixed_pairs([0, 0]) if kind == "qoc" else None
+        rng = random.Random(f"coprime {kind}")
+        data = FT.random_algebra(kind, space, *bounds, rng, closed_space=cspace,
+                                 density=1.0)
+        data = FT.AlgebraData(kind=kind, space=space, closed_space=cspace,
+                              maps=_coprime_maps(rng, data))
+        assert math.lcm(*{v.denominator for f in data.maps.values()
+                          for v in f.entries.values()}) % 210 == 0
+        compared = 0
+        for key in FT.enumerate_keys(kind, *bounds):
+            generic = FT.ft_residual(data, key)
+            assert generic.entries == _hand_residual(data, key).entries, key
+            assert _nonzero_fractions(generic.entries)
+            compared += len(generic.entries)
+        assert compared
+
+
+def test_json_read_space_compares_no_spaces(monkeypatch):
+    """The integer inverse pairing is kept on the space object: after the
+    first call on a space read back from JSON, equal to a space used before
+    but another object, endo_compose and endo_contract compare no spaces."""
+    V = G.rich_space(4, with_differential=True)
+    W = G.space_from_json(json.loads(json.dumps(G.space_to_json(V))))
+    assert W == V and W is not V
+    rng = random.Random(4)
+
+    def calls(space):
+        f = G.random_functional(rng, space, (1, 2, 3), degree=0, cspace=space,
+                                clabels=(1, 2), density=1.0)
+        g = G.random_functional(rng, space, (4, 5), degree=0, cspace=space,
+                                clabels=(3, 4), density=1.0)
+        for colour, a, b, c in (("open", 1, 4, 2), ("closed", 1, 3, 2)):
+            assert not endo_compose(f, a, g, b, colour=colour).is_zero()
+            endo_contract(f, a, c, colour=colour)
+
+    calls(V)
+    calls(W)
+    compared = []
+    eq = G.GradedSymplecticSpace.__eq__
+
+    def counting(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(G.GradedSymplecticSpace, "__eq__", counting)
+    calls(W)
+    calls(W)
+    assert compared == []
 
 
 class TestTwistedAxioms:

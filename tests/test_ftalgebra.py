@@ -1,13 +1,16 @@
 """Algebra data, the generic residual and the hand-coded specializations."""
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
+from operad_forge import endo
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
 from operad_forge import operads as op
+from operad_forge._kernels import precompose_entries
 from operad_forge.errors import (
     KeyMissing,
     SymmetryViolation,
@@ -137,6 +140,57 @@ class TestEquivariantExtension:
         assert FT.functional_for(data, rep).entries == f.entries
 
 
+def _rebuilt_functional_for(data, x):
+    """functional_for as it was built through precompose_slots's
+    dataclasses.replace and a second MultiFunctional."""
+    lo = sorted(op.open_labels(x)) if data.kind != "loop" else sorted(x.labels)
+    lc = sorted(op.closed_labels(x)) if data.kind == "qoc" else []
+    rho = {l: i + 1 for i, l in enumerate(lo)}
+    rho_c = {l: i + 1 for i, l in enumerate(lc)}
+    y = op.relabel(x, rho, rho_c) if data.kind == "qoc" else op.relabel(x, rho)
+    rep, sigma = op.canonical_perm(y)
+    base = data.functional(FT.key_of(data.kind, rep))
+    if sigma:
+        base = replace(base, entries=precompose_entries(
+            base.entries, tuple(sigma), base.degree_table))
+    return G.MultiFunctional(
+        space=data.space, labels=tuple(lo), entries=base.entries, degree=0,
+        cspace=data.closed_space if data.kind == "qoc" else None,
+        clabels=tuple(lc),
+    )
+
+
+class TestFunctionalForBuiltOnce:
+    """functional_for precomposes the stored map and builds its result
+    once; every field equals the rebuilt construction, on the factors of
+    every gluing term of one- and two-coloured algebras."""
+
+    @pytest.mark.parametrize("kind, bounds", [
+        ("loop", (4, 2)), ("quantum_ainfty", (3, 2)), ("qoc", (3, 2)),
+    ])
+    def test_equal_to_rebuilt(self, v2, v4, kind, bounds):
+        data = FT.random_algebra(kind, v4, *bounds, random.Random(21),
+                                 closed_space=v2 if kind == "qoc" else None,
+                                 density=1.0)
+        seen = 0
+        for key in FT.enumerate_keys(kind, *bounds):
+            rep = FT.representative(key)
+            for colour in ("open", "closed") if kind == "qoc" else ("open",):
+                a, b = op.fresh_pair(rep, colour)
+                for pair in op.dual_compose(FT.OPERAD_OF[kind], rep, a, b,
+                                            colour=colour):
+                    for x in pair:
+                        got = FT.functional_for(data, x)
+                        old = _rebuilt_functional_for(data, x)
+                        assert all(type(v) is Fr for v in got.entries.values())
+                        assert (got.space, got.labels, got.entries, got.degree,
+                                got.cspace, got.clabels) == (
+                            old.space, old.labels, old.entries, old.degree,
+                            old.cspace, old.clabels)
+                        seen += bool(got.entries)
+        assert seen
+
+
 def _compare(data, keys, specialized):
     for key in keys:
         generic = FT.ft_residual(data, key)
@@ -237,7 +291,12 @@ class TestSpecializations:
         for name in ("dual_contract", "dual_compose"):
             monkeypatch.setattr(op, name, refuse)
         for name in ("endo_contract", "endo_compose"):
+            monkeypatch.setattr(endo, name, refuse)
+        # the integer forms the generic residual sums, where ftalgebra
+        # reaches them and where they are defined
+        for name in ("endo_contract_raw", "endo_compose_raw", "endo_sum_raw"):
             monkeypatch.setattr(FT, name, refuse)
+            monkeypatch.setattr(endo, name, refuse)
         for data, key, generic, _ in cases:
             if data.kind == "qoc":
                 got = FT.qoc_residual(data, key)

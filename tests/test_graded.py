@@ -3,12 +3,14 @@ import itertools
 import json
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
 from operad_forge import endo
 from operad_forge import graded as G
+from operad_forge._kernels import precompose_entries
 
 
 def two_dim(omega=None, degrees=(0, 1), diff=None):
@@ -267,3 +269,58 @@ class TestFunctionalArithmetic:
             self.make({}, 0).plus(self.make({}, 0, labels=(1, 3)))
         with pytest.raises(G.LabelMismatch):
             self.make({}, 0).minus(self.make({}, 0, labels=(1,)))
+
+
+def _fields(h):
+    assert all(type(v) is Fr and v for v in h.entries.values())
+    return h.space, h.labels, h.entries, h.degree, h.cspace, h.clabels
+
+
+class TestDirectConstruction:
+    """precompose_slots, functional_differential and endo_relabel build
+    their results directly instead of through dataclasses.replace, which
+    reran __post_init__; every field equals that construction's, on one-
+    and two-coloured random functionals."""
+
+    @staticmethod
+    def functional(seed, two):
+        rng = random.Random(seed)
+        V = G.rich_space(4, with_differential=True)
+        f = G.random_functional(
+            rng, V, (4, 1, 7), degree=rng.choice([-1, 0]),
+            cspace=V if two else None, clabels=(5, 2) if two else (),
+        )
+        assert f.entries
+        return rng, f
+
+    @pytest.mark.parametrize("two", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_precompose_slots(self, seed, two):
+        rng, f = self.functional(seed, two)
+        for perm in (tuple(range(f.arity)), tuple(rng.sample(range(f.arity), f.arity))):
+            old = replace(f, entries=precompose_entries(f.entries, perm,
+                                                        f.degree_table))
+            assert _fields(f.precompose_slots(perm)) == _fields(old)
+
+    @pytest.mark.parametrize("two", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_functional_differential(self, seed, two):
+        _, f = self.functional(seed, two)
+        got = G.functional_differential(f)
+        assert got.entries and got.degree == f.degree + 1
+        old = replace(f, entries=dict(got.entries), degree=got.degree)
+        assert _fields(got) == _fields(old)
+
+    @pytest.mark.parametrize("two", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_endo_relabel(self, seed, two):
+        _, f = self.functional(seed, two)
+        rho, rho_c = {1: 9, 4: 3, 7: 6}, {2: 8, 5: 1}
+        # the slots of the old labels in the order of their new ones
+        opens = [l for _, l in sorted((rho[l], l) for l in f.labels)]
+        closeds = [l for _, l in sorted((rho_c[l], l) for l in f.clabels)]
+        old = replace(
+            f, labels=(3, 6, 9), clabels=(1, 8) if two else (),
+            entries=endo._reorder_slots(f, endo._slots(f, opens, closeds)),
+        )
+        assert _fields(endo.endo_relabel(f, rho, rho_c)) == _fields(old)
