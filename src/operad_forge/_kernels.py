@@ -1,4 +1,5 @@
-"""Pure-Python kernels for permutation and Koszul-sign bookkeeping.
+"""Pure-Python kernels for permutation and Koszul-sign bookkeeping, and for
+rational values carried as integer numerators over a common denominator.
 
 These functions are the innermost loops of every residual and axiom
 check; tests/test_kernels.py checks their algebraic properties.
@@ -10,6 +11,7 @@ with ``q`` the inverse permutation, i.e. the factor starting in slot ``i``
 ends up in slot ``perm[i]``.
 """
 
+import math
 from operator import itemgetter
 
 # The benchmark's run record reads this name; there is one implementation.
@@ -69,6 +71,16 @@ def inversion_masks(perm):
     )
 
 
+def word_getter(positions):
+    """The function taking a word to the tuple of its letters at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda word: (word[p],)
+    return lambda word: ()
+
+
 def odd_mask(word, parities):
     """Bitmask of the slots of ``word`` whose letter has odd degree."""
     mask = 0
@@ -113,3 +125,14 @@ def precompose_entries(entries, perm, basis_degrees):
             value = -value
         out[move(word)] = value
     return out
+
+
+def lcm_of_denominators(values):
+    """The lcm of the denominators of the rational ``values``; 1 for none."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def numerators(values: dict, denom: int) -> dict:
+    """The values as integer numerators over ``denom``, a multiple of each
+    value's denominator."""
+    return {k: v.numerator * (denom // v.denominator) for k, v in values.items()}

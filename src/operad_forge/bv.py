@@ -31,10 +31,13 @@ each distinct word once, which is exact by linearity.  Within one call the
 sums are integer numerators over one common denominator: the product of
 the lcm of the value denominators, the lcm of the weight denominators
 (stabilizer orders, end weights, contraction scales) and the lcm of the
-inverse pairing's denominators, with the first two taken per factor in
-the bracket.  It must be the product: a weighted value has a denominator
-dividing the product of the two lcms, not in general their joint lcm.
-Each class becomes one ``Fraction`` at the end.
+glued colours' inverse-pairing denominators, with the first two taken per
+factor in the bracket.  It must be the product: a weighted value has a
+denominator dividing the product of the two lcms, not in general their
+joint lcm.  Each class becomes one ``Fraction`` at the end.  The pairing
+is read as integers off each space's ``pairing`` record, over that
+space's own lcm; the quotient of the common lcm by a colour's own rides
+on that colour's end weights and contraction scales.
 
 The bracket and the loop operation do not go through the endomorphism
 operad's ``endo_compose``/``endo_contract``, on which the generic residual
@@ -71,8 +74,11 @@ from ._kernels import (
     invert_perm,
     inversion_masks,
     koszul_sign,
+    lcm_of_denominators,
     mask_sign,
+    numerators,
     odd_mask,
+    word_getter,
 )
 from .combinatorics import (
     block_permutation,
@@ -82,7 +88,6 @@ from .combinatorics import (
     transversal_slot_pair_counts,
     trim_bseq,
 )
-from .endo import _pair_rows
 from .errors import (
     KindMismatch,
     LabelMismatch,
@@ -271,7 +276,7 @@ class WordSymmetry:
         group = self._group
         if group is None:
             group = self._group = tuple(
-                (_word_getter(invert_perm(s)), inversion_masks(s))
+                (word_getter(invert_perm(s)), inversion_masks(s))
                 for s in stab_group(self.kind, self.key)
             )
         parities = self.parities
@@ -422,16 +427,6 @@ class BVElement:
         )
 
 
-def _lcm_of_denominators(values) -> int:
-    return math.lcm(*{v.denominator for v in values})
-
-
-def _numerators(values: dict, denom: int) -> dict:
-    """The values as integer numerators over ``denom``, a multiple of each
-    value's denominator."""
-    return {k: v.numerator * (denom // v.denominator) for k, v in values.items()}
-
-
 def _add_raw(out: BVElement, raw: dict, denom: int = 1) -> BVElement:
     """Fill the empty element ``out`` with raw contributions summed per
     (key, word), as numerators over the common denominator ``denom``: the
@@ -463,7 +458,7 @@ def series_from_maps(kind, space, cspace, families: dict) -> BVElement:
     raw sums are numerators over the lcm of the value denominators times
     the lcm of the stabilizer orders.
     """
-    dv = _lcm_of_denominators(
+    dv = lcm_of_denominators(
         v for entries in families.values() for v in entries.values()
     )
     orders = {key: _stab_size(kind, key) for key in families}
@@ -471,7 +466,7 @@ def series_from_maps(kind, space, cspace, families: dict) -> BVElement:
     raw: dict = {}
     for key, entries in families.items():
         weight = ds // orders[key]
-        for w, num in _numerators(entries, dv).items():
+        for w, num in numerators(entries, dv).items():
             raw[(key, w)] = weight * num
     return _add_raw(BVElement(kind, space, cspace), raw, dv * ds)
 
@@ -497,16 +492,6 @@ def bv_diff(x: BVElement) -> BVElement:
         key: functional_differential(x.functional(key)).entries
         for key in x.terms
     })
-
-
-def _word_getter(positions):
-    """The function taking a word to its letters at ``positions``."""
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    if positions:
-        (p,) = positions
-        return lambda word: (word[p],)
-    return lambda word: ()
 
 
 @lru_cache(maxsize=None)
@@ -539,7 +524,7 @@ def _delta_plan(kind, key, i, j, colour):
     for k, s in enumerate(rest):
         tau[s] = 2 + sigma[k]
     return (key_of(kind, rep_out), pa, pb,
-            _word_getter(invert_perm(tau)[2:]), inversion_masks(tau),
+            word_getter(invert_perm(tau)[2:]), inversion_masks(tau),
             Fraction(-mult, out_fact))
 
 
@@ -560,27 +545,13 @@ def _glued_space(x: BVElement, colour):
 def _integer_functionals(x: BVElement):
     """Per key, the invariant entries of x as integer numerators over the
     lcm of its class coefficients' denominators; and that lcm."""
-    denom = _lcm_of_denominators(
+    denom = lcm_of_denominators(
         v for comp in x.terms.values() for v in comp.values()
     )
     table = x.table()
     return {
-        key: _symmetry(x.kind, key, table).expand(_numerators(comp, denom))
+        key: _symmetry(x.kind, key, table).expand(numerators(comp, denom))
         for key, comp in x.terms.items()
-    }, denom
-
-
-def _integer_pairing(x: BVElement, colours):
-    """Per glued colour, the rows of the inverse pairing as (column,
-    integer numerator) over the lcm of their denominators; and that lcm."""
-    rows = {colour: _pair_rows(_glued_space(x, colour)[0]) for colour in colours}
-    denom = _lcm_of_denominators(
-        c for rs in rows.values() for row in rs for _, c in row
-    )
-    return {
-        colour: tuple(tuple((e, c.numerator * (denom // c.denominator))
-                            for e, c in row) for row in rs)
-        for colour, rs in rows.items()
     }, denom
 
 
@@ -599,22 +570,22 @@ def bv_delta(x: BVElement) -> BVElement:
     parities = tuple(d % 2 for d in x.table())
     colours = ("open", "closed") if kind == "qoc" else ("open",)
     fx, dv = _integer_functionals(x)
-    rows, dp = _integer_pairing(x, colours)
-    pairing = {colour: [dict(row) for row in rs] for colour, rs in rows.items()}
+    dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
     jobs = [
         (key, colour, _delta_plan(kind, key, i, j, colour))
         for key in fx for colour in colours
         for i, j in _contracted_pairs(kind, key, colour)
     ]
-    ds = _lcm_of_denominators(plan[5] for _, _, plan in jobs)
+    ds = lcm_of_denominators(plan[5] for _, _, plan in jobs)
     raw: dict = {}
     for key, colour, (out_key, pa, pb, rest, masks, scale) in jobs:
-        pair = pairing[colour]
-        off = _glued_space(x, colour)[1]
-        sn = scale.numerator * (ds // scale.denominator)
+        space, off = _glued_space(x, colour)
+        matrix, den = space.pairing.int_matrix, space.pairing.den
+        # the scale carries the colour's share of the common pairing lcm
+        sn = scale.numerator * (ds // scale.denominator) * (dp // den)
         for w, v in fx[key].items():
-            coeff = pair[w[pa] - off].get(w[pb] - off)
-            if coeff is None:
+            coeff = matrix[w[pa] - off][w[pb] - off]
+            if not coeff:
                 continue
             odd = odd_mask(w, parities)
             val = sn * coeff * v
@@ -679,10 +650,10 @@ def _integer_factor(x: BVElement, colours):
     entries, dv = _integer_functionals(x)
     weights = {(key, colour): _end_weights(x.kind, key, colour)
                for key in entries for colour in colours}
-    dw = _lcm_of_denominators(
+    dw = lcm_of_denominators(
         w for ws in weights.values() for w in ws.values()
     )
-    return entries, {kc: _numerators(ws, dw) for kc, ws in weights.items()}, dv * dw
+    return entries, {kc: numerators(ws, dw) for kc, ws in weights.items()}, dv * dw
 
 
 @lru_cache(maxsize=None)
@@ -697,7 +668,7 @@ def _bracket_plan(kind, key1, i, key2, j, colour):
     n1, c1 = key_arity(key1), key_closed(key1)
     n2 = key_arity(key2)
     nx1, nx2, ny1 = (n1 - 1, n2 - 1, c1) if colour == "open" else (n1, n2, c1 - 1)
-    return (key_of(kind, rep_out), _word_getter(invert_perm(sigma)),
+    return (key_of(kind, rep_out), word_getter(invert_perm(sigma)),
             inversion_masks(sigma), nx1, nx1 + nx2, nx1 + nx2 + ny1)
 
 
@@ -723,12 +694,13 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     colours = ("open", "closed") if kind == "qoc" else ("open",)
     fx, wx, dx = _integer_factor(x, colours)
     fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
-    pairing, dp = _integer_pairing(x, colours)
+    dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
     raw: dict = {}
     for colour in colours:
         closed = colour == "closed"
-        off = _glued_space(x, colour)[1]
-        rows = pairing[colour]
+        space, off = _glued_space(x, colour)
+        rows = space.pairing.int_rows
+        share = dp // space.pairing.den  # the colour's share of the common lcm
         seconds = []
         for key2, entries in fy.items():
             n2 = key_arity(key2)
@@ -748,7 +720,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
             n1 = key_arity(key1)
             for i, weight in wx[key1, colour].items():
                 firsts = _split_at_end(entries, n1, n1 * closed + i, colour,
-                                       -weight, table, parities, off)
+                                       -weight * share, table, parities, off)
                 for key2, j, buckets in seconds:
                     _bracket_join(raw, _bracket_plan(kind, key1, i, key2, j, colour),
                                firsts, buckets, rows, closed)
@@ -1048,7 +1020,7 @@ def _herbst_plan(bseq, g):
             _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks,
                                         0, "stable")
             at = apply_perm_to_word(perm, sources)
-            parts.append((key, _word_getter(at)))
+            parts.append((key, word_getter(at)))
             targets += at
         terms.append((scale, tuple(parts),
                       inversion_masks(invert_perm(targets))))
@@ -1138,7 +1110,7 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
     odd_args = odd_mask(args, parities) << 2
     pairs = [
         ((d, e) + args, odd_args | parities[d] | parities[e] << 1, c)
-        for d, row in enumerate(_pair_rows(space)) for e, c in row
+        for d, row in enumerate(space.pairing.rows) for e, c in row
     ]
     tensor = data.tensor
     acc = ZERO
@@ -1206,7 +1178,7 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                             denom *= l
                         _, vkey, vperm = _vertex_plan(data.kind, g, b, comp, 0,
                                                       "stable")
-                        back = _word_getter(vperm)
+                        back = word_getter(vperm)
                         for target in data.tensor(vkey):
                             word = back(target)
                             val = string_vertex_F(data, g, b, comp, word)

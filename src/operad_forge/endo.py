@@ -15,24 +15,18 @@ reads every stored word once, as it is stored.  Results are independent of
 the assignment chosen, which `tests/test_endo.py` exercises explicitly.
 
 The joins sum integer numerators: each factor's entries over the lcm of
-their denominators and the inverse pairing over the lcm of its own, so a
-result is over the product of those lcms.
+their denominators and the inverse pairing over the lcm of its own (the
+integer part of the glued space's ``pairing`` record), so a result is over
+the product of those lcms.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
 
-from ._kernels import odd_mask, precompose_entries
+from ._kernels import lcm_of_denominators, odd_mask, precompose_entries, word_getter
 from .errors import LabelCollision, LabelMismatch, MissingLabel, SingularOmega
-from .graded import (
-    GradedSymplecticSpace,
-    MultiFunctional,
-    contraction_pair,
-    functional_differential,
-)
+from .graded import GradedSymplecticSpace, MultiFunctional, functional_differential
 
 __all__ = [
     "endo_relabel",
@@ -48,52 +42,6 @@ __all__ = [
 ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
-def _pair_matrix(space: GradedSymplecticSpace):
-    return contraction_pair(space).coefficients
-
-
-@lru_cache(maxsize=None)
-def _pair_rows(space: GradedSymplecticSpace):
-    """Per row of the inverse pairing, its nonzero (column, coefficient)s."""
-    return tuple(
-        tuple((e, c) for e, c in enumerate(row) if c) for row in _pair_matrix(space)
-    )
-
-
-def _pairing(space: GradedSymplecticSpace):
-    """``(_pair_matrix(space), _pair_rows(space))``, looked up once per space
-    object and kept on it.  Those caches are keyed by value: a lookup with a
-    space that equals the cached key but is another object (one read back
-    from JSON) compares both Fraction matrices, so each object pays that
-    once, and equal spaces still share one cache entry."""
-    memo = space.__dict__
-    got = memo.get("_pairing")
-    if got is None:
-        got = memo["_pairing"] = (_pair_matrix(space), _pair_rows(space))
-    return got
-
-
-def _integer_pairing(space: GradedSymplecticSpace):
-    """``(matrix, rows, den)``: the inverse pairing as integer numerators
-    over the lcm ``den`` of its denominators, laid out as in ``_pairing``.
-
-    Kept on the space object beside ``_pairing``, for the same reason: a
-    cache keyed by the space would compare an equal space read back from
-    JSON with its key on every call."""
-    memo = space.__dict__
-    got = memo.get("_integer_pairing")
-    if got is None:
-        matrix = _pairing(space)[0]
-        den = math.lcm(*{c.denominator for row in matrix for c in row})
-        matrix = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                       for row in matrix)
-        rows = tuple(tuple((e, c) for e, c in enumerate(row) if c)
-                     for row in matrix)
-        got = memo["_integer_pairing"] = (matrix, rows, den)
-    return got
-
-
 def _slots(f: MultiFunctional, opens, closeds):
     """Slot indices for colour-tagged label sequences."""
     no = len(f.labels)
@@ -105,16 +53,6 @@ def _slots(f: MultiFunctional, opens, closeds):
 def _reorder_slots(f: MultiFunctional, slot_order) -> dict:
     """Entries of f with slots rearranged along ``slot_order``."""
     return precompose_entries(f.entries, tuple(slot_order), f.degree_table)
-
-
-def _picker(slots):
-    """The function taking a word to the tuple of its letters at ``slots``."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    if slots:
-        (i,) = slots
-        return lambda w: (w[i],)
-    return lambda w: ()
 
 
 class _SignForm:
@@ -172,16 +110,12 @@ def _form_at(rows, linear, z):
     return ((acc ^ linear) & z).bit_count() & 1, acc
 
 
-def _lcm_of_denominators(entries: dict) -> int:
-    return math.lcm(*{v.denominator for v in entries.values()})
-
-
 def _signed_numerators(entries: dict, parities, rows, linear):
     """The entries as ``(word, numerator, odd mask, acc)`` over the lcm of
     their denominators, and that lcm; each numerator carries the sign of
     the form ``rows``, ``linear`` at its word, and acc is as in
     ``_form_at``."""
-    den = _lcm_of_denominators(entries)
+    den = lcm_of_denominators(entries.values())
     at: dict = {}  # the form per odd mask; a word has few distinct ones
     out = []
     for w, v in entries.items():
@@ -270,7 +204,7 @@ def endo_compose_raw(f: MultiFunctional, a, g: MultiFunctional, b,
     glue_space = f.space if colour == "open" else f.cspace
     if glue_space is None:
         raise MissingLabel("no closed space present")
-    _, rows, den_p = _integer_pairing(glue_space)
+    rows, den_p = glue_space.pairing.int_rows, glue_space.pairing.den
     off = 0 if colour == "open" else f.space.dim
     nf, ng = f.arity, g.arity
     x1, y1 = _slots(f, lo1, ()), _slots(f, (), lc1)
@@ -299,7 +233,7 @@ def endo_compose_raw(f: MultiFunctional, a, g: MultiFunctional, b,
     at_closed = dict(zip(lc1 + lc2, y1 + y2))
     final = [at_open[l] for l in labels] + [at_closed[l] for l in clabels]
     form.add_move(x1 + x2 + y1 + y2, final)
-    pick = _picker(final)
+    pick = word_getter(final)
     parities = tuple(k % 2 for k in f.degree_table)
     low = (1 << nf) - 1
     F, den_f = _signed_numerators(f.entries, parities, form.rows[:nf],
@@ -355,7 +289,7 @@ def endo_contract_raw(f: MultiFunctional, a, b, colour: str = "open"):
     lo = [l for l in f.labels if colour == "closed" or l not in (a, b)]
     lc = [l for l in f.clabels if colour == "open" or l not in (a, b)]
     glue_space = f.space if colour == "open" else f.cspace
-    P, _, den_p = _integer_pairing(glue_space)
+    P, den_p = glue_space.pairing.int_matrix, glue_space.pairing.den
     off = 0 if colour == "open" else f.space.dim
     n = f.arity
     x, y = _slots(f, lo, ()), _slots(f, (), lc)
@@ -371,10 +305,10 @@ def endo_contract_raw(f: MultiFunctional, a, b, colour: str = "open"):
     if colour == "closed":
         form.add_product((sa, sb), x)  # the pair moves past the opens
     # the kept slots are in stored order, which is ascending per colour
-    pick = _picker(x + y)
+    pick = word_getter(x + y)
     parities = tuple(k % 2 for k in f.degree_table)
     rows, linear = form.rows, form.linear
-    den_f = _lcm_of_denominators(f.entries)
+    den_f = lcm_of_denominators(f.entries.values())
     at: dict = {}
     out: dict = {}
     get = out.get

@@ -57,8 +57,6 @@ from .combinatorics import (
     trim_bseq,
 )
 from .endo import (
-    _pair_matrix,
-    _pair_rows,
     endo_compose_raw,
     endo_contract_raw,
     endo_sum_raw,
@@ -417,11 +415,11 @@ def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
     check_key(data.kind, key)
     space = data.space
     table = space.degrees
-    rows = _pair_rows(space)
+    rows = space.pairing.rows
     R = dict(functional_differential(data.functional(key)).entries)
     if genus >= 1:
         _self_glue(R, data.tensor(LoopKey(n + 2, genus - 1)), 0,
-                   _pair_matrix(space), table)
+                   space.pairing.matrix, table)
     labels = list(range(1, n + 1))
     for n1 in range(n + 1):
         n2 = n - n1
@@ -448,7 +446,7 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
     check_key(data.kind, key)
     space = data.space
     table = space.degrees
-    rows = _pair_rows(space)
+    rows = space.pairing.rows
     R = dict(functional_differential(data.functional(key)).entries)
     for l in range(2, n - 1):
         acc = _glue_join(data.tensor(CyclicKey(l + 1)),
@@ -505,7 +503,7 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
     rep = representative(key)
     space = data.space
     table = space.degrees + (data.closed_space.degrees if two else ())
-    P = _pair_matrix(space)
+    P = space.pairing.matrix
     R = dict(functional_differential(data.functional(key)).entries)
     # the preimages live on [n+2] with 1 and 2 the glued ends
     shifted = tuple(tuple(l + 2 for l in c) for c in rep.cycles)
@@ -546,7 +544,7 @@ def _closed_self_glue(data, key, table, R):
     if rep.g < 1:
         return
     Tc = data.tensor(QocKey(key.bseq, rep.g - 1, key_closed(key) + 2))
-    _self_glue(R, Tc, key_arity(key), _pair_matrix(data.closed_space), table,
+    _self_glue(R, Tc, key_arity(key), data.closed_space.pairing.matrix, table,
                off=data.space.dim)
 
 
@@ -587,9 +585,9 @@ def _glue_splittings(data, key, table, tie, R, colour):
     n = key_arity(key)
     closed_labels = range(1, key_closed(key) + 1)
     if colour == "open":
-        rows, off, cases = _pair_rows(data.space), 0, op._open_splittings
+        rows, off, cases = data.space.pairing.rows, 0, op._open_splittings
     else:
-        rows = _pair_rows(data.closed_space)
+        rows = data.closed_space.pairing.rows
         off, cases = data.space.dim, op._closed_splittings
     built = {}
 
@@ -830,7 +828,7 @@ def hom_bracket(F: dict, G: dict, space, deg_F: int = 0, deg_G: int = 0) -> dict
     paired basis vectors bridging the two, minus the sign-twisted swap.
     With a single degree-0 cyclic family f this yields d(f) = [f,f]/2.
     """
-    P = _pair_matrix(space)
+    P = space.pairing.matrix
     table = space.degrees
     dim = space.dim
     out: dict = {}
@@ -893,7 +891,7 @@ def multiplication_maps(data: AlgebraData) -> dict:
     space = data.space
     table = space.degrees
     dim = space.dim
-    P = _pair_matrix(space)
+    P = space.pairing.matrix
     out = {}
     for key in data.maps:
         n = key.n - 1

@@ -9,19 +9,33 @@ permutations.
 
 Matrix conventions: ``differential[i][j]`` is the coefficient of basis
 vector ``i`` in ``d(a_j)``; ``omega[i][j] = omega(a_i, a_j)``.
+
+Each space keeps its inverse pairing in one ``pairing`` record, computed
+on first use and held by the space object: the ``contraction_pair``
+matrix, its nonzero rows, and both again as integer numerators over the
+lcm of their denominators.  Every gluing reads it there.  A space whose
+omega is singular still constructs, so ``validate_space`` can report it;
+reading its ``pairing`` raises ``SingularOmega``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
-from ._kernels import apply_perm_to_word, koszul_sign, precompose_entries
+from ._kernels import (
+    apply_perm_to_word,
+    koszul_sign,
+    lcm_of_denominators,
+    precompose_entries,
+)
 from .errors import LabelMismatch, SingularOmega
 
 __all__ = [
     "GradedSymplecticSpace",
+    "Pairing",
     "ContractionPair",
     "MultiFunctional",
     "validate_space",
@@ -89,6 +103,23 @@ def invert_matrix(m: Sequence[Sequence[Fraction]]):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+class Pairing(NamedTuple):
+    """The inverse pairing of a space: ``matrix`` holds the coefficients of
+    ``contraction_pair``, ``rows`` the nonzero (column, coefficient)s of
+    each of its rows, and ``int_matrix`` and ``int_rows`` the same values as
+    integer numerators over ``den``, the lcm of their denominators."""
+
+    matrix: tuple
+    rows: tuple
+    int_matrix: tuple
+    int_rows: tuple
+    den: int
+
+
+def _nonzero_rows(matrix) -> tuple:
+    return tuple(tuple((e, c) for e, c in enumerate(row) if c) for row in matrix)
+
+
 @dataclass(frozen=True)
 class GradedSymplecticSpace:
     basis_names: tuple
@@ -101,26 +132,21 @@ class GradedSymplecticSpace:
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         object.__setattr__(self, "differential", _as_matrix(self.differential))
         object.__setattr__(self, "omega", _as_matrix(self.omega))
-        # Spaces key lru caches (``endo._pair_matrix``, ``endo._pair_rows``);
-        # hashing the Fraction matrices once here, not on every lookup, keeps
-        # those lookups cheap.  Equality stays field-wise, so ``endo._pairing``
-        # keeps each object's lookup on the object.
-        object.__setattr__(self, "_hash", hash(
-            (self.basis_names, self.degrees, self.differential, self.omega)
-        ))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__, so an unpickled copy rehashes its strings
-        # under the receiving interpreter's hash seed.
-        return type(self), (self.basis_names, self.degrees, self.differential,
-                            self.omega)
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def pairing(self) -> Pairing:
+        """The inverse pairing, computed on first use and kept on this object;
+        raises ``SingularOmega`` when omega is singular."""
+        matrix = contraction_pair(self).coefficients
+        den = lcm_of_denominators(c for row in matrix for c in row)
+        int_matrix = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                           for row in matrix)
+        return Pairing(matrix, _nonzero_rows(matrix), int_matrix,
+                       _nonzero_rows(int_matrix), den)
 
 
 def validate_space(space: GradedSymplecticSpace) -> list[str]:

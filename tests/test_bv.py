@@ -595,6 +595,26 @@ class TestCommonDenominator:
         assert got.terms and got.terms == _reference_delta(a).terms
         assert _all_nonzero_fractions(got)
 
+    def test_per_colour_pairing_denominator(self):
+        """Open pairing over 9, closed pairing over 1: each colour's integer
+        pairing is over its own lcm, so the closed joins must carry the
+        factor 9 of the common one."""
+        space, cspace = _mixed_space([-1, -1]), G.block_space([0, 0])
+        assert (space.pairing.den, cspace.pairing.den) == (9, 1)
+        keys = FT.enumerate_keys("qoc", 3, 2)
+        rng = random.Random("per-colour pairing")
+        a = _coprime_element(rng, "qoc", space, cspace, keys, "mixed")
+        b = _coprime_element(rng, "qoc", space, cspace, keys, 1)
+        for x, y in ((a, b), (a, a)):
+            assert _reference_bracket(x, y, colours=("closed",)).terms
+            got, ref = bv.bv_bracket(x, y), _reference_bracket(x, y)
+            assert got.terms and got.terms == ref.terms
+            assert _all_nonzero_fractions(got)
+        assert _reference_delta(a, colours=("closed",)).terms
+        got = bv.bv_delta(a)
+        assert got.terms and got.terms == _reference_delta(a).terms
+        assert _all_nonzero_fractions(got)
+
     @pytest.mark.parametrize("kind, max_n, max_genus2", [
         ("loop", 4, 4), ("cyclic_ainfty", 4, 0), ("quantum_ainfty", 3, 4),
     ])
@@ -886,7 +906,7 @@ def _reference_herbst_residual(data, bseq, g, args, families=None):
     space = data.space
     table = space.degrees
     dim = space.dim
-    P = endo._pair_matrix(space)
+    P = space.pairing.matrix
     slot_of = {}
     for c in cyc:
         for l in c:

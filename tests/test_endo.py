@@ -355,7 +355,8 @@ class TestCommonDenominator:
         assert {c.denominator for row in G.contraction_pair(M).coefficients
                 for c in row if c} == {9}
         W = G.rich_space(4)
-        cases = [(W, M)] if colour == "closed" else [(M, W), (M, M)]
+        B = G.block_space([0, 0])  # a qoc pair (M, B) with pairings over 9 and 1
+        cases = [(W, M), (M, B)] if colour == "closed" else [(M, W), (M, M), (M, B)]
         rng = random.Random(seed)
         contracted = 0
         for space, cspace in cases:

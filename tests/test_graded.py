@@ -1,6 +1,7 @@
 """Spaces, functionals, slot assignments and the differential."""
 import itertools
 import json
+import math
 import pickle
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from operad_forge import endo
 from operad_forge import graded as G
 from operad_forge._kernels import precompose_entries
+from operad_forge.errors import SingularOmega
 
 
 def two_dim(omega=None, degrees=(0, 1), diff=None):
@@ -149,6 +151,43 @@ class TestFunctionalDifferential:
             assert ddf.is_zero()
 
 
+    @pytest.mark.parametrize("two", [False, True])
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    def test_dense_leibniz(self, two, degree):
+        """The sparse push-forward against the Leibniz sum taken one output
+        word u at a time:  (df)(u) = sum over slots i and letters k of
+        (-1)^(|f| + |u_1| + ... + |u_(i-1)|) d[k][u_i] f(u with u_i -> k),
+        closed letters offset by dim and acted on by the closed d."""
+        space = G.rich_space(4, with_differential=True)
+        dim = space.dim
+        table = space.degrees * (2 if two else 1)
+        rng = random.Random(f"dense {two} {degree}")
+        compared = 0
+        for arity in (1, 2, 3):
+            for nc in range(1, arity + 1) if two else (0,):
+                f = G.random_functional(
+                    rng, space, range(1, arity - nc + 1), degree=degree,
+                    cspace=space if two else None, clabels=range(1, nc + 1),
+                )
+                letters = [range(dim)] * (arity - nc) + [range(dim, 2 * dim)] * nc
+                want = {}
+                for u in itertools.product(*letters):
+                    acc = Fr(0)
+                    for i, ui in enumerate(u):
+                        off = dim if ui >= dim else 0
+                        sign = -1 if (degree + sum(table[k] for k in u[:i])) % 2 else 1
+                        for k in range(dim):
+                            c = space.differential[k][ui - off]
+                            if c:
+                                acc += sign * c * f.value(u[:i] + (k + off,) + u[i + 1:])
+                    if acc:
+                        want[u] = acc
+                got = G.functional_differential(f)
+                assert got.entries == want and got.degree == degree + 1
+                compared += len(want)
+        assert compared
+
+
 class TestSpaceJson:
     def test_round_trip(self):
         space = G.rich_space(4, with_differential=True)
@@ -165,41 +204,49 @@ class TestSpaceJson:
 class TestSpaceHash:
     def test_equal_spaces_share_hash_and_cache_entry(self):
         """Spaces built separately from equal data hash equal, compare equal
-        and hit the same entry of a space-keyed lru cache."""
+        and get equal inverse pairing records."""
         space = G.rich_space(4, with_differential=True)
         copy = G.space_from_json(json.loads(json.dumps(G.space_to_json(space))))
         assert copy is not space and copy.omega is not space.omega
         assert copy == space and hash(copy) == hash(space)
-        first = endo._pair_matrix(space)
-        before = endo._pair_matrix.cache_info()
-        assert endo._pair_matrix(copy) is first
-        after = endo._pair_matrix.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert copy.pairing == space.pairing
         assert two_dim(omega=[[0, 2], [-2, 0]]) != two_dim()
 
     def test_pairing_kept_per_space_object(self):
-        """``endo._pairing`` looks each space object up in the value-keyed
-        caches once: an equal copy gets the cached matrix and rows
-        themselves, and a second call on either object makes no lookup."""
+        """The inverse pairing is computed once per space object, on first
+        use: an equal copy read back from JSON gets an equal record of its
+        own, and a singular omega raises only when the record is read."""
         space = G.rich_space(4, with_differential=True)
         copy = G.space_from_json(json.loads(json.dumps(G.space_to_json(space))))
-        matrix, rows = endo._pair_matrix(space), endo._pair_rows(space)
-        got = endo._pairing(copy)
-        assert got[0] is matrix and got[1] is rows
-        before = (endo._pair_matrix.cache_info(), endo._pair_rows.cache_info())
-        assert endo._pairing(copy) is got
-        assert endo._pairing(space) == got
-        assert endo._pairing(space) is endo._pairing(space)
-        after = (endo._pair_matrix.cache_info(), endo._pair_rows.cache_info())
-        assert after[0].hits + after[1].hits == before[0].hits + before[1].hits + 2
+        rec = space.pairing
+        assert copy.pairing == rec and copy.pairing is not rec
+        assert space.pairing is rec and copy.pairing is copy.pairing
+        for V in (space, two_dim(omega=[[0, Fr(2, 3)], [Fr(-2, 3), 0]])):
+            rec = V.pairing
+            assert rec.matrix == G.contraction_pair(V).coefficients
+            assert rec.rows == tuple(
+                tuple((j, c) for j, c in enumerate(row) if c) for row in rec.matrix
+            )
+            assert rec.den == math.lcm(*(c.denominator for row in rec.matrix
+                                         for c in row))
+            assert all(rec.int_matrix[i][j] == rec.matrix[i][j] * rec.den
+                       for i in range(V.dim) for j in range(V.dim))
+            assert all(type(c) is int for row in rec.int_matrix for c in row)
+            assert rec.int_rows == tuple(
+                tuple((j, c) for j, c in enumerate(row) if c)
+                for row in rec.int_matrix
+            )
+        assert rec.den == 2
+        singular = two_dim(omega=[[0, 0], [0, 0]])
+        assert "omega is singular" in G.validate_space(singular)
+        with pytest.raises(SingularOmega):
+            singular.pairing
         assert pickle.loads(pickle.dumps(copy)) == copy
 
-    def test_pickle_rebuilds_through_init(self):
-        """An unpickled space is built by ``__init__``, so its hash is taken
-        from its fields in the receiving interpreter, not copied."""
+    def test_pickle_round_trip(self):
+        """An unpickled space equals the original and hashes equal, its hash
+        taken from its fields in the receiving interpreter."""
         space = G.rich_space(4)
-        cls, args = space.__reduce__()
-        assert cls is G.GradedSymplecticSpace and cls(*args) == space
         back = pickle.loads(pickle.dumps(space))
         assert back == space and hash(back) == hash(space)
 
