@@ -13,49 +13,85 @@ there too.
 The instances evaluated are fewer, chosen so that they imply the rest.
 Axioms 2, 3 and 4 run first, then 1 and 5-8.
 
+- **Axiom 3 on a small generating set.**  Once axiom 2 has passed on all
+  pairs, any generating set of the relabellings will do.  If gluing is
+  equivariant for rho and for sigma at every element and end, then
+  (x o_a y).(rho sigma u 1) = ((x o_a y).(sigma u 1)).(rho u 1) by axiom 2,
+  = (x.sigma o_{sigma(a)} y).(rho u 1), = (x.sigma).rho o_{rho sigma(a)} y
+  = x.(rho sigma) o y by axiom 2; x.sigma and its end sigma(a) are checked
+  because the basis is closed under relabelling and every end is glued.
+  So the reduced check takes, for each colour's sorted labels
+  l1 < ... < ln, the identity, (l1 l2) and (l1 l2 ... ln) (``_label_maps``)
+  instead of every transposition.  Axiom 4 keeps every transposition: it
+  contracts at pairs a < b, and the same step would need the check at
+  (x.sigma, sigma(a), sigma(b)), a pair that sigma can reverse.  Every
+  transposition includes (a b), which ties each reversed pair to the pair
+  in order (below).
 - **Axiom 3 on split generators.**  For each (x, a, y, b) the pairs
   (rho, id), for every generator rho of x, and (id, sigma), for every
   non-identity generator sigma of y, are checked: |gx| + |gy| - 1
   instances instead of |gx| * |gy|.  Every pair follows:
   (x o y).(rho u sigma) = ((x o y).(1 u sigma)).(rho u 1) by axiom 2,
   = (x o y.sigma).(rho u 1) by axiom 3 at (x, y), = x.rho o y.sigma by
-  axiom 3 at (x, y.sigma).  The last step is checked because y.sigma is in
-  the same basis: the basis is closed under relabelling.  This runs only
+  axiom 3 at (x, y.sigma), y.sigma being in the basis too.  This runs only
   once axiom 2 has passed.
-- **Axioms 1 and 5-8 on orbit representatives.**  Once axioms 2, 3 and 4
-  have passed, both sides of each of these axioms transform by the same
-  relabelling of the result when the factors are relabelled, and a
-  relabelling is invertible.  So an instance fails exactly when its image
-  under the product of the factors' relabelling groups fails, and the
-  failure set is a union of orbits.  Each factor's basis is therefore
-  reduced to the first element of each orbit, with all of its ends kept.
-  Within one corolla an orbit is the set of elements with the same cycle
-  lengths, empty boundaries, genus and closed count (``_orbit_key``).
+- **Axioms 1 and 5-8 on orbits.**  Once axioms 2, 3 and 4 have passed,
+  both sides of each of these axioms transform by the same relabelling of
+  the result when the factors and their ends are relabelled, and a
+  relabelling is invertible.  So on a set of instances that relabelling
+  maps to itself, the failures form a union of orbits, and one instance
+  per orbit decides.  Each factor's basis is reduced to the first element
+  x of each orbit: within one corolla, the elements with the same cycle
+  lengths, empty boundaries, genus and closed count (``_orbit_key``).  A
+  relabelling tau in the stabilizer of x (x.tau = x) maps an instance at x
+  to the instance at x with tau applied to the ends it glues or contracts
+  at x, so x keeps only the first tuple of those ends in each orbit of its
+  stabilizer (``_end_orbits``).  The stabilizer's generators
+  (``_stabilizer``) are checked with ``relabel``, and an element whose
+  check fails keeps all of its end tuples.
+  Axioms 1, 6 and 8 take every tuple of distinct ends of the given
+  colours, so their instance sets are invariant.  Axioms 5 and 7 contract
+  at end pairs listed once, as a < b.  That set is not invariant: a
+  relabelling can reverse a pair, so an instance at another element of the
+  orbit can be one at x with a pair reversed, and no axiom says that
+  contraction is symmetric in its two ends.  At x they therefore take
+  every order of each pair, which is invariant.  Contraction with its ends
+  reversed is equivariant too, by axioms 2 and 4, since
+  contract(x, b, a) = contract(x.(a b), a, b) for a < b by axiom 4 at the
+  transposition (a b), which its loop checks at every element.
 - **Fallback.**  An axiom whose reduced check fails is run again by its
   exhaustive loop; if axiom 2, 3 or 4 fails, axioms 1 and 5-8 (and 3,
-  after a failure of 2) run exhaustively from the start.  ``failures`` is
-  then the exhaustive list, so a broken ``relabel`` cannot hide a broken
+  after a failure of 2) run exhaustively from the start.  ``failures``
+  is then the exhaustive list, so a broken ``relabel`` cannot hide a broken
   ``_compose``.
 
 ``AxiomReport.checked`` and ``per_axiom`` count the instances evaluated;
-``covered`` gives, per axiom, the instances they stand for: the product of
-the factors' orbit sizes summed over the evaluated instances, or
-|gx| * |gy| per (x, a, y, b) for axiom 3.  It equals the exhaustive count.
+``covered`` gives, per axiom, the instances they stand for.  For axioms 1
+and 5-8 that is, summed over the evaluated instances, the product over
+their factors of the element's orbit size times the number of end tuples
+in the orbit of its end tuple that the exhaustive loop lists (for axioms
+5 and 7, those with each pair in order; one orbit may hold none, but all
+orbits of x together hold the ones of x).  For axiom 3 it is the product
+of the numbers of transposition generators of x and y per (x, a, y, b).
+It equals the exhaustive count.  Generators of only a subgroup of a stabilizer
+would leave smaller orbits, so more instances, but the same count.
 
 What depends on one element only is computed once, not once per instance:
-each element's ends per colour (axioms 1 and 3-8, before the product loops),
-its relabellings by every slot permutation (axiom 2, ``_ActionTable``) and,
-for axiom 3, its generator maps, its relabelling by each generator and each
-generator's map with each end dropped (``_glue_data``, once per element and
-colour in one verifier run).  The gluing memo lives for one axiom check:
-each check memoizes the uncached ``_compose`` and ``_contract`` bodies it
-finds in ``operads`` when it starts (``_memo``) and drops that memo when
-it returns, so the process-wide caches keep no verifier entries.
+each element's stabilizer and end orbits (axioms 1 and 5-8, once per
+corolla, label offsets and colours in one check), its relabellings by
+every slot permutation (axiom 2, ``_ActionTable``) and, for axiom 3, its
+generator maps, its relabelling by each generator and each generator's map
+with each end dropped (``_glue_data``, once per element and colour in one
+verifier run).  The gluing memo lives for one axiom check: each check memoizes the
+uncached ``_compose`` and ``_contract`` bodies it finds in ``operads`` when
+it starts (``_memo``) and drops that memo when it returns, so the
+process-wide caches keep no verifier entries.
 """
 from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,27 +146,18 @@ class AxiomReport:
 
 
 def _corollas(kind, max_n, max_genus2, extended):
+    """The stable corollas within the bounds whose basis is not empty."""
     out = []
-    if kind == "qoc":
-        for o in range(0, max_n + 1):
-            for c in range(0, max_n + 1 - o):
-                for g2 in range(0, max_genus2 + 1):
-                    try:
-                        op.basis("qoc", range(1, o + 1), g2,
-                                 closed=range(1, c + 1), extended=extended)
-                    except Unstable:
-                        continue
-                    out.append((o, c, g2))
-        return out
-    for n in range(0, max_n + 1):
-        for g2 in range(0, max_genus2 + 1, 2):
-            if kind == "ass" and g2 > 0:
-                continue
-            try:
-                op.basis(kind, range(1, n + 1), g2)
-            except Unstable:
-                continue
-            out.append((n, 0, g2))
+    for o in range(0, max_n + 1):
+        for c in range(0, max_n + 1 - o if kind == "qoc" else 1):
+            for g2 in range(0, max_genus2 + 1, 1 if kind == "qoc" else 2):
+                if kind == "ass" and g2 > 0:
+                    continue
+                try:
+                    if _basis(kind, (o, c, g2), extended):
+                        out.append((o, c, g2))
+                except Unstable:
+                    pass
     return out
 
 
@@ -165,28 +192,30 @@ def _orbit_key(x):
 
 
 def _factors(kind, shape, extended, offset_o=0, offset_c=0, reduced=False):
-    """The basis of one corolla as (element, ends per colour, weight): every
-    element with weight 1, or with ``reduced`` the first element of each
-    orbit with the orbit's size."""
+    """The basis of one corolla as (element, weight): every element with
+    weight 1, or with ``reduced`` the first element of each orbit with the
+    orbit's size."""
     xs = _basis(kind, shape, extended, offset_o, offset_c)
-    if reduced:
-        orbits = {}
-        for x in xs:
-            orbits.setdefault(_orbit_key(x), []).append(x)
-        weighted = [(members[0], len(members)) for members in orbits.values()]
-    else:
-        weighted = [(x, 1) for x in xs]
-    return [(x, {c: _ends(x, c) for c in _colours(kind)}, w) for x, w in weighted]
+    if not reduced:
+        return [(x, 1) for x in xs]
+    orbits = {}
+    for x in xs:
+        orbits.setdefault(_orbit_key(x), []).append(x)
+    return [(members[0], len(members)) for members in orbits.values()]
 
 
-def _transposition_maps(labels):
+def _label_maps(labels, small=False):
+    """The identity, then every transposition of the sorted ``labels``, or
+    with ``small`` only (l1 l2) and the cycle l1 -> l2 -> ... -> ln -> l1
+    (when n > 2), which generate the same group."""
     labels = sorted(labels)
-    maps = [{l: l for l in labels}]
-    for i, j in itertools.combinations(labels, 2):
-        m = {l: l for l in labels}
-        m[i], m[j] = j, i
-        maps.append(m)
-    return maps
+    moves = [{i: j, j: i} for i, j in itertools.combinations(labels, 2)]
+    if small:
+        moves = moves[:1]
+        if len(labels) > 2:
+            moves.append(dict(zip(labels, labels[1:] + labels[:1])))
+    ident = {l: l for l in labels}
+    return [ident] + [{**ident, **m} for m in moves]
 
 
 def _perm_maps(labels):
@@ -194,20 +223,88 @@ def _perm_maps(labels):
     return [dict(zip(labels, p)) for p in itertools.permutations(labels)]
 
 
-def _generator_maps(kind, x):
+def _generator_maps(kind, x, small=False):
     """Pairs (open map, closed map) generating the relabelling group, the
-    identity first."""
+    identity first: ``_label_maps`` of each colour."""
     if kind == "qoc":
-        out = []
-        ids_c = {l: l for l in op.closed_labels(x)}
         ids_o = {l: l for l in op.open_labels(x)}
-        for m in _transposition_maps(op.open_labels(x)):
-            out.append((m, ids_c))
-        for m in _transposition_maps(op.closed_labels(x)):
-            if m != ids_c:
-                out.append((ids_o, m))
+        ids_c = {l: l for l in op.closed_labels(x)}
+        return [(m, ids_c) for m in _label_maps(op.open_labels(x), small)] + [
+            (ids_o, m) for m in _label_maps(op.closed_labels(x), small)[1:]]
+    return [(m, {}) for m in _label_maps(x.labels, small)]
+
+
+def _stabilizer(kind, x):
+    """Generators (colour, moved labels) of the relabellings that fix x: a
+    rotation of each cycle of length >= 2, the aligned swap of each two
+    consecutive cycles of one length, and the adjacent transpositions of
+    the closed labels (of all labels for ``qc``).  Each is checked with
+    ``relabel``; if one moves x, there are none."""
+    cycles = () if kind == "qc" else x.cycles
+    gens = [("open", dict(zip(c, c[1:] + c[:1]))) for c in cycles if len(c) > 1]
+    gens += [("open", {**dict(zip(c, d)), **dict(zip(d, c))})
+             for c, d in zip(cycles, cycles[1:]) if len(c) == len(d)]
+    closed, ls = "closed" if kind == "qoc" else "open", sorted(op.closed_labels(x))
+    gens += [(closed, {i: j, j: i}) for i, j in zip(ls, ls[1:])]
+    ids = {c: {l: l for l in _ends(x, c)} for c in _colours(kind)}
+    for colour, move in gens:
+        maps = {**ids, colour: {**ids[colour], **move}}
+        if _relabel(kind, x, maps["open"], maps.get("closed")) != x:
+            return ()
+    return gens
+
+
+def _in_order(t, ordered):
+    """Whether t[i] < t[j] for each pair of positions (i, j) in ``ordered``."""
+    return all(t[i] < t[j] for i, j in ordered)
+
+
+def _orbits(tuples, cols, gens, weight, ordered=()):
+    """The first of ``tuples`` in each orbit under ``gens``, each with
+    ``weight`` times the number of tuples of its orbit that are in order
+    (``_in_order``); position i of a tuple holds an end of colour
+    ``cols[i]``."""
+    out, seen = [], set()
+    for t in tuples:
+        if t in seen:
+            continue
+        orbit, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            for colour, move in gens:
+                v = tuple(move.get(l, l) if c == colour else l for c, l in zip(cols, u))
+                if v not in orbit:
+                    orbit.add(v)
+                    todo.append(v)
+        seen |= orbit
+        out.append((t, weight * sum(_in_order(u, ordered) for u in orbit)))
+    return out
+
+
+def _end_orbits(kind, extended, reduced):
+    """For one check of an axiom 1 or 5-8: a function from (shape, label
+    offsets, colours, ``ordered``) to the factors of ``_factors`` that have
+    a tuple of distinct ends of those colours, each with its tuples in
+    orbits of its stabilizer's generators (none unless ``reduced``), built
+    once each.  Without ``reduced``, only the tuples in order are listed:
+    those the exhaustive loop takes."""
+    stabilizer = lru_cache(maxsize=None)(
+        lambda x: _stabilizer(kind, x) if reduced else ())
+
+    @lru_cache(maxsize=None)
+    def factors(shape, offset_o, offset_c, cols, ordered=()):
+        out = []
+        for x, w in _factors(kind, shape, extended, offset_o, offset_c, reduced):
+            tuples = [t for t in itertools.product(*(_ends(x, c) for c in cols))
+                      if len(set(zip(cols, t))) == len(t)]
+            if not reduced:
+                tuples = [t for t in tuples if _in_order(t, ordered)]
+            orbits = _orbits(tuples, cols, stabilizer(x), w, ordered)
+            if orbits:
+                out.append((x, orbits))
         return out
-    return [(m, {}) for m in _transposition_maps(x.labels)]
+
+    return factors
 
 
 def _relabel(kind, x, rho_o, rho_c):
@@ -277,25 +374,27 @@ def _pairs(corollas, max_n, max_genus2, extra_genus2=0):
 
 
 def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Gluing is symmetric in its two factors.  Like ``_ax5``-``_ax8``, it
-    returns the number of instances covered, and with ``reduced`` runs on
-    each factor's orbit representatives only."""
+    """Gluing is symmetric in its two factors.  Like ``_ax3`` and
+    ``_ax5``-``_ax8``, it returns the number of instances covered; with
+    ``reduced`` it runs on orbits of each factor and of its ends (module
+    docstring)."""
     compose = _memo(op._compose)
+    factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        xs = _factors(kind, s1, extended, reduced=reduced)
-        ys = _factors(kind, s2, extended, s1[0], s1[1], reduced)
         for colour in _colours(kind):
-            for (x, ex, wx), (y, ey, wy) in itertools.product(xs, ys):
-                n0 = report.checked
-                for a in ex[colour]:
-                    for b in ey[colour]:
+            cols = (colour,)
+            for (x, ox), (y, oy) in itertools.product(
+                factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
+            ):
+                for (a,), wa in ox:
+                    for (b,), wb in oy:
                         lhs = compose(x, a, y, b, colour, extended)
                         rhs = compose(y, b, x, a, colour, extended)
                         report.checked += 1
+                        covered += wa * wb
                         if lhs != rhs:
                             report.fail(1, (x, a, y, b, colour), lhs, rhs)
-                covered += (report.checked - n0) * wx * wy
     return covered
 
 
@@ -373,11 +472,13 @@ def _ax2(report, kind, corollas, max_n, max_genus2, extended):
                                     table.elems[li], table.elems[ri])
 
 
-def _glue_data(kind, x, colour):
-    """Per end ``a`` of ``x`` in ``colour``: for each generator rho, the
-    relabelled ``x.rho``, the image ``rho(a)`` and rho's open and closed maps
-    with ``a`` dropped (the part of rho that survives the gluing at ``a``)."""
-    gens = _generator_maps(kind, x)
+def _glue_data(kind, x, colour, small):
+    """The number of x's transposition generators (``_generator_maps``
+    without ``small``), and per end ``a`` of ``x`` in ``colour``: for each
+    generator rho (``small`` as in ``_label_maps``), the relabelled
+    ``x.rho``, the image ``rho(a)`` and rho's open and closed maps with
+    ``a`` dropped (the part of rho that survives the gluing at ``a``)."""
+    gens = _generator_maps(kind, x, small)
     moved = [_relabel(kind, x, rho_o, rho_c) for rho_o, rho_c in gens]
     out = []
     for a in _ends(x, colour):
@@ -386,14 +487,17 @@ def _glue_data(kind, x, colour):
             look = rho_o if (colour == "open" or kind != "qoc") else rho_c
             row.append((xr, look[a], *_free_map(kind, rho_o, rho_c, colour, a)))
         out.append((a, row))
-    return out
+    sizes = ((len(op.open_labels(x)), len(op.closed_labels(x))) if kind == "qoc"
+             else (len(x.labels),))
+    return 1 + sum(math.comb(n, 2) for n in sizes), out
 
 
 def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Gluing is equivariant: (x o_a y).(rho u sigma) == x.rho o_{rho(a)} y.sigma
     for generators rho of x's relabellings and sigma of y's; with ``reduced``
-    only the pairs (rho, id) and (id, sigma), the identity being the first
-    generator.  Returns the number of (rho, sigma) pairs covered.
+    only the pairs (rho, id) and (id, sigma) of the small generating set,
+    the identity being the first generator.  Returns the number of
+    (rho, sigma) pairs of transposition generators covered.
 
     For each factor and colour, ``_glue_data`` computes once what depends on
     one factor only: its ends, its generator maps, its relabelling by each
@@ -406,7 +510,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     def data(x, colour):
         d = memo.get((x, colour))
         if d is None:
-            d = memo[x, colour] = _glue_data(kind, x, colour)
+            d = memo[x, colour] = _glue_data(kind, x, colour, reduced)
         return d
 
     covered = 0
@@ -416,12 +520,12 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
         for colour in _colours(kind):
             data_y = [(y, data(y, colour)) for y in ys]
             for x in xs:
-                data_x = data(x, colour)
-                for y, dy in data_y:
+                nx, data_x = data(x, colour)
+                for y, (ny, dy) in data_y:
                     for a, row_x in data_x:
                         for b, row_y in dy:
                             z = compose(x, a, y, b, colour, extended)
-                            covered += len(row_x) * len(row_y)
+                            covered += nx * ny
                             if reduced:
                                 pairs = [(rx, row_y[0]) for rx in row_x]
                                 pairs += [(row_x[0], ry) for ry in row_y[1:]]
@@ -457,137 +561,111 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
 
 
 def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Contractions commute."""
+    """Contractions commute: at pairs a < b and c < d, the pair (a, b) first
+    when both have one colour; with ``reduced`` at every order of them."""
     contract = _memo(op._contract)
+    factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for shape in corollas:
         if shape[2] + 4 > max_genus2:
             continue
-        for x, ex, wx in _factors(kind, shape, extended, reduced=reduced):
-            n0 = report.checked
-            for col1, col2 in itertools.product(_colours(kind), repeat=2):
-                for a, b in itertools.combinations(ex[col1], 2):
-                    for c, d in itertools.combinations(ex[col2], 2):
-                        if col1 == col2 and ({a, b} & {c, d} or (a, b) >= (c, d)):
-                            continue
-                        lhs = contract(contract(x, c, d, col2, extended),
-                                       a, b, col1, extended)
-                        rhs = contract(contract(x, a, b, col1, extended),
-                                       c, d, col2, extended)
-                        report.record(5, (x, a, b, c, d, col1, col2), lhs, rhs)
-            covered += (report.checked - n0) * wx
+        for col1, col2 in itertools.product(_colours(kind), repeat=2):
+            ordered = ((0, 1), (2, 3), (0, 2)) if col1 == col2 else ((0, 1), (2, 3))
+            for x, ox in factors(shape, 0, 0, (col1, col1, col2, col2), ordered):
+                for (a, b, c, d), wx in ox:
+                    lhs = contract(contract(x, c, d, col2, extended), a, b, col1, extended)
+                    rhs = contract(contract(x, a, b, col1, extended), c, d, col2, extended)
+                    covered += wx
+                    report.record(5, (x, a, b, c, d, col1, col2), lhs, rhs)
     return covered
 
 
 def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Contracting across a gluing agrees in either order."""
     compose, contract = _memo(op._compose), _memo(op._contract)
+    factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        xs = _factors(kind, s1, extended, reduced=reduced)
-        ys = _factors(kind, s2, extended, s1[0], s1[1], reduced)
-        for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-            for (x, ex, wx), (y, ey, wy) in itertools.product(xs, ys):
-                n0 = report.checked
-                for a in ex[col_ab]:
-                    for c in ex[col_cd]:
-                        if col_ab == col_cd and c == a:
-                            continue
-                        for b in ey[col_ab]:
-                            for d in ey[col_cd]:
-                                if col_ab == col_cd and d == b:
-                                    continue
-                                lhs = contract(
-                                    compose(x, c, y, d, col_cd, extended),
-                                    a, b, col_ab, extended,
-                                )
-                                rhs = contract(
-                                    compose(x, a, y, b, col_ab, extended),
-                                    c, d, col_cd, extended,
-                                )
-                                report.checked += 1
-                                if lhs != rhs:
-                                    report.fail(
-                                        6, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs
-                                    )
-                covered += (report.checked - n0) * wx * wy
+        for cols in itertools.product(_colours(kind), repeat=2):
+            col_ab, col_cd = cols
+            for (x, ox), (y, oy) in itertools.product(
+                factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
+            ):
+                for (a, c), wx in ox:
+                    for (b, d), wy in oy:
+                        lhs = contract(
+                            compose(x, c, y, d, col_cd, extended), a, b, col_ab, extended
+                        )
+                        rhs = contract(
+                            compose(x, a, y, b, col_ab, extended), c, d, col_cd, extended
+                        )
+                        report.checked += 1
+                        covered += wx * wy
+                        if lhs != rhs:
+                            report.fail(6, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs)
     return covered
 
 
 def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Gluing commutes with a contraction inside one factor."""
+    """Gluing commutes with a contraction inside one factor: at c < d, with
+    ``reduced`` in either order."""
     compose, contract = _memo(op._compose), _memo(op._contract)
+    factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        xs = _factors(kind, s1, extended, reduced=reduced)
-        ys = _factors(kind, s2, extended, s1[0], s1[1], reduced)
         for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-            for (x, ex, wx), (y, ey, wy) in itertools.product(xs, ys):
-                n0 = report.checked
-                for c, d in itertools.combinations(ex[col_cd], 2):
-                    for a in ex[col_ab]:
-                        if col_ab == col_cd and a in (c, d):
-                            continue
-                        for b in ey[col_ab]:
-                            lhs = compose(
-                                contract(x, c, d, col_cd, extended),
-                                a, y, b, col_ab, extended,
-                            )
-                            rhs = contract(
-                                compose(x, a, y, b, col_ab, extended),
-                                c, d, col_cd, extended,
-                            )
-                            report.checked += 1
-                            if lhs != rhs:
-                                report.fail(
-                                    7, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs
-                                )
-                covered += (report.checked - n0) * wx * wy
+            for (x, ox), (y, oy) in itertools.product(
+                factors(s1, 0, 0, (col_cd, col_cd, col_ab), ((0, 1),)),
+                factors(s2, s1[0], s1[1], (col_ab,)),
+            ):
+                for (c, d, a), wx in ox:
+                    for (b,), wy in oy:
+                        lhs = compose(
+                            contract(x, c, d, col_cd, extended), a, y, b, col_ab, extended
+                        )
+                        rhs = contract(
+                            compose(x, a, y, b, col_ab, extended), c, d, col_cd, extended
+                        )
+                        report.checked += 1
+                        covered += wx * wy
+                        if lhs != rhs:
+                            report.fail(7, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs)
     return covered
 
 
 def _ax8(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Gluing is associative."""
     compose = _memo(op._compose)
+    factors = _end_orbits(kind, extended, reduced)
     covered = 0
-    third = {}  # the third factors, by shape and label offsets
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        xs = _factors(kind, s1, extended, reduced=reduced)
-        ys = _factors(kind, s2, extended, s1[0], s1[1], reduced)
         for s3 in corollas:
             if s1[2] + s2[2] + s3[2] > max_genus2:
                 continue
             if sum(s[0] + s[1] for s in (s1, s2, s3)) - 4 > max_n:
                 continue
-            key = (s3, s1[0] + s2[0], s1[1] + s2[1])
-            zs = third.get(key)
-            if zs is None:
-                zs = third[key] = _factors(kind, s3, extended, *key[1:], reduced)
             for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
-                for (x, ex, wx), (y, ey, wy), (z, ez, wz) in itertools.product(
-                    xs, ys, zs
+                for (x, ox), (y, oy), (z, oz) in itertools.product(
+                    factors(s1, 0, 0, (col_ab,)),
+                    factors(s2, s1[0], s1[1], (col_ab, col_cd)),
+                    factors(s3, s1[0] + s2[0], s1[1] + s2[1], (col_cd,)),
                 ):
-                    n0 = report.checked
-                    for a in ex[col_ab]:
-                        for b in ey[col_ab]:
+                    for (a,), wx in ox:
+                        for (b, c), wy in oy:
                             xy = compose(x, a, y, b, col_ab, extended)
-                            for c in ey[col_cd]:
-                                if col_ab == col_cd and c == b:
-                                    continue
-                                for d in ez[col_cd]:
-                                    lhs = compose(
-                                        x, a,
-                                        compose(y, c, z, d, col_cd, extended),
-                                        b, col_ab, extended,
+                            for (d,), wz in oz:
+                                lhs = compose(
+                                    x, a, compose(y, c, z, d, col_cd, extended),
+                                    b, col_ab, extended,
+                                )
+                                rhs = compose(xy, c, z, d, col_cd, extended)
+                                report.checked += 1
+                                covered += wx * wy * wz
+                                if lhs != rhs:
+                                    report.fail(
+                                        8, (x, y, z, a, b, c, d, col_ab, col_cd),
+                                        lhs, rhs,
                                     )
-                                    rhs = compose(xy, c, z, d, col_cd, extended)
-                                    report.checked += 1
-                                    if lhs != rhs:
-                                        report.fail(
-                                            8, (x, y, z, a, b, c, d, col_ab, col_cd),
-                                            lhs, rhs,
-                                        )
-                    covered += (report.checked - n0) * wx * wy * wz
     return covered
 
 
