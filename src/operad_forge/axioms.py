@@ -4,17 +4,27 @@ The statement verified is exhaustive: every axiom on all basis elements
 within the requested arity and genus bounds, over all admissible
 gluing-label choices.  Relabelling maps in the equivariance axioms (3 and 4)
 run over transposition generators plus the identity; functoriality (axiom 2)
-is checked on all pairs of permutations, so equivariance for generators
-implies it for the whole group.  This rests on one premise, used by every
-argument below: ``relabel`` is functorial on the label sets of glued
-surfaces, not only on 1..n, and gluing and contraction are equivariant
-there too.
+is checked on the pairs (generator, any permutation), which implies it on
+all pairs (below), so equivariance for generators implies it for the whole
+group.  This rests on one premise, used by every argument below:
+``relabel`` is functorial on the label sets of glued surfaces, not only on
+1..n, and gluing and contraction are equivariant there too.
 
 The instances evaluated are fewer, chosen so that they imply the rest.
 Axioms 2, 3 and 4 run first, then 1 and 5-8.
 
-- **Axiom 3 on a small generating set.**  Once axiom 2 has passed on all
-  pairs, any generating set of the relabellings will do.  If gluing is
+- **Axiom 2 on (generator, any) pairs.**  It is checked at (tau, sigma),
+  tau in the small generating set of axiom 3 (below) and sigma any slot
+  permutation, at every element relabelling reaches from the basis.  By
+  induction on the length of rho as a word in the tau (every rho is one,
+  the group being finite):
+  x.(tau rho' sigma) = (x.(rho' sigma)).tau = ((x.sigma).rho').tau
+  = (x.sigma).(tau rho'), by the tau-case at x, induction at x and the
+  tau-case at x.sigma; the identity column is the case of length 0.  The
+  basis is closed under relabelling; an element outside it fails the
+  reduced check.
+- **Axiom 3 on a small generating set.**  Once axiom 2 has passed, any
+  generating set of the relabellings will do.  If gluing is
   equivariant for rho and for sigma at every element and end, then
   (x o_a y).(rho sigma u 1) = ((x o_a y).(sigma u 1)).(rho u 1) by axiom 2,
   = (x.sigma o_{sigma(a)} y).(rho u 1), = (x.sigma).rho o_{rho sigma(a)} y
@@ -66,8 +76,9 @@ Axioms 2, 3 and 4 run first, then 1 and 5-8.
   ``_compose``.
 
 ``AxiomReport.checked`` and ``per_axiom`` count the instances evaluated;
-``covered`` gives, per axiom, the instances they stand for.  For axioms 1
-and 5-8 that is, summed over the evaluated instances, the product over
+``covered`` gives, per axiom, the instances they stand for.  For axiom 2
+that is |G|^2 per basis element, G its slot permutations.  For axioms 1
+and 5-8 it is, summed over the evaluated instances, the product over
 their factors of the element's orbit size times the number of end tuples
 in the orbit of its end tuple that the exhaustive loop lists (for axioms
 5 and 7, those with each pair in order; one orbit may hold none, but all
@@ -79,10 +90,11 @@ would leave smaller orbits, so more instances, but the same count.
 What depends on one element only is computed once, not once per instance:
 each element's stabilizer and end orbits (axioms 1 and 5-8, once per
 corolla, label offsets and colours in one check), its relabellings by
-every slot permutation (axiom 2, ``_ActionTable``) and, for axiom 3, its
-generator maps, its relabelling by each generator and each generator's map
-with each end dropped (``_glue_data``, once per element and colour in one
-verifier run).  The gluing memo lives for one axiom check: each check memoizes the
+every slot permutation (axiom 2, ``_ActionTable``, whose product table
+holds only the products by the generators checked) and, for axiom 3, its
+generator maps, its relabelling by each generator and each generator's
+map with each end dropped (``_glue_data``, once per element and colour in
+one verifier run).  The gluing memo lives for one axiom check: each check memoizes the
 uncached ``_compose`` and ``_contract`` bodies it finds in ``operads`` when
 it starts (``_memo``) and drops that memo when it returns, so the
 process-wide caches keep no verifier entries.
@@ -398,31 +410,20 @@ def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     return covered
 
 
-def _perm_group(lo, lc):
-    """Slot permutations (open map, closed map) of the labels ``lo``/``lc``,
-    and their product table: ``mul[s][r]`` indexes ``l -> r[s[l]]``."""
-    maps_o, maps_c = _perm_maps(lo), _perm_maps(lc)
-    index_o = {tuple(m[l] for l in lo): i for i, m in enumerate(maps_o)}
-    index_c = {tuple(m[l] for l in lc): i for i, m in enumerate(maps_c)}
-    mul_o = [[index_o[tuple(r[s[l]] for l in lo)] for r in maps_o] for s in maps_o]
-    mul_c = [[index_c[tuple(r[s[l]] for l in lc)] for r in maps_c] for s in maps_c]
-    nc = len(maps_c)
-    group = [(mo, mc) for mo in maps_o for mc in maps_c]
-    mul = [
-        [mul_o[so][ro] * nc + mul_c[sc][rc]
-         for ro in range(len(maps_o)) for rc in range(nc)]
-        for so in range(len(maps_o)) for sc in range(nc)
-    ]
-    return group, mul
-
-
 class _ActionTable:
-    """Relabellings of elements by the slot permutations of one label set,
-    with each element interned as an integer id and each row computed once."""
+    """Relabellings of elements by the slot permutations ``group`` of the
+    labels ``lo``/``lc``, with each element interned as an integer id and
+    each row computed once.  ``mul[k][s]`` indexes ``l -> r[s[l]]`` for r
+    the k-th of the ``left`` factors (every permutation by default) and s
+    the s-th permutation; ``group[0]`` is the identity, so ``mul[k][0]``
+    indexes r."""
 
-    def __init__(self, kind, lo, lc):
+    def __init__(self, kind, lo, lc, left=None):
         self.kind = kind
-        self.group, self.mul = _perm_group(lo, lc)
+        self.group = [(mo, mc) for mo in _perm_maps(lo) for mc in _perm_maps(lc)]
+        index = {(*mo.values(), *mc.values()): i for i, (mo, mc) in enumerate(self.group)}
+        self.mul = [[index[(*(ro[so[l]] for l in lo), *(rc[sc[l]] for l in lc))]
+                     for so, sc in self.group] for ro, rc in left or self.group]
         self.ids, self.elems, self.rows = {}, [], []
 
     def id(self, x):
@@ -443,33 +444,45 @@ class _ActionTable:
             ]
         return r
 
+    def check(self, report, i):
+        """Axiom 2 at ``elems[i]`` for each left factor rho and each
+        permutation sigma, by lookup: equal ids mean equal elements."""
+        rx = self.row(i)
+        rys = [self.row(j) for j in rx]
+        report.checked += len(rx) * len(self.mul)
+        for ms in self.mul:
+            r = ms[0]
+            lhs, rhs = [rx[m] for m in ms], [ry[r] for ry in rys]
+            for s in range(len(ms)) if lhs != rhs else ():
+                if lhs[s] != rhs[s]:
+                    (rho_o, rho_c), (sig_o, sig_c) = self.group[r], self.group[s]
+                    report.fail(2, (self.elems[i], rho_o, sig_o, rho_c, sig_c),
+                                self.elems[lhs[s]], self.elems[rhs[s]])
 
-def _ax2(report, kind, corollas, max_n, max_genus2, extended):
+
+def _ax2(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     """Relabelling is functorial: x.(rho o sigma) == (x.sigma).rho for every
-    pair of slot permutations.  Each relabelling of each element is computed
-    once by ``relabel`` into a table of interned ids; every pair is then
-    checked by lookup, so equal ids mean equal elements."""
-    tables = {}
+    pair of slot permutations, or with ``reduced`` for rho in the small
+    generating set at every element that relabelling reaches from the basis
+    (module docstring).  Returns the number of pairs covered."""
+    tables, covered = {}, 0
     for shape in corollas:
         for x in _basis(kind, shape, extended):
-            lo = sorted(x.labels) if kind != "qoc" else sorted(op.open_labels(x))
-            lc = sorted(op.closed_labels(x)) if kind == "qoc" else []
+            lo, lc = _ends(x, "open"), _ends(x, "closed") if kind == "qoc" else []
             key = (tuple(lo), tuple(lc))
             if key not in tables:
-                tables[key] = _ActionTable(kind, lo, lc)
-            table = tables[key]
-            rx = table.row(table.id(x))
-            for s, ms in enumerate(table.mul):
-                ry = table.row(rx[s])
-                lhs = [rx[m] for m in ms]
-                report.checked += len(ms)
-                if lhs == ry:
-                    continue
-                for r, (li, ri) in enumerate(zip(lhs, ry)):
-                    if li != ri:
-                        (rho_o, rho_c), (sig_o, sig_c) = table.group[r], table.group[s]
-                        report.fail(2, (x, rho_o, sig_o, rho_c, sig_c),
-                                    table.elems[li], table.elems[ri])
+                tables[key] = _ActionTable(
+                    kind, lo, lc, _generator_maps(kind, x, True) if reduced else None)
+            tables[key].id(x)
+    for table in tables.values():
+        size = len(table.elems)  # the basis elements with these labels
+        covered += size * len(table.group) ** 2
+        for i in range(size):
+            table.check(report, i)
+            if reduced and len(table.elems) > size:  # the exhaustive loop decides
+                report.fail(2, table.elems[i], "relabelled out of the basis", None)
+                return covered
+    return covered
 
 
 def _glue_data(kind, x, colour, small):
@@ -682,6 +695,7 @@ _AXIOM_FUNCS = {
 
 # The axioms with a reduced check, each with the axioms its argument needs.
 _REDUCED = {
+    2: set(),
     3: {2},
     **{axiom: {2, 3, 4} for axiom in (1, 5, 6, 7, 8)},
 }

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -428,8 +429,8 @@ class TestAxiomVerifier:
         assert report.failures == self._exhaustive("qo", 2, 4).failures
 
     @pytest.mark.parametrize("kind,n,g2,checked,per_axiom,covered", [
-        ("qo", 3, 4, 1980,
-         {1: 43, 2: 565, 3: 1223, 4: 88, 5: 0, 6: 8, 7: 6, 8: 47},
+        ("qo", 3, 4, 1710,
+         {1: 43, 2: 295, 3: 1223, 4: 88, 5: 0, 6: 8, 7: 6, 8: 47},
          {1: 331, 2: 565, 3: 2265, 4: 88, 5: 0, 6: 96, 7: 30, 8: 1116}),
         ("qoc", 2, 3, 57,
          {1: 10, 2: 17, 3: 28, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2},
@@ -498,11 +499,12 @@ class TestAxiomVerifier:
         return report
 
     @staticmethod
-    def _verifier(axiom, kind, max_n, max_g2):
-        """One axiom as ``verify_axioms`` checks it."""
+    def _verifier(axiom, kind, max_n, max_g2, **reduced):
+        """One axiom as ``verify_axioms`` checks it, by its exhaustive loop
+        unless ``reduced=True`` is given."""
         report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
         ax._AXIOM_FUNCS[axiom](report, kind, ax._corollas(kind, max_n, max_g2, False),
-                               max_n, max_g2, False)
+                               max_n, max_g2, False, **reduced)
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
 
@@ -518,12 +520,19 @@ class TestAxiomVerifier:
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
 
-    @pytest.mark.parametrize("kind,n,g2", [("qc", 4, 2), ("qo", 4, 2), ("qoc", 3, 3)])
+    RELABEL_BOUNDS = [("qc", 4, 2), ("qo", 4, 2), ("qoc", 3, 3)]
+
+    @pytest.mark.parametrize("kind,n,g2", RELABEL_BOUNDS)
     def test_relabel_table_matches_all_pairs(self, kind, n, g2):
-        """The table-driven axiom 2 checks exactly the all-pairs instances."""
+        """The table-driven axiom 2 checks exactly the all-pairs instances,
+        and the reduced one of ``verify_axioms`` passes, checks fewer and
+        covers them."""
         table, direct = self._verifier(2, kind, n, g2), self._all_pairs_ax2(kind, n, g2)
         assert table.checked == direct.checked > 0
         assert table.passed and direct.passed
+        report = verify_axioms(kind, n, g2)
+        assert report.passed
+        assert report.covered[2] == direct.checked > report.per_axiom[2]
 
     @pytest.mark.parametrize("kind,n,g2", [("qo", 3, 2), ("qoc", 3, 3)])
     def test_detects_broken_relabelling(self, monkeypatch, kind, n, g2):
@@ -543,6 +552,68 @@ class TestAxiomVerifier:
         assert not table.passed
         assert table.checked == direct.checked
         assert table.failures == direct.failures
+        report = verify_axioms(kind, n, g2)
+        assert [f for f in report.failures if f["axiom"] == 2] == direct.failures
+        assert report.failures == self._exhaustive(kind, n, g2).failures
+
+    @pytest.mark.parametrize("kind,n,g2,colour",
+                             [(*b, "open") for b in RELABEL_BOUNDS] + [("qoc", 3, 3, "closed")])
+    def test_three_cycle_relabel_fails_reduced_axiom_2(self, monkeypatch, kind, n, g2,
+                                                       colour):
+        """A relabelling that is wrong only when its map of ``colour`` is the
+        3-cycle l1 -> l3 -> l2 -> l1 of its sorted labels, which is not in
+        the small generating set of the reduced axiom 2 (on three labels
+        that set holds the other 3-cycle), fails it, and the verifier
+        reports the all-pairs failures.  The wrong result is another basis
+        element with the same labels, so the reduced check fails at its own
+        instances and not because an element left the basis."""
+        real = op.relabel
+        same_labels = {}
+        for shape in ax._corollas(kind, n, g2, False):
+            for x in ax._basis(kind, shape, False):
+                same_labels.setdefault((op.open_labels(x), op.closed_labels(x)), []).append(x)
+        other = {}
+        for xs in same_labels.values():
+            xs.sort(key=repr)
+            other.update(zip(xs, xs[1:] + xs[:1]))
+
+        def three_cycle(rho):
+            ls = sorted(rho)
+            return len(ls) > 2 and rho == {**{l: l for l in ls},
+                                           ls[0]: ls[2], ls[2]: ls[1], ls[1]: ls[0]}
+
+        def broken(x, rho, rho_closed=None):
+            y = real(x, rho, rho_closed)
+            return other[y] if three_cycle(rho if colour == "open" else rho_closed) else y
+
+        assert not any(three_cycle(m) for k in range(6)
+                       for m in ax._label_maps(range(1, k + 1), True))
+        monkeypatch.setattr(op, "relabel", broken)
+        trial = self._verifier(2, kind, n, g2, reduced=True)
+        report, direct = verify_axioms(kind, n, g2), self._all_pairs_ax2(kind, n, g2)
+        assert trial.failures and all(f in direct.failures for f in trial.failures)
+        assert report.failures == direct.failures
+        assert report.per_axiom[2] > report.covered[2] == direct.checked  # fell back
+
+    def test_relabel_out_of_the_basis_falls_back(self, monkeypatch):
+        """A relabelling that is functorial but maps genus 0 to genus 1 under
+        odd permutations leaves the basis of ``qo``(3,0).  The reduced
+        axiom 2 then stops, and the exhaustive loop runs and passes."""
+        real = op.relabel
+
+        def odd(rho):
+            ls = sorted(rho)
+            return sum(rho[i] > rho[j] for i, j in itertools.combinations(ls, 2)) % 2
+
+        def toggled(x, rho, rho_closed=None):
+            y = real(x, rho, rho_closed)
+            return y._replace(g=y.g ^ 1) if odd(rho) else y
+
+        monkeypatch.setattr(op, "relabel", toggled)
+        report, direct = verify_axioms("qo", 3, 0), self._all_pairs_ax2("qo", 3, 0)
+        assert direct.passed
+        assert not [f for f in report.failures if f["axiom"] == 2]
+        assert report.per_axiom[2] > report.covered[2] == direct.checked
 
     # Reference definitions of axioms 3 and 8, one instance at a time: the
     # ends, generator relabellings and free maps of each factor are
@@ -845,13 +916,27 @@ class TestAxiomVerifier:
         assert report.covered == {1: 4759, 2: 32525, 3: 45735, 4: 1232,
                                   5: 18, 6: 2082, 7: 1168, 8: 40570}
         assert sum(report.covered.values()) == 128089
-        assert report.per_axiom == {1: 535, 2: 32525, 3: 17805, 4: 1232,
+        assert report.per_axiom == {1: 535, 2: 4649, 3: 17805, 4: 1232,
                                     5: 6, 6: 108, 7: 116, 8: 1722}
-        assert sum(report.per_axiom.values()) == report.checked == 54049
+        assert sum(report.per_axiom.values()) == report.checked == 26173
         doc = report.to_json()
         assert doc["per_axiom"] == {str(k): v for k, v in report.per_axiom.items()}
         assert doc["covered"] == {str(k): v for k, v in report.covered.items()}
         assert doc["checked"] == report.checked
+
+    def test_relabel_memory_stays_bounded(self):
+        """The reduced axiom 2 builds no product table of the whole group:
+        at seven labels, 5040 permutations, the run stays far below the
+        about 1 GiB that a 5040 x 5040 table of ids takes."""
+        tracemalloc.start()
+        try:
+            report = verify_axioms("qc", 7, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert report.covered[2] == 25_935_012
+        assert peak < 64 * 2**20
 
 
 class TestStabilizer:
