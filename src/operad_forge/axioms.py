@@ -57,8 +57,10 @@ Axioms 2, 3 and 4 run first, then 1 and 5-8.
   to the instance at x with tau applied to the ends it glues or contracts
   at x, so x keeps only the first tuple of those ends in each orbit of its
   stabilizer (``_end_orbits``).  The stabilizer's generators
-  (``_stabilizer``) are checked with ``relabel``, and an element whose
-  check fails keeps all of its end tuples.
+  (``_stabilizer``) are those of the algebra layer's stabilizer shape,
+  ``combinatorics.stabilizer_generators`` of x's cycle lengths and closed
+  ends, carried onto x's labels; each is checked with ``relabel``, and an
+  element whose check fails keeps all of its end tuples.
   Axioms 1, 6 and 8 take every tuple of distinct ends of the given
   colours, so their instance sets are invariant.  Axioms 5 and 7 contract
   at end pairs listed once, as a < b.  That set is not invariant: a
@@ -108,6 +110,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import operads as op
+from .combinatorics import b_sequence, stabilizer_generators
 from .errors import Unstable
 
 __all__ = ["AxiomReport", "verify_axioms"]
@@ -247,17 +250,16 @@ def _generator_maps(kind, x, small=False):
 
 
 def _stabilizer(kind, x):
-    """Generators (colour, moved labels) of the relabellings that fix x: a
-    rotation of each cycle of length >= 2, the aligned swap of each two
-    consecutive cycles of one length, and the adjacent transpositions of
-    the closed labels (of all labels for ``qc``).  Each is checked with
-    ``relabel``; if one moves x, there are none."""
+    """Generators (colour, moved labels) of the relabellings that fix x: the
+    slot generators of x's shape on its cycles, then its closed labels (all
+    labels for ``qc``).  Each is checked with ``relabel``; if one moves x,
+    there are none."""
     cycles = () if kind == "qc" else x.cycles
-    gens = [("open", dict(zip(c, c[1:] + c[:1]))) for c in cycles if len(c) > 1]
-    gens += [("open", {**dict(zip(c, d)), **dict(zip(d, c))})
-             for c, d in zip(cycles, cycles[1:]) if len(c) == len(d)]
-    closed, ls = "closed" if kind == "qoc" else "open", sorted(op.closed_labels(x))
-    gens += [(closed, {i: j, j: i}) for i, j in zip(ls, ls[1:])]
+    closed, free = "closed" if kind == "qoc" else "open", sorted(op.closed_labels(x))
+    n, labels = sum(map(len, cycles)), [l for c in cycles for l in c] + free
+    gens = [(closed if s[:n] == tuple(range(n)) else "open",
+             {labels[i]: labels[j] for i, j in enumerate(s) if i != j})
+            for s in stabilizer_generators(b_sequence(cycles), len(free))]
     ids = {c: {l: l for l in _ends(x, c)} for c in _colours(kind)}
     for colour, move in gens:
         maps = {**ids, colour: {**ids[colour], **move}}

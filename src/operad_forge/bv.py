@@ -15,6 +15,8 @@ the representative's orbit; only the positions the section elements assign
 to the first one or two slots enter, so the section collapses to a
 multiplicity table.
 
+The stabilizer orders, those tables and the symmetry plans all derive from
+one description of the stabilizer, its shape (``ftalgebra.stab_shape``).
 Each key has one ``lru_cache``d symmetry plan (``WordSymmetry``): its
 cycle blocks grouped by length, and, once a class is expanded into its
 invariant functional, the stabilizer as pairs of word getter and inversion
@@ -22,8 +24,8 @@ masks.  A canonical word rotates each block to its least rotation, trying
 only the rotations that start at the block's least letter and reading each
 sign off the block's odd mask; it sorts a group of equal-length blocks only
 when the group has more than one member, and the tail by the inversions
-among its odd letters.  The plan shares ``stab_group`` and the kernels with
-the generic route, and nothing else.
+among its odd letters.  The plan shares ``stab_shape``, ``stab_group`` and
+the kernels with the generic route, and nothing else.
 
 The bulk producers (the three operations and ``series_from_maps``) sum
 their raw contributions per (component key, word) first and canonicalize
@@ -82,6 +84,7 @@ from ._kernels import (
 )
 from .combinatorics import (
     block_permutation,
+    bseq_arity,
     rep_cycle_slots,
     stabilizer_size,
     transversal_slot_counts,
@@ -100,11 +103,13 @@ from .ftalgebra import (
     LoopKey,
     QocKey,
     QuantumKey,
+    _words_for_dims,
     key_arity,
     key_closed,
     key_of,
     representative,
     stab_group,
+    stab_shape,
 )
 from .graded import MultiFunctional, functional_differential
 
@@ -190,29 +195,25 @@ class WordSymmetry:
     """The symmetry plan of one key: canonical forms of dual words under the
     representative's stabilizer, and the expansion of classes back over it.
 
-    The stabilizer rotates each cycle block, permutes blocks of equal
-    length and permutes the tail from slot ``tail`` on freely.  The loop
-    kind has no blocks and its whole word is the tail; the cyclic kind has
-    the single block of its n slots; the open-surface kinds have one block
-    per cycle, listed by nondecreasing length, and their closed slots as
-    the tail.  The plan holds the blocks grouped by length; a group with one
-    member is never sorted.  The stabilizer itself (``stab_group``) is held,
-    once a class is expanded, as pairs of word getter and inversion masks,
-    so that each sign is one ``mask_sign``.
+    The stabilizer (``stab_shape``) rotates each cycle block, permutes
+    blocks of equal length and permutes the tail, its free slots from slot
+    ``tail`` on.  The loop kind has no blocks and its whole word is the
+    tail; the cyclic kind has the single block of its n slots; the
+    open-surface kinds have one block per cycle, listed by nondecreasing
+    length, and their closed slots as the tail.  The plan holds the blocks
+    grouped by length; a group with one member is never sorted.  The
+    stabilizer itself (``stab_group``) is held, once a class is expanded, as
+    pairs of word getter and inversion masks, so that each sign is one
+    ``mask_sign``.
     """
 
     def __init__(self, kind, key, table):
         self.kind, self.key = kind, key
         self.parities = tuple(d % 2 for d in table)
-        n = key_arity(key)
-        if kind == "loop":
-            blocks, self.tail = [], 0
-        elif kind == "cyclic_ainfty":
-            blocks, self.tail = [(0, n)] if n else [], n
-        else:
-            blocks, self.tail = rep_cycle_slots(key.bseq), n
+        bseq, _ = stab_shape(kind, key)
+        self.tail = bseq_arity(bseq)
         groups: dict = {}
-        for start, length in blocks:
+        for start, length in rep_cycle_slots(bseq):
             groups.setdefault(length, []).append(start)
         self.groups = tuple((length, tuple(starts))
                             for length, starts in groups.items())
@@ -297,43 +298,32 @@ def _symmetry(kind, key, table):
 
 
 def _stab_size(kind, key) -> int:
-    n = key_arity(key)
-    if kind == "loop":
-        return math.factorial(n)
-    if kind == "cyclic_ainfty":
-        return n
-    return stabilizer_size(key.bseq, key_closed(key))
+    return stabilizer_size(*stab_shape(kind, key))
+
+
+def _open_shape(kind, key):
+    """The b-sequence and free open slots (the loop kind's n) of the key."""
+    bseq, _ = stab_shape(kind, key)
+    return bseq, key_arity(key) - bseq_arity(bseq)
 
 
 def _slot_counts(kind, key) -> dict:
     """Multiplicity of the first-slot positions over the coset section."""
-    n = key_arity(key)
-    if n == 0:
+    if key_arity(key) == 0:
         return {}
-    if kind == "loop":
-        return {0: 1}
-    if kind == "cyclic_ainfty":
-        return {0: math.factorial(n - 1)}
-    return dict(transversal_slot_counts(key.bseq, key.g))
+    return dict(transversal_slot_counts(*_open_shape(kind, key)))
 
 
 def _slot_pair_counts(kind, key) -> dict:
-    n = key_arity(key)
-    if n < 2:
+    if key_arity(key) < 2:
         return {}
-    if kind == "loop":
-        return {(0, 1): 1}
-    return dict(transversal_slot_pair_counts(key.bseq, key.g))
+    return dict(transversal_slot_pair_counts(*_open_shape(kind, key)))
 
 
 def _open_section_size(kind, key) -> int:
     """Size of the open coset section (the closed factor acts trivially)."""
-    n = key_arity(key)
-    if kind == "loop":
-        return 1
-    if kind == "cyclic_ainfty":
-        return math.factorial(n - 1) if n else 1
-    return math.factorial(n) // stabilizer_size(key.bseq)
+    return (math.factorial(key_arity(key)) * math.factorial(key_closed(key))
+            // _stab_size(kind, key))
 
 
 # ---------------------------------------------------------------------------
@@ -1214,16 +1204,10 @@ def random_bv_element(rng, kind, space, cspace, keys, parity=0, density=0.5,
     word parity."""
     out = BVElement(kind, space, cspace)
     table = out.table()
-    dim_o = space.dim
     dim_c = cspace.dim if cspace is not None else 0
     for key in keys:
-        n, c = key_arity(key), key_closed(key)
-        words = [
-            tuple(wo) + tuple(k + dim_o for k in wc)
-            for wo in itertools.product(range(dim_o), repeat=n)
-            for wc in itertools.product(range(dim_c), repeat=c)
-        ] if c else list(itertools.product(range(dim_o), repeat=n))
-        for w in words:
+        for w in _words_for_dims(kind, space.dim, dim_c, key_arity(key),
+                                 key_closed(key)):
             if sum(table[k] for k in w) % 2 != parity % 2:
                 continue
             if rng.random() < density:

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   ``_kernels``.  A permutation ``s`` of ``[n]`` acts on the label ``l`` as
   ``s[l - 1] + 1``.
 - A cycle is stored in its canonical rotation (minimal label first).
+- A representative's stabilizer has a shape ``(bseq, free)``: it rotates
+  and swaps the cycle blocks of the b-sequence's canonical surface and
+  permutes ``free`` slots after them (closed ends, or all ends of a closed
+  surface).  ``stabilizer_size``/``_generators`` and the sections take it.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ __all__ = [
     "trim_bseq",
     "orbit_representative",
     "stabilizer_size",
+    "stabilizer_generators",
     "orbit_transversal",
     "transversal_slot_counts",
     "transversal_slot_pair_counts",
@@ -258,7 +263,32 @@ def rep_cycle_slots(bseq: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _transversal_ok(perm: tuple[int, ...], blocks: list[tuple[int, int]]) -> bool:
+def stabilizer_generators(bseq: Sequence[int], free: int = 0) -> list[tuple[int, ...]]:
+    """Slot permutations generating the stabilizer of the canonical surface
+    followed by ``free`` slots: a rotation of each cycle block of length
+    >= 2, the aligned swap of each two consecutive blocks of one length, and
+    the adjacent transpositions of the free slots."""
+    n, blocks = bseq_arity(bseq), rep_cycle_slots(bseq)
+    ident = list(range(n + free))
+    gens = []
+    for start, length in blocks:
+        if length > 1:
+            p = ident[:]
+            p[start : start + length] = ident[start + 1 : start + length] + [start]
+            gens.append(tuple(p))
+    for (s1, l1), (s2, l2) in zip(blocks, blocks[1:]):
+        if l1 == l2:
+            p = ident[:]
+            p[s1 : s1 + l1], p[s2 : s2 + l1] = ident[s2 : s2 + l1], ident[s1 : s1 + l1]
+            gens.append(tuple(p))
+    for i in range(n, n + free - 1):
+        p = ident[:]
+        p[i], p[i + 1] = i + 1, i
+        gens.append(tuple(p))
+    return gens
+
+
+def _transversal_ok(perm: tuple[int, ...], blocks: list[tuple[int, int]], n: int) -> bool:
     prev_start_image: dict[int, int] = {}
     for start, length in blocks:
         imgs = perm[start : start + length]
@@ -267,16 +297,18 @@ def _transversal_ok(perm: tuple[int, ...], blocks: list[tuple[int, int]]) -> boo
         if length in prev_start_image and not prev_start_image[length] < imgs[0]:
             return False
         prev_start_image[length] = imgs[0]
-    return True
+    return all(a < b for a, b in zip(perm[n:], perm[n + 1 :]))
 
 
 @lru_cache(maxsize=None)
-def _transversal_of(bseq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _transversal_of(bseq: tuple[int, ...], free: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Sorted coset section of the stabilizer of the shape (bseq, free)."""
     bseq = trim_bseq(bseq)
     n = bseq_arity(bseq)
     blocks = rep_cycle_slots(bseq)
     return tuple(
-        p for p in itertools.permutations(range(n)) if _transversal_ok(p, blocks)
+        p for p in itertools.permutations(range(n + free))
+        if _transversal_ok(p, blocks, n)
     )
 
 
@@ -292,20 +324,20 @@ def orbit_transversal(bseq, g: int = 0) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def transversal_slot_counts(bseq: tuple[int, ...], g: int = 0) -> dict:
-    """Multiplicity of each value of inverse(perm)[0] over the transversal."""
+def transversal_slot_counts(bseq: tuple[int, ...], free: int = 0) -> dict:
+    """Multiplicity of each value of inverse(perm)[0] over the section."""
     counts: dict[int, int] = {}
-    for p in _transversal_of(trim_bseq(bseq)):
+    for p in _transversal_of(trim_bseq(bseq), free):
         i = invert_perm(p)[0]
         counts[i] = counts.get(i, 0) + 1
     return counts
 
 
 @lru_cache(maxsize=None)
-def transversal_slot_pair_counts(bseq: tuple[int, ...], g: int = 0) -> dict:
+def transversal_slot_pair_counts(bseq: tuple[int, ...], free: int = 0) -> dict:
     """Multiplicity of (inverse(perm)[0], inverse(perm)[1]) pairs."""
     counts: dict[tuple[int, int], int] = {}
-    for p in _transversal_of(trim_bseq(bseq)):
+    for p in _transversal_of(trim_bseq(bseq), free):
         q = invert_perm(p)
         key = (q[0], q[1])
         counts[key] = counts.get(key, 0) + 1

@@ -53,7 +53,7 @@ from .combinatorics import (
     bseq_arity,
     bseq_boundaries,
     orbit_representative,
-    rep_cycle_slots,
+    stabilizer_generators,
     trim_bseq,
 )
 from .endo import (
@@ -174,43 +174,25 @@ def check_key(kind: str, key) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer generators for the symmetry validation
+# the representative's stabilizer
+
+
+def stab_shape(kind, key):
+    """(b-sequence, free slots) describing the representative's stabilizer
+    (``stabilizer_generators``): loop maps are symmetric in their n slots,
+    cyclic maps rotate their one n-cycle, and the open-surface kinds rotate
+    and swap the cycle blocks of their b-sequence and permute their closed
+    slots."""
+    if kind == "loop":
+        return (0,), key.n
+    if kind == "cyclic_ainfty":
+        return (0,) * key.n + (1,), 0
+    return key.bseq, key_closed(key)
 
 
 def stab_generators(kind, key):
     """Slot permutations generating the representative's stabilizer."""
-    n = key_arity(key)
-    c = key_closed(key)
-    total = n + c
-    gens = []
-    if kind == "loop":
-        for i in range(n - 1):
-            p = list(range(n))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(tuple(p))
-        return gens
-    if kind == "cyclic_ainfty":
-        if n > 1:
-            gens.append(tuple((i + 1) % n for i in range(n)))
-        return gens
-    blocks = rep_cycle_slots(key.bseq)
-    for start, length in blocks:
-        if length > 1:
-            p = list(range(total))
-            for i in range(length):
-                p[start + i] = start + (i + 1) % length
-            gens.append(tuple(p))
-    for (s1, l1), (s2, l2) in zip(blocks, blocks[1:]):
-        if l1 == l2:
-            p = list(range(total))
-            for i in range(l1):
-                p[s1 + i], p[s2 + i] = s2 + i, s1 + i
-            gens.append(tuple(p))
-    for i in range(c - 1):
-        p = list(range(total))
-        p[n + i], p[n + i + 1] = p[n + i + 1], p[n + i]
-        gens.append(tuple(p))
-    return gens
+    return stabilizer_generators(*stab_shape(kind, key))
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,46 @@ def test_stab_word_size_matches_rotation_count(kind, key):
     assert seen
 
 
+def test_stab_group_is_the_relabelling_stabilizer():
+    """stab_group is the set of colour-preserving slot permutations that fix
+    the representative under ``relabel``, and _stab_size is its order, for
+    every key with open arity <= 5, closed arity <= 2 and doubled genus
+    <= 4."""
+    kinds = set()
+    for kind in FT.ALGEBRA_KINDS:
+        for key in FT.enumerate_keys(kind, 7, 4):
+            n, c = FT.key_arity(key), FT.key_closed(key)
+            if n > 5 or c > 2:
+                continue
+            kinds.add(kind)
+            rep = FT.representative(key)
+            fixed = set()
+            for so, sc in itertools.product(itertools.permutations(range(n)),
+                                            itertools.permutations(range(n, n + c))):
+                rho = {l: so[l - 1] + 1 for l in range(1, n + 1)}
+                rho_c = {l: sc[l - 1] - n + 1 for l in range(1, c + 1)}
+                if op.relabel(rep, rho, rho_c) == rep:
+                    fixed.add(so + sc)
+            assert set(FT.stab_group(kind, key)) == fixed, (kind, key)
+            assert bv._stab_size(kind, key) == len(fixed)
+    assert kinds == set(FT.ALGEBRA_KINDS)
+
+
+def test_loop_and_cyclic_section_counts():
+    """The coset-section tables of the loop and cyclic kinds, derived from
+    their stabilizer shapes, are the closed forms: the loop section is the
+    identity, the cyclic one fixes slot 0."""
+    for n in range(1, 6):
+        key = FT.LoopKey(n, 1)
+        assert bv._slot_counts("loop", key) == {0: 1}
+        assert bv._slot_pair_counts("loop", key) == ({(0, 1): 1} if n > 1 else {})
+        assert bv._open_section_size("loop", key) == 1
+    for n in range(3, 7):
+        key = FT.CyclicKey(n)
+        assert bv._slot_counts("cyclic_ainfty", key) == {0: math.factorial(n - 1)}
+        assert bv._open_section_size("cyclic_ainfty", key) == math.factorial(n - 1)
+
+
 def _reference_diff(x):
     """bv_diff with every contribution added by add_term in Fractions."""
     out = bv.BVElement(x.kind, x.space, x.cspace)

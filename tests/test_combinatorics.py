@@ -107,6 +107,14 @@ class TestOrbitRepresentative:
             cb.orbit_representative((0, 1), 0)
 
 
+def _slot_image(bseq, p):
+    """The cycles of the canonical surface of ``bseq`` and the set of the
+    free slots after them, moved by the slot permutation p."""
+    blocks = cb.rep_cycle_slots(bseq)
+    return (cb.sort_cycles(tuple(tuple(p[a : a + k]) for a, k in blocks)),
+            frozenset(p[cb.bseq_arity(bseq) :]))
+
+
 class TestStabilizer:
     def test_point_and_pair(self):
         assert cb.stabilizer_size((0, 1, 1)) == 2
@@ -129,6 +137,25 @@ class TestStabilizer:
 
     def test_closed_factor(self):
         assert cb.stabilizer_size((0, 1), closed_arity=2) == 2
+
+    def test_generators_generate_the_stabilizer(self):
+        """stabilizer_generators(bseq, free) generates the slot permutations
+        fixing the cycles of the canonical surface and the set of free
+        slots, stabilizer_size of them."""
+        for bseq, free in [((0,), 3), ((0, 0, 0, 1), 0), ((1, 2, 1), 2),
+                           ((0, 0, 2), 1), ((0, 1, 0, 1), 0)]:
+            ident = tuple(range(cb.bseq_arity(bseq) + free))
+            fixed = {p for p in itertools.permutations(ident)
+                     if _slot_image(bseq, p) == _slot_image(bseq, ident)}
+            group, todo = {ident}, [ident]
+            while todo:
+                p = todo.pop()
+                for s in cb.stabilizer_generators(bseq, free):
+                    q = cb.compose_perms(s, p)
+                    if q not in group:
+                        group.add(q)
+                        todo.append(q)
+            assert group == fixed and len(fixed) == cb.stabilizer_size(bseq, free)
 
 
 class TestTransversal:
@@ -163,3 +190,15 @@ class TestTransversal:
                  rep.empties, rep.g)
             )
         assert len(images) == len(ts)
+
+    @pytest.mark.parametrize("bseq,free", [((0,), 4), ((0, 1, 1), 2)])
+    def test_orbit_size_and_distinctness_with_free_slots(self, bseq, free):
+        """The section with ``free`` symmetric slots after the cycle blocks:
+        one permutation per coset, told apart by the cycles and the set of
+        free slots they reach."""
+        n = cb.bseq_arity(bseq)
+        ts = cb._transversal_of(bseq, free)
+        assert len(ts) * cb.stabilizer_size(bseq, free) == math.factorial(n + free)
+        assert len({_slot_image(bseq, p) for p in ts}) == len(ts)
+        if n == 0:
+            assert ts == (tuple(range(free)),)
