@@ -17,15 +17,18 @@ multiplicity table.
 
 The stabilizer orders, those tables and the symmetry plans all derive from
 one description of the stabilizer, its shape (``ftalgebra.stab_shape``).
-Each key has one ``lru_cache``d symmetry plan (``WordSymmetry``): its
-cycle blocks grouped by length, and, once a class is expanded into its
-invariant functional, the stabilizer as pairs of word getter and inversion
-masks.  A canonical word rotates each block to its least rotation, trying
-only the rotations that start at the block's least letter and reading each
-sign off the block's odd mask; it sorts a group of equal-length blocks only
-when the group has more than one member, and the tail by the inversions
-among its odd letters.  The plan shares ``stab_shape``, ``stab_group`` and
-the kernels with the generic route, and nothing else.
+Each key has one ``lru_cache``d symmetry plan (``_symmetry``), the
+``combinatorics.WordSymmetry`` of its shape and letter parities: its cycle
+blocks grouped by length, and, once a class is expanded into its invariant
+functional, the stabilizer's generators as pairs of word getter and
+inversion masks.  A canonical word rotates each block to its least
+rotation, trying only the rotations that start at the block's least letter
+and reading each sign off the block's odd mask; it sorts a group of
+equal-length blocks only when the group has more than one member, and the
+tail by the inversions among its odd letters.  A class expands by one walk
+of its orbit along the generators (``combinatorics.symmetrize``).  The plan
+shares ``stab_shape`` and the kernels with the generic route, and nothing
+else.
 
 The bulk producers (the three operations and ``series_from_maps``) sum
 their raw contributions per (component key, word) first and canonicalize
@@ -68,7 +71,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from . import operads as op
 from ._kernels import (
@@ -83,9 +85,9 @@ from ._kernels import (
     word_getter,
 )
 from .combinatorics import (
+    WordSymmetry,
     block_permutation,
     bseq_arity,
-    rep_cycle_slots,
     stabilizer_size,
     transversal_slot_counts,
     transversal_slot_pair_counts,
@@ -108,7 +110,6 @@ from .ftalgebra import (
     key_closed,
     key_of,
     representative,
-    stab_group,
     stab_shape,
 )
 from .graded import MultiFunctional, functional_differential
@@ -118,7 +119,6 @@ HALF = Fraction(1, 2)
 
 __all__ = [
     "BVElement",
-    "WordSymmetry",
     "generating_function",
     "series_from_maps",
     "bv_diff",
@@ -140,161 +140,10 @@ __all__ = [
 # word canonicalization under the representative's stabilizer
 
 
-def _rotation_sign(odd, r):
-    """Koszul sign of rotating the first r letters of a block past the rest,
-    read from the block's odd mask: -1 to the product of the two degree
-    sums, which is odd exactly when the head is odd and the whole block
-    even."""
-    if (odd & ((1 << r) - 1)).bit_count() & 1 and not odd.bit_count() & 1:
-        return -1
-    return 1
-
-
-def _least_rotation(sub, parities):
-    """(least rotation of a block, its sign, the block's odd mask), or None
-    when two rotations reach it with opposite signs.
-
-    A least rotation starts at the block's least letter, so only those
-    rotations are compared.
-    """
-    odd = odd_mask(sub, parities)
-    m = min(sub)
-    r = sub.index(m)
-    best = sub[r:] + sub[:r] if r else sub
-    sign = _rotation_sign(odd, r)
-    if sub.count(m) > 1:
-        for q in range(r + 1, len(sub)):
-            if sub[q] != m:
-                continue
-            cand = sub[q:] + sub[:q]
-            if cand > best:
-                continue
-            s = _rotation_sign(odd, q)
-            if cand < best:
-                best, sign = cand, s
-            elif s != sign:
-                return None
-    return best, sign, odd
-
-
-def _odd_inversions(odds):
-    """Parity of the inverted pairs among the odd items, listed in word
-    order, and whether one of them repeats: sorting costs -1 to that
-    parity, and a repeated odd item kills the class."""
-    flips = 0
-    for i, a in enumerate(odds):
-        for b in odds[i + 1 :]:
-            if b < a:
-                flips += 1
-            elif b == a:
-                return 0, True
-    return flips & 1, False
-
-
-class WordSymmetry:
-    """The symmetry plan of one key: canonical forms of dual words under the
-    representative's stabilizer, and the expansion of classes back over it.
-
-    The stabilizer (``stab_shape``) rotates each cycle block, permutes
-    blocks of equal length and permutes the tail, its free slots from slot
-    ``tail`` on.  The loop kind has no blocks and its whole word is the
-    tail; the cyclic kind has the single block of its n slots; the
-    open-surface kinds have one block per cycle, listed by nondecreasing
-    length, and their closed slots as the tail.  The plan holds the blocks
-    grouped by length; a group with one member is never sorted.  The
-    stabilizer itself (``stab_group``) is held, once a class is expanded, as
-    pairs of word getter and inversion masks, so that each sign is one
-    ``mask_sign``.
-    """
-
-    def __init__(self, kind, key, table):
-        self.kind, self.key = kind, key
-        self.parities = tuple(d % 2 for d in table)
-        bseq, _ = stab_shape(kind, key)
-        self.tail = bseq_arity(bseq)
-        groups: dict = {}
-        for start, length in rep_cycle_slots(bseq):
-            groups.setdefault(length, []).append(start)
-        self.groups = tuple((length, tuple(starts))
-                            for length, starts in groups.items())
-        self._group = None
-
-    def canonical(self, word):
-        """(canonical word, sign) or (None, 0) for a vanishing class."""
-        parities = self.parities
-        sign = 1
-        out = []
-        for length, starts in self.groups:
-            rots = []
-            for start in starts:
-                rot = _least_rotation(word[start : start + length], parities)
-                if rot is None:
-                    return None, 0
-                sign *= rot[1]
-                rots.append(rot)
-            if len(rots) > 1:
-                # arrange equal-length blocks in word order
-                flip, repeated = _odd_inversions(
-                    [r[0] for r in rots if r[2].bit_count() & 1])
-                if repeated:
-                    return None, 0
-                sign *= -1 if flip else 1
-                rots.sort(key=itemgetter(0))
-            for rot in rots:
-                out += rot[0]
-        tail = word[self.tail :]
-        if len(tail) > 1:
-            flip, repeated = _odd_inversions([k for k in tail if parities[k]])
-            if repeated:
-                return None, 0
-            sign *= -1 if flip else 1
-            tail = sorted(tail)
-        out += tail
-        return tuple(out), sign
-
-    def stab_word_size(self, word0):
-        """Number of stabilizer elements fixing the canonical word."""
-        size = 1
-        for length, starts in self.groups:
-            subs = [word0[start : start + length] for start in starts]
-            for sub in subs:
-                # the rotations fixing sub are the multiples of its period
-                for q in range(1, length):
-                    if sub[q] == sub[0] and sub[q:] + sub[:q] == sub:
-                        size *= length // q
-                        break
-            for _, grp in itertools.groupby(subs):
-                size *= math.factorial(len(list(grp)))
-        for _, grp in itertools.groupby(word0[self.tail :]):
-            size *= math.factorial(len(list(grp)))
-        return size
-
-    def expand(self, comp: dict) -> dict:
-        """The invariant entries of the classes ``comp`` (canonical word to
-        coefficient, of any number type): each word of a class's orbit gets
-        the coefficient times the word's stabilizer size, with the Koszul
-        sign of the stabilizer element reaching it."""
-        group = self._group
-        if group is None:
-            group = self._group = tuple(
-                (word_getter(invert_perm(s)), inversion_masks(s))
-                for s in stab_group(self.kind, self.key)
-            )
-        parities = self.parities
-        entries = {}
-        for w0, c in comp.items():
-            base = c * self.stab_word_size(w0)
-            odd = odd_mask(w0, parities)
-            for move, masks in group:
-                w = move(w0)
-                if w not in entries:
-                    entries[w] = base if mask_sign(masks, odd) > 0 else -base
-        return entries
-
-
 @lru_cache(maxsize=None)
 def _symmetry(kind, key, table):
-    return WordSymmetry(kind, key, table)
+    """The symmetry plan of one key, on letters of the degrees ``table``."""
+    return WordSymmetry(*stab_shape(kind, key), tuple(d % 2 for d in table))
 
 
 def _stab_size(kind, key) -> int:

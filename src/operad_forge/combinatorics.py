@@ -12,19 +12,29 @@ Conventions used throughout the package:
   and swaps the cycle blocks of the b-sequence's canonical surface and
   permutes ``free`` slots after them (closed ends, or all ends of a closed
   surface).  ``stabilizer_size``/``_generators`` and the sections take it.
+- The stabilizer moves words of basis letters, with Koszul signs from the
+  letters' parities.  ``symmetrize`` sums values over it, walking each
+  orbit of words once along the generators, and ``WordSymmetry`` puts words
+  in canonical form and expands classes back; the whole group is never
+  listed.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from ._kernels import (
     apply_perm_to_word,
     compose_perms,
     invert_perm,
+    inversion_masks,
     koszul_sign,
+    mask_sign,
+    odd_mask,
+    word_getter,
 )
 from .errors import DuplicateLabel, OverlappingCycles, Unstable
 
@@ -45,6 +55,9 @@ __all__ = [
     "orbit_representative",
     "stabilizer_size",
     "stabilizer_generators",
+    "stabilizer_moves",
+    "symmetrize",
+    "WordSymmetry",
     "orbit_transversal",
     "transversal_slot_counts",
     "transversal_slot_pair_counts",
@@ -288,6 +301,79 @@ def stabilizer_generators(bseq: Sequence[int], free: int = 0) -> list[tuple[int,
     return gens
 
 
+def stabilizer_moves(bseq: Sequence[int], free: int = 0) -> tuple:
+    """The stabilizer's generators as pairs of word getter and inversion
+    masks: the getter moves a word along the generator, and the masks give
+    the Koszul sign of the move with one ``mask_sign``."""
+    return tuple(
+        (word_getter(invert_perm(t)), inversion_masks(t))
+        for t in stabilizer_generators(bseq, free)
+    )
+
+
+def _word_orbit(word, moves, parities):
+    """The orbit of ``word`` under the group the moves generate, each word
+    with the sign of the elements reaching it from ``word``, and whether
+    some word is reached with both signs.
+
+    The walk tries every generator on every word of the orbit, so it checks
+    every Schreier generator of the stabilizer of ``word``: that stabilizer
+    holds an element of sign -1 exactly when some edge reaches a word with
+    the other sign."""
+    signs = {word: 1}
+    both = False
+    todo = [word]
+    for w in todo:  # grows while it is walked
+        s, odd = signs[w], odd_mask(w, parities)
+        for move, masks in moves:
+            u = move(w)
+            su = s if mask_sign(masks, odd) > 0 else -s
+            prev = signs.get(u)
+            if prev is None:
+                signs[u] = su
+                todo.append(u)
+            elif prev != su:
+                both = True
+    return signs, both
+
+
+def symmetrize(values: dict, bseq, free, parities, moves=None) -> dict:
+    """The sum of s.values over the stabilizer of the shape (bseq, free),
+    which moves words of letters of the given parities with Koszul signs;
+    ``moves`` are the shape's ``stabilizer_moves``, built here when not
+    given.
+
+    Each orbit is walked once.  An orbit reached with both signs is
+    dropped: its class vanishes.  On any other orbit, the elements taking
+    one word to another are a coset of a word's stabilizer, of order
+    |G| / |orbit|, and share one sign; so the sum is |G| / |orbit| times
+    the signed sum of the values on the orbit, written with its sign on
+    every word of the orbit.
+    """
+    if moves is None:
+        moves = stabilizer_moves(bseq, free)
+    size = stabilizer_size(bseq, free)
+    out: dict = {}
+    seen: set = set()
+    for w0 in values:
+        if w0 in seen:
+            continue
+        signs, both = _word_orbit(w0, moves, parities)
+        seen.update(signs)
+        if both:
+            continue
+        total = 0
+        for w, s in signs.items():
+            v = values.get(w)
+            if v:
+                total += v if s > 0 else -v
+        if total:
+            total *= size // len(signs)
+            for w, s in signs.items():
+                out[w] = total if s > 0 else -total
+    return out
+
+
 def _transversal_ok(perm: tuple[int, ...], blocks: list[tuple[int, int]], n: int) -> bool:
     prev_start_image: dict[int, int] = {}
     for start, length in blocks:
@@ -342,3 +428,125 @@ def transversal_slot_pair_counts(bseq: tuple[int, ...], free: int = 0) -> dict:
         key = (q[0], q[1])
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# word canonicalization under a stabilizer
+
+
+def _rotation_sign(odd, r):
+    """Koszul sign of rotating the first r letters of a block past the rest,
+    read from the block's odd mask: -1 to the product of the two degree
+    sums, which is odd exactly when the head is odd and the whole block
+    even."""
+    if (odd & ((1 << r) - 1)).bit_count() & 1 and not odd.bit_count() & 1:
+        return -1
+    return 1
+
+
+def _least_rotation(sub, parities):
+    """(least rotation of a block, its sign, the block's odd mask), or None
+    when two rotations reach it with opposite signs.
+
+    A least rotation starts at the block's least letter, so only those
+    rotations are compared.
+    """
+    odd = odd_mask(sub, parities)
+    m = min(sub)
+    r = sub.index(m)
+    best = sub[r:] + sub[:r] if r else sub
+    sign = _rotation_sign(odd, r)
+    if sub.count(m) > 1:
+        for q in range(r + 1, len(sub)):
+            if sub[q] != m:
+                continue
+            cand = sub[q:] + sub[:q]
+            if cand > best:
+                continue
+            s = _rotation_sign(odd, q)
+            if cand < best:
+                best, sign = cand, s
+            elif s != sign:
+                return None
+    return best, sign, odd
+
+
+def _odd_inversions(odds):
+    """Parity of the inverted pairs among the odd items, listed in word
+    order, and whether one of them repeats: sorting costs -1 to that
+    parity, and a repeated odd item kills the class."""
+    flips = 0
+    for i, a in enumerate(odds):
+        for b in odds[i + 1 :]:
+            if b < a:
+                flips += 1
+            elif b == a:
+                return 0, True
+    return flips & 1, False
+
+
+class WordSymmetry:
+    """The symmetry plan of one stabilizer shape (bseq, free) on words of
+    letters of the given parities: canonical forms of words, and the
+    expansion of classes back over the stabilizer.
+
+    The stabilizer rotates each cycle block of the b-sequence's canonical
+    surface, permutes blocks of equal length and permutes the tail, its
+    ``free`` slots from slot ``tail`` on.  The plan holds the blocks
+    grouped by length; a group with one member is never sorted.  The
+    generators (``stabilizer_moves``) are built once a class is expanded.
+    """
+
+    def __init__(self, bseq, free, parities):
+        self.bseq, self.free, self.parities = bseq, free, parities
+        self.tail = bseq_arity(bseq)
+        groups: dict = {}
+        for start, length in rep_cycle_slots(bseq):
+            groups.setdefault(length, []).append(start)
+        self.groups = tuple((length, tuple(starts))
+                            for length, starts in groups.items())
+
+    @cached_property
+    def moves(self):
+        return stabilizer_moves(self.bseq, self.free)
+
+    def canonical(self, word):
+        """(canonical word, sign) or (None, 0) for a vanishing class."""
+        parities = self.parities
+        sign = 1
+        out = []
+        for length, starts in self.groups:
+            rots = []
+            for start in starts:
+                rot = _least_rotation(word[start : start + length], parities)
+                if rot is None:
+                    return None, 0
+                sign *= rot[1]
+                rots.append(rot)
+            if len(rots) > 1:
+                # arrange equal-length blocks in word order
+                flip, repeated = _odd_inversions(
+                    [r[0] for r in rots if r[2].bit_count() & 1])
+                if repeated:
+                    return None, 0
+                sign *= -1 if flip else 1
+                rots.sort(key=itemgetter(0))
+            for rot in rots:
+                out += rot[0]
+        tail = word[self.tail :]
+        if len(tail) > 1:
+            flip, repeated = _odd_inversions([k for k in tail if parities[k]])
+            if repeated:
+                return None, 0
+            sign *= -1 if flip else 1
+            tail = sorted(tail)
+        out += tail
+        return tuple(out), sign
+
+    def expand(self, comp: dict) -> dict:
+        """The invariant entries of the classes ``comp`` (canonical word to
+        coefficient, of any number type), by ``symmetrize``: each word of a
+        class's orbit gets the coefficient times the word's stabilizer size,
+        with the Koszul sign of the stabilizer elements reaching it."""
+        return symmetrize(comp, self.bseq, self.free, self.parities,
+                          self.moves)

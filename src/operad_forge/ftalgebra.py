@@ -38,12 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import operads as op
-from ._kernels import (
-    apply_perm_to_word,
-    invert_perm,
-    koszul_sign,
-    precompose_entries,
-)
+from ._kernels import invert_perm, precompose_entries
 from .combinatorics import (
     QCElement,
     QOCSurface,
@@ -54,6 +49,7 @@ from .combinatorics import (
     bseq_boundaries,
     orbit_representative,
     stabilizer_generators,
+    symmetrize,
     trim_bseq,
 )
 from .endo import (
@@ -601,7 +597,9 @@ def _glue_splittings(data, key, table, tie, R, colour):
 
 @lru_cache(maxsize=None)
 def stab_group(kind, key):
-    """Full stabilizer of the representative, as slot permutations."""
+    """Full stabilizer of the representative, as slot permutations (n! of
+    them for a loop key of arity n).  The library walks orbits instead
+    (``combinatorics.symmetrize``); the tests check against this group."""
     n = key_arity(key) + key_closed(key)
     gens = stab_generators(kind, key)
     ident = tuple(range(n))
@@ -682,14 +680,8 @@ def random_invariant_map(rng, data_kind, space, closed_space, key,
             num = rng.randint(-max_num, max_num)
             if num:
                 raw[w] = Fraction(num, rng.randint(1, max_num))
-    entries: dict = {}
-    for s in stab_group(data_kind, key):
-        inv = invert_perm(s)
-        for w, v in raw.items():
-            sign = koszul_sign(inv, tuple(table[k] for k in w))
-            nw = apply_perm_to_word(inv, w)
-            entries[nw] = entries.get(nw, ZERO) + (v if sign > 0 else -v)
-    entries = {w: v for w, v in entries.items() if v}
+    entries = symmetrize(raw, *stab_shape(data_kind, key),
+                         tuple(d % 2 for d in table))
     return make_map(data_kind, space, closed_space, key, entries)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from operad_forge import bv, endo
+from operad_forge import combinatorics as cb
 from operad_forge import ftalgebra as FT
 from operad_forge import graded as G
 from operad_forge import operads as op
@@ -49,9 +50,9 @@ class TestGeneratingFunction:
         data = FT.AlgebraData(kind="loop", space=v2, maps={key: f})
         S = bv.generating_function(data)
         comp = S.component(key)
-        sym = bv._symmetry("loop", key, v2.degrees)
         for w0, c in comp.items():
-            assert c == f.entries[w0] / sym.stab_word_size(w0)
+            size = _stab_word_size("loop", key, v2.degrees, w0)
+            assert c == f.entries[w0] / size
         # summing the class coefficients over each orbit recovers 1/n! of
         # the total tensor mass
         total = sum(
@@ -60,8 +61,9 @@ class TestGeneratingFunction:
         )
         orbit_total = Fr(0)
         for w0, c in comp.items():
-            orbit_total += c * sym.stab_word_size(w0) / math.factorial(3) * \
-                (math.factorial(3) // sym.stab_word_size(w0))
+            size = _stab_word_size("loop", key, v2.degrees, w0)
+            orbit_total += c * size / math.factorial(3) * \
+                (math.factorial(3) // size)
         assert orbit_total == total
 
     def test_cyclic_weight(self, v4c):
@@ -373,14 +375,14 @@ def test_rotation_signs_match_koszul_sign():
             degs = tuple(table[i] for i in sub)
             ref = _reference_rotations(sub, degs)
             odd = odd_mask(sub, parities)
-            assert [bv._rotation_sign(odd, r) for r in range(k)] == [
+            assert [cb._rotation_sign(odd, r) for r in range(k)] == [
                 s for _, s in ref]
             if not k:
                 continue
             least = min(cand for cand, _ in ref)
             signs = {s for cand, s in ref if cand == least}
             expected = None if len(signs) > 1 else (least, signs.pop(), odd)
-            assert bv._least_rotation(sub, parities) == expected
+            assert cb._least_rotation(sub, parities) == expected
             vanishing += expected is None
     assert vanishing
 
@@ -473,6 +475,15 @@ def _reference_stab_word_size(kind, key, table, word0):
     return size
 
 
+def _stab_word_size(kind, key, table, word):
+    """Number of stabilizer elements fixing the word: the stabilizer's
+    order over the size of the word's orbit."""
+    shape = FT.stab_shape(kind, key)
+    orbit, _ = cb._word_orbit(word, cb.stabilizer_moves(*shape),
+                              tuple(d % 2 for d in table))
+    return cb.stabilizer_size(*shape) // len(orbit)
+
+
 @pytest.mark.parametrize("kind, max_n, max_genus2", [
     ("loop", 4, 4), ("cyclic_ainfty", 5, 0), ("quantum_ainfty", 4, 4),
     ("qoc", 3, 2),
@@ -481,8 +492,9 @@ def _reference_stab_word_size(kind, key, table, word0):
                          ids=["rich", "mixed"])
 def test_symmetry_plan_matches_reference(kind, max_n, max_genus2, space):
     """On every word of every key, the symmetry plan gives the canonical
-    form, sign and stabilizer size that the all-rotations reference
-    gives."""
+    form and sign that the all-rotations reference gives, and the word's
+    orbit is as large as the stabilizer's order over the reference's count
+    of the elements fixing the canonical word."""
     cspace = space if kind == "qoc" else None
     table = space.degrees + (cspace.degrees if cspace else ())
     dim = space.dim
@@ -496,10 +508,12 @@ def test_symmetry_plan_matches_reference(kind, max_n, max_genus2, space):
                 got = plan.canonical(word)
                 assert got == _reference_canonical(kind, key, table, word), (
                     key, word)
-                size = plan.stab_word_size(word)
+                if got[0] is None:
+                    vanishing += 1
+                    continue
+                size = _stab_word_size(kind, key, table, word)
                 assert size == _reference_stab_word_size(kind, key, table,
-                                                         word), (key, word)
-                vanishing += got[0] is None
+                                                         got[0]), (key, word)
                 fixed += size > 1
     assert vanishing and fixed
 
@@ -510,10 +524,12 @@ def test_symmetry_plan_matches_reference(kind, max_n, max_genus2, space):
     ("qoc", FT.QocKey((0, 1, 1), 0, 2)),
 ])
 def test_stab_word_size_matches_rotation_count(kind, key):
-    """stab_word_size counts the stabilizer elements fixing a canonical
-    word; with the koszul_sign rotations it counts the same."""
+    """The stabilizer's order over the size of a canonical word's orbit
+    counts the stabilizer elements fixing the word; with the koszul_sign
+    rotations it counts the same."""
     table = (0, 1, -1, 2, 0, -1)
-    sym = bv.WordSymmetry(kind, key, table)
+    sym = cb.WordSymmetry(*FT.stab_shape(kind, key),
+                          tuple(d % 2 for d in table))
     n, c = FT.key_arity(key), FT.key_closed(key)
     rng = random.Random(5)
     seen = 0
@@ -525,11 +541,110 @@ def test_stab_word_size_matches_rotation_count(kind, key):
             continue
         seen += 1
         size = _reference_stab_word_size(kind, key, table, w0)
-        assert sym.stab_word_size(w0) == size
+        assert _stab_word_size(kind, key, table, w0) == size
         assert size == sum(
             1 for s in FT.stab_group(kind, key) if apply_perm_to_word(s, w0) == w0
         )
     assert seen
+
+
+def _reference_random_invariant_map(rng, kind, space, cspace, key):
+    """random_invariant_map, at its default density and numerators, as a
+    walk over the whole stabilizer: the same random values on the same
+    words, each moved by every group element."""
+    n, c = FT.key_arity(key), FT.key_closed(key)
+    table = space.degrees + (cspace.degrees if cspace else ())
+    raw = {}
+    for w in FT._words_for_dims(kind, space.dim, cspace.dim if cspace else 0,
+                                n, c):
+        if sum(table[k] for k in w) != 0:
+            continue
+        if rng.random() < 0.6:
+            num = rng.randint(-3, 3)
+            if num:
+                raw[w] = Fr(num, rng.randint(1, 3))
+    entries = {}
+    for s in FT.stab_group(kind, key):
+        inv = invert_perm(s)
+        for w, v in raw.items():
+            sign = koszul_sign(inv, tuple(table[k] for k in w))
+            nw = apply_perm_to_word(inv, w)
+            entries[nw] = entries.get(nw, Fr(0)) + (v if sign > 0 else -v)
+    return {w: v for w, v in entries.items() if v}
+
+
+def _reference_expand(kind, key, table, comp):
+    """WordSymmetry.expand as a walk over the whole stabilizer: each word of
+    a class's orbit gets the coefficient times the reference count of the
+    elements fixing the class word, with the sign of the first element
+    reaching it."""
+    degrees = tuple(table)
+    entries = {}
+    for w0, c in comp.items():
+        base = c * _reference_stab_word_size(kind, key, table, w0)
+        for s in FT.stab_group(kind, key):
+            w = apply_perm_to_word(s, w0)
+            if w not in entries:
+                sign = koszul_sign(s, tuple(degrees[k] for k in w0))
+                entries[w] = base if sign > 0 else -base
+    return entries
+
+
+SYMMETRY_BOUNDS = [("loop", 5, 4), ("cyclic_ainfty", 6, 0),
+                   ("quantum_ainfty", 4, 4), ("qoc", 3, 2)]
+
+
+@pytest.mark.parametrize("kind, max_n, max_genus2", SYMMETRY_BOUNDS)
+@pytest.mark.parametrize("space", [G.rich_space(4), _mixed_space([-1, -1])],
+                         ids=["rich", "mixed"])
+def test_random_invariant_map_matches_group_walk(kind, max_n, max_genus2,
+                                                 space):
+    """The orbit walk of random_invariant_map gives the entries of the walk
+    over the whole stabilizer, from the same random draws, for every key."""
+    cspace = space if kind == "qoc" else None
+    compared = 0
+    for seed in (0, 1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for key in FT.enumerate_keys(kind, max_n, max_genus2):
+            f = FT.random_invariant_map(rng, kind, space, cspace, key)
+            ref = _reference_random_invariant_map(ref_rng, kind, space,
+                                                  cspace, key)
+            assert f.entries == ref, (seed, key)
+            assert rng.getstate() == ref_rng.getstate()
+            compared += len(ref)
+    assert compared
+
+
+@pytest.mark.parametrize("kind, max_n, max_genus2", SYMMETRY_BOUNDS)
+@pytest.mark.parametrize("space", [G.rich_space(4), _mixed_space([-1, -1])],
+                         ids=["rich", "mixed"])
+def test_expand_matches_group_walk(kind, max_n, max_genus2, space):
+    """expand gives the entries of the walk over the whole stabilizer on
+    random class dicts with integer and rational coefficients, and on the
+    classes of random stored maps."""
+    cspace = space if kind == "qoc" else None
+    table = space.degrees + (cspace.degrees if cspace else ())
+    dim = space.dim
+    for seed in (3, 4):
+        rng = random.Random(seed)
+        for key in FT.enumerate_keys(kind, max_n, max_genus2):
+            plan = bv._symmetry(kind, key, table)
+            n, c = FT.key_arity(key), FT.key_closed(key)
+            comp = {}
+            for _ in range(12):
+                word = tuple(rng.randrange(dim) for _ in range(n)) + tuple(
+                    dim + rng.randrange(dim) for _ in range(c))
+                w0, _ = plan.canonical(word)
+                if w0 is not None:
+                    comp[w0] = rng.choice([rng.randint(1, 5),
+                                           Fr(-rng.randint(1, 5), 3)])
+            assert plan.expand(comp) == _reference_expand(kind, key, table,
+                                                          comp), (seed, key)
+            f = FT.random_invariant_map(rng, kind, space, cspace, key)
+            x = bv.series_from_maps(kind, space, cspace, {key: f.entries})
+            classes = x.component(key)
+            assert plan.expand(classes) == _reference_expand(
+                kind, key, table, classes) == f.entries
 
 
 def test_stab_group_is_the_relabelling_stabilizer():

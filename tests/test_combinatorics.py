@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,69 @@ class TestStabilizer:
                         group.add(q)
                         todo.append(q)
             assert group == fixed and len(fixed) == cb.stabilizer_size(bseq, free)
+
+
+def _stabilizer(bseq, free):
+    """Every slot permutation fixing the cycles of the canonical surface
+    and the set of free slots."""
+    ident = tuple(range(cb.bseq_arity(bseq) + free))
+    return [p for p in itertools.permutations(ident)
+            if _slot_image(bseq, p) == _slot_image(bseq, ident)]
+
+
+def _reference_sum(values, group, parities):
+    """The sum of s.values over the listed group elements, each sign a
+    koszul_sign; zero entries dropped."""
+    out = {}
+    for s in group:
+        for w, v in values.items():
+            u = cb.apply_perm_to_word(s, w)
+            out[u] = out.get(u, 0) + cb.koszul_sign(
+                s, tuple(parities[k] for k in w)) * v
+    return {w: v for w, v in out.items() if v}
+
+
+SHAPES = [((0,), 3), ((0,), 5), ((0, 0, 0, 0, 1), 0), ((1, 2, 1), 2),
+          ((0, 0, 2), 1), ((0, 1, 1, 1), 0), ((0, 2, 0, 1), 1)]
+PARITIES = (0, 1, 1)  # of the letters 0, 1 and 2
+
+
+class TestSymmetrize:
+    @pytest.mark.parametrize("bseq,free", SHAPES)
+    def test_orbits_against_the_whole_stabilizer(self, bseq, free):
+        """Each word's orbit is its image under the whole stabilizer, the
+        orbit's size times the number of elements fixing the word is the
+        stabilizer's order, and the orbit is dropped exactly when the sum
+        over the stabilizer of the word's images vanishes."""
+        group = _stabilizer(bseq, free)
+        moves = cb.stabilizer_moves(bseq, free)
+        dropped = kept = 0
+        for word in itertools.product(range(3), repeat=len(group[0])):
+            orbit, both = cb._word_orbit(word, moves, PARITIES)
+            assert set(orbit) == {cb.apply_perm_to_word(s, word) for s in group}
+            fixing = sum(cb.apply_perm_to_word(s, word) == word for s in group)
+            assert len(orbit) * fixing == cb.stabilizer_size(bseq, free)
+            reference = _reference_sum({word: 1}, group, PARITIES)
+            assert both == (not reference)
+            assert cb.symmetrize({word: 1}, bseq, free, PARITIES) == reference
+            dropped += both
+            kept += not both
+        assert dropped and kept
+
+    @pytest.mark.parametrize("bseq,free", SHAPES)
+    def test_random_values(self, bseq, free):
+        """On random values over several orbits, with integer and rational
+        values, the orbit walk sums what the whole stabilizer sums."""
+        group = _stabilizer(bseq, free)
+        rng = random.Random(sum(bseq) + free)
+        for _ in range(20):
+            values = {}
+            for _ in range(rng.randint(1, 8)):
+                word = tuple(rng.randrange(3) for _ in group[0])
+                values[word] = rng.choice(
+                    [rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+            assert cb.symmetrize(values, bseq, free, PARITIES) == \
+                _reference_sum(values, group, PARITIES)
 
 
 class TestTransversal:

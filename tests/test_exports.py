@@ -41,8 +41,6 @@ def test_no_two_modules_define_one_name():
 # Past 8,192 tokens the parser doubles its token array, which shows in the
 # peak memory of a process that compiles the package without ``.pyc`` files.
 TOKEN_LINE = 8192
-# bv.py is past the line until it is split along its verification routes.
-PINNED = {"operad_forge.bv": 8758}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
 
 
@@ -67,5 +65,4 @@ def parser_tokens(path):
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_stays_under_the_token_line(module):
-    limit = PINNED.get(module.__name__, TOKEN_LINE)
-    assert parser_tokens(module.__file__) <= limit
+    assert parser_tokens(module.__file__) <= TOKEN_LINE
