@@ -192,11 +192,7 @@ def _colours(kind):
 
 
 def _ends(x, colour):
-    if isinstance(x, op.QCElement):
-        return sorted(x.labels)
-    if colour == "open":
-        return sorted(op.open_labels(x))
-    return sorted(op.closed_labels(x))
+    return sorted(op.open_labels(x) if colour == "open" else op.closed_labels(x))
 
 
 def _orbit_key(x):
@@ -238,32 +234,33 @@ def _perm_maps(labels):
     return [dict(zip(labels, p)) for p in itertools.permutations(labels)]
 
 
-def _generator_maps(kind, x, small=False):
+def _generator_maps(x, small=False):
     """Pairs (open map, closed map) generating the relabelling group, the
     identity first: ``_label_maps`` of each colour."""
-    if kind == "qoc":
-        ids_o = {l: l for l in op.open_labels(x)}
-        ids_c = {l: l for l in op.closed_labels(x)}
-        return [(m, ids_c) for m in _label_maps(op.open_labels(x), small)] + [
-            (ids_o, m) for m in _label_maps(op.closed_labels(x), small)[1:]]
-    return [(m, {}) for m in _label_maps(x.labels, small)]
+    ids_o = {l: l for l in op.open_labels(x)}
+    ids_c = {l: l for l in op.closed_labels(x)}
+    return [(m, ids_c) for m in _label_maps(op.open_labels(x), small)] + [
+        (ids_o, m) for m in _label_maps(op.closed_labels(x), small)[1:]]
 
 
 def _stabilizer(kind, x):
     """Generators (colour, moved labels) of the relabellings that fix x: the
-    slot generators of x's shape on its cycles, then its closed labels (all
-    labels for ``qc``).  Each is checked with ``relabel``; if one moves x,
-    there are none."""
-    cycles = () if kind == "qc" else x.cycles
-    closed, free = "closed" if kind == "qoc" else "open", sorted(op.closed_labels(x))
+    slot generators of x's shape on its cycles, then on its ends that no
+    cycle carries, which for ``qc`` are all its open ends (a closed surface's
+    stabilizer permutes them all) and otherwise its closed ends.  Each is
+    checked with ``relabel``; if one moves x, there are none."""
+    if kind == "qc":
+        cycles, free_colour, free = (), "open", sorted(x.labels)
+    else:
+        cycles, free_colour, free = x.cycles, "closed", sorted(op.closed_labels(x))
     n, labels = sum(map(len, cycles)), [l for c in cycles for l in c] + free
-    gens = [(closed if s[:n] == tuple(range(n)) else "open",
+    gens = [(free_colour if s[:n] == tuple(range(n)) else "open",
              {labels[i]: labels[j] for i, j in enumerate(s) if i != j})
             for s in stabilizer_generators(b_sequence(cycles), len(free))]
     ids = {c: {l: l for l in _ends(x, c)} for c in _colours(kind)}
     for colour, move in gens:
         maps = {**ids, colour: {**ids[colour], **move}}
-        if _relabel(kind, x, maps["open"], maps.get("closed")) != x:
+        if op.relabel(x, maps["open"], maps.get("closed")) != x:
             return ()
     return gens
 
@@ -321,17 +318,11 @@ def _end_orbits(kind, extended, reduced):
     return factors
 
 
-def _relabel(kind, x, rho_o, rho_c):
-    if kind == "qoc":
-        return op.relabel(x, rho_o, rho_c)
-    return op.relabel(x, rho_o)
-
-
-def _free_map(kind, rho_o, rho_c, colour, *drop):
+def _free_map(rho_o, rho_c, colour, *drop):
     """Combined relabelling restricted away from the glued labels."""
     o = dict(rho_o)
     c = dict(rho_c)
-    target = o if (colour == "open" or kind != "qoc") else c
+    target = o if colour == "open" else c
     for l in drop:
         target.pop(l, None)
     return o, c
@@ -420,8 +411,7 @@ class _ActionTable:
     the s-th permutation; ``group[0]`` is the identity, so ``mul[k][0]``
     indexes r."""
 
-    def __init__(self, kind, lo, lc, left=None):
-        self.kind = kind
+    def __init__(self, lo, lc, left=None):
         self.group = [(mo, mc) for mo in _perm_maps(lo) for mc in _perm_maps(lc)]
         index = {(*mo.values(), *mc.values()): i for i, (mo, mc) in enumerate(self.group)}
         self.mul = [[index[(*(ro[so[l]] for l in lo), *(rc[sc[l]] for l in lc))]
@@ -442,7 +432,7 @@ class _ActionTable:
         if r is None:
             x = self.elems[i]
             r = self.rows[i] = [
-                self.id(_relabel(self.kind, x, mo, mc)) for mo, mc in self.group
+                self.id(op.relabel(x, mo, mc)) for mo, mc in self.group
             ]
         return r
 
@@ -470,11 +460,11 @@ def _ax2(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     tables, covered = {}, 0
     for shape in corollas:
         for x in _basis(kind, shape, extended):
-            lo, lc = _ends(x, "open"), _ends(x, "closed") if kind == "qoc" else []
+            lo, lc = _ends(x, "open"), _ends(x, "closed")
             key = (tuple(lo), tuple(lc))
             if key not in tables:
                 tables[key] = _ActionTable(
-                    kind, lo, lc, _generator_maps(kind, x, True) if reduced else None)
+                    lo, lc, _generator_maps(x, True) if reduced else None)
             tables[key].id(x)
     for table in tables.values():
         size = len(table.elems)  # the basis elements with these labels
@@ -487,23 +477,22 @@ def _ax2(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     return covered
 
 
-def _glue_data(kind, x, colour, small):
+def _glue_data(x, colour, small):
     """The number of x's transposition generators (``_generator_maps``
     without ``small``), and per end ``a`` of ``x`` in ``colour``: for each
     generator rho (``small`` as in ``_label_maps``), the relabelled
     ``x.rho``, the image ``rho(a)`` and rho's open and closed maps with
     ``a`` dropped (the part of rho that survives the gluing at ``a``)."""
-    gens = _generator_maps(kind, x, small)
-    moved = [_relabel(kind, x, rho_o, rho_c) for rho_o, rho_c in gens]
+    gens = _generator_maps(x, small)
+    moved = [op.relabel(x, rho_o, rho_c) for rho_o, rho_c in gens]
     out = []
     for a in _ends(x, colour):
         row = []
         for (rho_o, rho_c), xr in zip(gens, moved):
-            look = rho_o if (colour == "open" or kind != "qoc") else rho_c
-            row.append((xr, look[a], *_free_map(kind, rho_o, rho_c, colour, a)))
+            look = rho_o if colour == "open" else rho_c
+            row.append((xr, look[a], *_free_map(rho_o, rho_c, colour, a)))
         out.append((a, row))
-    sizes = ((len(op.open_labels(x)), len(op.closed_labels(x))) if kind == "qoc"
-             else (len(x.labels),))
+    sizes = len(op.open_labels(x)), len(op.closed_labels(x))
     return 1 + sum(math.comb(n, 2) for n in sizes), out
 
 
@@ -525,7 +514,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     def data(x, colour):
         d = memo.get((x, colour))
         if d is None:
-            d = memo[x, colour] = _glue_data(kind, x, colour, reduced)
+            d = memo[x, colour] = _glue_data(x, colour, reduced)
         return d
 
     covered = 0
@@ -547,7 +536,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                             else:
                                 pairs = itertools.product(row_x, row_y)
                             for (xr, ia, fo, fc), (yr, ib, go, gc) in pairs:
-                                lhs = _relabel(kind, z, {**fo, **go}, {**fc, **gc})
+                                lhs = op.relabel(z, {**fo, **go}, {**fc, **gc})
                                 rhs = compose(xr, ia, yr, ib, colour, extended)
                                 report.record(3, (x, a, y, b, colour), lhs, rhs)
     return covered
@@ -560,18 +549,15 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
         if shape[2] + 2 > max_genus2:
             continue
         for x in _basis(kind, shape, extended):
-            gens = _generator_maps(kind, x)
+            gens = _generator_maps(x)
             for colour in _colours(kind):
                 for a, b in itertools.combinations(_ends(x, colour), 2):
                     z = contract(x, a, b, colour, extended)
                     for rho_o, rho_c in gens:
-                        look = rho_o if (colour == "open" or kind != "qoc") else rho_c
-                        ro, rc = _free_map(kind, rho_o, rho_c, colour, a, b)
-                        lhs = _relabel(kind, z, ro, rc)
-                        rhs = contract(
-                            _relabel(kind, x, rho_o, rho_c), look[a], look[b],
-                            colour, extended,
-                        )
+                        look = rho_o if colour == "open" else rho_c
+                        lhs = op.relabel(z, *_free_map(rho_o, rho_c, colour, a, b))
+                        rhs = contract(op.relabel(x, rho_o, rho_c), look[a], look[b],
+                                       colour, extended)
                         report.record(4, (x, a, b, colour), lhs, rhs)
 
 

@@ -34,7 +34,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import operads as op
@@ -265,15 +264,10 @@ def make_map(data_kind, space, closed_space, key, entries) -> MultiFunctional:
 
 def functional_for(data: AlgebraData, x) -> MultiFunctional:
     """Extension of the representative-keyed maps to the basis element x."""
-    lo = sorted(op.open_labels(x)) if data.kind != "loop" else sorted(x.labels)
-    lc = sorted(op.closed_labels(x)) if data.kind == "qoc" else []
+    lo, lc = sorted(op.open_labels(x)), sorted(op.closed_labels(x))
     rho = {l: i + 1 for i, l in enumerate(lo)}
     rho_c = {l: i + 1 for i, l in enumerate(lc)}
-    if data.kind == "qoc":
-        y = op.relabel(x, rho, rho_c)
-    else:
-        y = op.relabel(x, rho)
-    rep, sigma = op.canonical_perm(y)
+    rep, sigma = op.canonical_perm(op.relabel(x, rho, rho_c))
     base = data.functional(key_of(data.kind, rep))
     entries = base.entries
     if sigma:
@@ -593,28 +587,6 @@ def _glue_splittings(data, key, table, tie, R, colour):
 
 # ---------------------------------------------------------------------------
 # key enumeration, random data, serialization
-
-
-@lru_cache(maxsize=None)
-def stab_group(kind, key):
-    """Full stabilizer of the representative, as slot permutations (n! of
-    them for a loop key of arity n).  The library walks orbits instead
-    (``combinatorics.symmetrize``); the tests check against this group."""
-    n = key_arity(key) + key_closed(key)
-    gens = stab_generators(kind, key)
-    ident = tuple(range(n))
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in gens:
-                q = tuple(s[p[i]] for i in range(n))
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return tuple(sorted(group))
 
 
 def _partitions(n, largest=None):

@@ -215,25 +215,6 @@ def contraction_pair(space: GradedSymplecticSpace) -> ContractionPair:
     return ContractionPair(coefficients=coeff)
 
 
-def pairing_identity_check(space: GradedSymplecticSpace) -> bool:
-    """sum_i omega(v, a_i) b_i = (-1)^{|v|} v for every basis vector v."""
-    pair = contraction_pair(space)
-    n = space.dim
-    for v in range(n):
-        acc = [ZERO] * n
-        for i in range(n):
-            c = space.omega[v][i]
-            if c == 0:
-                continue
-            for j in range(n):
-                acc[j] += c * pair.coefficients[i][j]
-        want = [ZERO] * n
-        want[v] = Fraction(-1 if space.degrees[v] % 2 else 1)
-        if acc != want:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class MultiFunctional:
     """Rational multilinear functional with an ascending slot assignment.

@@ -10,10 +10,13 @@ Four kinds are supported:
 - ``qoc``  two-coloured surfaces carrying an extra set of closed ends.
 
 Open and closed labels are independent namespaces; two-coloured operations
-take an explicit ``colour``.  All structure maps are degree 0, so no signs
-appear in this module.  Dual structure maps are computed twice, generically
-by enumerating the source basis and pairing, and through explicit splitting
-formulas; the test suite checks the two paths agree term for term.
+take an explicit ``colour``.  Every end of a closed surface (``qc``) is an
+open-colour end: ``colour="open"`` glues it and ``open_labels`` lists it,
+for every structure map and dual map alike.  All structure maps are degree
+0, so no signs appear in this module.  Dual structure maps are computed
+twice, generically by enumerating the source basis and pairing, and
+through explicit splitting formulas; the test suite checks the two paths
+agree term for term.
 
 The open-surface families are enumerated once each: the ordered
 splittings along an open end (one boundary cycle rotated and cut into two
@@ -85,15 +88,15 @@ def element_kind(x) -> str:
 
 
 def open_labels(x) -> frozenset:
-    return frozenset() if isinstance(x, QCElement) else x.labels
+    """The ends that ``colour="open"`` glues: every label but the closed
+    ends of a two-coloured surface, so all labels of a closed surface."""
+    return x.labels
 
 
 def closed_labels(x) -> frozenset:
-    if isinstance(x, QCElement):
-        return x.labels
-    if isinstance(x, QOCSurface):
-        return x.closed
-    return frozenset()
+    """The ends that ``colour="closed"`` glues: those of a two-coloured
+    surface only."""
+    return x.closed if isinstance(x, QOCSurface) else frozenset()
 
 
 def is_admissible(x, extended=False) -> bool:
@@ -270,7 +273,7 @@ def _compose(x, a, y, b, colour, extended):
     kind = element_kind(x)
     if element_kind(y) != kind:
         raise KindMismatch("cannot compose elements of different kinds")
-    if colour == "closed" and kind == "qo":
+    if colour == "closed" and kind != "qoc":
         raise ColourMismatch("closed gluing needs the two-coloured kind")
     if not (is_admissible(x, extended) and is_admissible(y, extended)):
         raise Unstable("composition of an unstable element")
@@ -344,13 +347,13 @@ def _contract(x, a, b, colour, extended):
         raise MissingLabel("contraction needs two distinct labels")
     if not is_admissible(x, extended):
         raise Unstable("contraction of an unstable element")
+    if colour == "closed" and not isinstance(x, QOCSurface):
+        raise ColourMismatch("closed contraction needs the two-coloured kind")
     if isinstance(x, QCElement):
         if not {a, b} <= x.labels:
             raise MissingLabel(f"labels {a},{b} not both present")
         return QCElement(labels=x.labels - {a, b}, genus2=x.genus2 + 2)
     if colour == "closed":
-        if not isinstance(x, QOCSurface):
-            raise ColourMismatch("closed contraction needs the two-coloured kind")
         if not {a, b} <= x.closed:
             raise (ColourMismatch if {a, b} & x.labels else MissingLabel)(
                 f"labels {a},{b} are not both closed ends"
@@ -441,8 +444,6 @@ def _squash(x):
     """Relabel both colours increasingly onto standard label sets."""
     rho = {l: i + 1 for i, l in enumerate(sorted(open_labels(x)))}
     rho_c = {l: i + 1 for i, l in enumerate(sorted(closed_labels(x)))}
-    if isinstance(x, QCElement):
-        return relabel(x, rho_c)
     return relabel(x, rho, rho_c)
 
 
@@ -454,9 +455,6 @@ def natural_contract(x, a: int, b: int, colour: str = "open"):
 def natural_compose(x, a: int, y, b: int, colour: str = "open"):
     """Compose standard-label elements; x keeps the lower label block."""
     no_x, nc_x = len(open_labels(x)), len(closed_labels(x))
-    if isinstance(x, QCElement):
-        y2 = relabel(y, {l: l + nc_x for l in y.labels})
-        return _squash(_compose(x, a, y2, b + nc_x, "open", "free"))
     rho = {l: l + no_x for l in open_labels(y)}
     rho_c = {l: l + nc_x for l in closed_labels(y)}
     y2 = relabel(y, rho, rho_c)
@@ -477,8 +475,6 @@ def _require_two_colours(kind, colour, what):
 
 def fresh_pair(z, colour: str = "open"):
     pool = open_labels(z) if colour == "open" else closed_labels(z)
-    if element_kind(z) == "qc":
-        pool = z.labels
     m = max(pool, default=0)
     return m + 1, m + 2
 
@@ -493,11 +489,6 @@ def dual_contract(kind, z, a=None, b=None, colour="open", extended=False) -> For
         return out
     lo = sorted(open_labels(z))
     lc = sorted(closed_labels(z))
-    if kind == "qc":
-        x = QCElement(labels=z.labels | {a, b}, genus2=z.genus2 - 2)
-        if x.is_stable() and contract(x, a, b) == z:
-            out.add(x)
-        return out
     try:
         if colour == "open":
             src = basis(kind, lo + [a, b], z.genus2 - 2, closed=lc, extended=extended)
@@ -589,18 +580,14 @@ def dual_compose(kind, z, a=None, b=None, colour="open", extended=False) -> Form
     if a is None or b is None:
         a, b = fresh_pair(z, colour)
     out = FormalSum()
-    lo = sorted(open_labels(z)) if kind != "qc" else sorted(z.labels)
-    lc = sorted(closed_labels(z)) if kind == "qoc" else []
-    closed_splits = list(_ordered_splits(lc)) if kind == "qoc" else [((), ())]
+    lo, lc = sorted(open_labels(z)), sorted(closed_labels(z))
+    closed_splits = list(_ordered_splits(lc))
     for o1, o2 in _ordered_splits(lo):
         for c1, c2 in closed_splits:
             for g2a in range(0, z.genus2 + 1):
                 g2b = z.genus2 - g2a
                 try:
-                    if kind == "qc":
-                        xs = basis("qc", set(o1) | {a}, g2a)
-                        ys = basis("qc", set(o2) | {b}, g2b)
-                    elif colour == "open":
+                    if colour == "open":
                         xs = basis(kind, o1 + (a,), g2a, closed=c1, extended=extended)
                         ys = basis(kind, o2 + (b,), g2b, closed=c2, extended=extended)
                     else:
@@ -634,7 +621,10 @@ def dual_contract_formula(kind, z, a=None, b=None, colour="open", extended=False
         a, b = fresh_pair(z, colour)
     out = FormalSum()
     if kind == "qc":
-        return dual_contract(kind, z, a, b)
+        x = QCElement(labels=z.labels | {a, b}, genus2=z.genus2 - 2)
+        if z.genus2 >= 2 and x.is_stable():
+            out.add(x)
+        return out
     if colour == "closed":
         if z.g >= 1:
             x = QOCSurface(

@@ -233,6 +233,12 @@ class TestCompose:
          ColourMismatch, "label 1 is not a closed end of the first factor"),
         (_qoc([(1,)], closed=(7,)), 7, _qoc([(2,)], closed=(9,)), 2, "closed",
          ColourMismatch, "label 2 is not a closed end of the second factor"),
+        # closed colour on qc, whose ends are all open, tested before
+        # stability as on qo
+        (_qc((1, 2, 3), 0), 1, _qc((4, 5, 6), 0), 4, "closed", ColourMismatch,
+         "closed gluing needs the two-coloured kind"),
+        (_qc((1, 2), 0), 1, _qc((3, 4, 5), 0), 3, "closed", ColourMismatch,
+         "closed gluing needs the two-coloured kind"),
     ])
     def test_malformed_call_raises(self, x, a, y, b, colour, error, message):
         """Each malformed gluing raises one exception, with its message;
@@ -262,6 +268,37 @@ class TestContract:
     def test_missing_label(self):
         with pytest.raises(MissingLabel):
             op.contract(op.qo_surface([(1, 2, 3)]), 1, 9)
+
+    @pytest.mark.parametrize("x", [
+        op.qo_surface([(1, 2, 3)]), op.qc_element((1, 2, 3, 4), 0),
+        op.qc_element((1, 2, 3), 2),
+    ])
+    def test_closed_colour_needs_two_colours(self, x):
+        """A kind without closed ends has nothing to contract in the closed
+        colour, even at labels it has."""
+        with pytest.raises(ColourMismatch) as exc:
+            op.contract(x, 1, 2, colour="closed")
+        assert str(exc.value) == "closed contraction needs the two-coloured kind"
+
+
+class TestEndConvention:
+    """The ends each colour glues: a closed surface's are all open."""
+
+    @pytest.mark.parametrize("z, opened, closed, fresh", [
+        (op.qc_element((2, 5, 7), 2), {2, 5, 7}, set(), (8, 9)),
+        (op.qo_surface([(1, 4), (6,)], 1, 0), {1, 4, 6}, set(), (7, 8)),
+        (op.qoc_surface([(2, 3)], 0, 1, closed=(1, 5)), {2, 3}, {1, 5}, (4, 5)),
+    ])
+    def test_labels_of_each_colour(self, z, opened, closed, fresh):
+        assert op.open_labels(z) == opened
+        assert op.closed_labels(z) == closed
+        assert op.fresh_pair(z, "open") == fresh
+
+    def test_natural_maps_on_loop_representatives(self):
+        x, y = op.qc_element((1, 2, 3), 2), op.qc_element((1, 2, 3, 4), 0)
+        assert op.natural_compose(x, 2, y, 3) == op.qc_element(range(1, 6), 2)
+        assert op.natural_contract(y, 1, 3) == op.qc_element((1, 2), 2)
+        assert op.natural_contract(x, 1, 3) == op.qc_element((1,), 4)
 
 
 class TestCanonicalPerm:
@@ -326,6 +363,26 @@ class TestDuals:
         for z in op.basis(kind, range(1, n + 1), g2):
             assert op.dual_contract(kind, z) == op.dual_contract_formula(kind, z)
             assert op.dual_compose(kind, z) == op.dual_compose_formula(kind, z)
+
+    def test_qc_contract_formula_is_its_own_route(self, monkeypatch):
+        """The qc contraction formula does not go through ``contract``: with
+        a contraction that is wrong on closed surfaces, the pairing oracle
+        and the formula disagree on every basis element of genus >= 1."""
+        real = op._contract.__wrapped__
+
+        def broken(x, a, b, colour, extended):
+            z = real(x, a, b, colour, extended)
+            return z._replace(genus2=z.genus2 + 2) if isinstance(z, op.QCElement) else z
+
+        monkeypatch.setattr(op, "_contract", broken)
+        seen = 0
+        for n, g2 in [(0, 4), (1, 2), (2, 2), (3, 2), (3, 4)]:
+            for z in op.basis("qc", range(1, n + 1), g2):
+                assert op.dual_contract("qc", z) != op.dual_contract_formula("qc", z)
+                seen += 1
+        assert seen == 5
+        z = op.qo_surface([(1, 2)], 0, 1)
+        assert op.dual_contract("qo", z) == op.dual_contract_formula("qo", z)
 
     @pytest.mark.parametrize("o,c,g2", [(1, 1, 2), (2, 1, 1), (0, 2, 2), (1, 2, 1)])
     def test_qoc_formula_matches_oracle(self, o, c, g2):
@@ -490,10 +547,8 @@ class TestAxiomVerifier:
                     for rho_c, sig_c in itertools.product(maps_c, repeat=2):
                         comp_o = {l: rho_o[sig_o[l]] for l in lo}
                         comp_c = {l: rho_c[sig_c[l]] for l in lc}
-                        lhs = ax._relabel(kind, x, comp_o, comp_c)
-                        rhs = ax._relabel(
-                            kind, ax._relabel(kind, x, sig_o, sig_c), rho_o, rho_c
-                        )
+                        lhs = op.relabel(x, comp_o, comp_c)
+                        rhs = op.relabel(op.relabel(x, sig_o, sig_c), rho_o, rho_c)
                         report.record(2, (x, rho_o, sig_o, rho_c, sig_c), lhs, rhs)
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
@@ -627,8 +682,8 @@ class TestAxiomVerifier:
             ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
             for colour in ax._colours(kind):
                 for x, y in itertools.product(xs, ys):
-                    gens_x = ax._generator_maps(kind, x)
-                    gens_y = ax._generator_maps(kind, y)
+                    gens_x = ax._generator_maps(x)
+                    gens_y = ax._generator_maps(y)
                     for a in ax._ends(x, colour):
                         for b in ax._ends(y, colour):
                             z = op.compose(x, a, y, b, colour=colour)
@@ -637,12 +692,12 @@ class TestAxiomVerifier:
                                     closed = colour == "closed" and kind == "qoc"
                                     look_x = rho_c if closed else rho_o
                                     look_y = sig_c if closed else sig_o
-                                    ro, rc = ax._free_map(kind, rho_o, rho_c, colour, a)
-                                    so, sc = ax._free_map(kind, sig_o, sig_c, colour, b)
-                                    lhs = ax._relabel(kind, z, {**ro, **so}, {**rc, **sc})
+                                    ro, rc = ax._free_map(rho_o, rho_c, colour, a)
+                                    so, sc = ax._free_map(sig_o, sig_c, colour, b)
+                                    lhs = op.relabel(z, {**ro, **so}, {**rc, **sc})
                                     rhs = op.compose(
-                                        ax._relabel(kind, x, rho_o, rho_c), look_x[a],
-                                        ax._relabel(kind, y, sig_o, sig_c), look_y[b],
+                                        op.relabel(x, rho_o, rho_c), look_x[a],
+                                        op.relabel(y, sig_o, sig_c), look_y[b],
                                         colour=colour,
                                     )
                                     report.record(3, (x, a, y, b, colour), lhs, rhs)
@@ -791,7 +846,7 @@ class TestAxiomVerifier:
         group = [(dict(zip(lo, po)), dict(zip(lc, pc)))
                  for po in itertools.permutations(lo)
                  for pc in itertools.permutations(lc)]
-        return [(mo, mc) for mo, mc in group if ax._relabel(kind, x, mo, mc) == x]
+        return [(mo, mc) for mo, mc in group if op.relabel(x, mo, mc) == x]
 
     @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
     def test_compose_wrong_off_first_ends(self, monkeypatch, kind, n, g2):
