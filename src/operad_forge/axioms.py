@@ -95,11 +95,25 @@ corolla, label offsets and colours in one check), its relabellings by
 every slot permutation (axiom 2, ``_ActionTable``, whose product table
 holds only the products by the generators checked) and, for axiom 3, its
 generator maps, its relabelling by each generator and each generator's
-map with each end dropped (``_glue_data``, once per element and colour in
-one verifier run).  The gluing memo lives for one axiom check: each check memoizes the
+map with each end dropped (``_glue_data``, once per element in one
+check).  The gluing memo lives for one axiom check: each check memoizes the
 uncached ``_compose`` and ``_contract`` bodies it finds in ``operads`` when
 it starts (``_memo``) and drops that memo when it returns, so the
 process-wide caches keep no verifier entries.
+
+Relabelling is memoized on the premise that ``relabel`` is a function of
+(element, map): it reads nothing else and keeps no state, so one value
+stands for every call with the same element and map.  Axioms 3 and 4
+relabel through ``_Relabel``, a memo of the ``op.relabel`` found when the
+check starts (a replaced one is seen, as with ``_memo``).  It interns
+elements and maps as ints and holds, per (element, map), the id of the
+relabelled element.  Axiom 4's memo and the memo of axiom 3's factors live
+for one check.  Axiom 3 visits its gluings one output corolla at a time,
+and its memos of glued surfaces and of ``_compose`` live for one output
+corolla: glued surfaces of different corollas never coincide, so nothing
+is lost when they are dropped, and the memory held is that of the largest
+corolla.  With axiom 2's table, each check calls ``relabel`` once per
+distinct (element, map); the checks do not share values.
 """
 from __future__ import annotations
 
@@ -237,8 +251,8 @@ def _perm_maps(labels):
 def _generator_maps(x, small=False):
     """Pairs (open map, closed map) generating the relabelling group, the
     identity first: ``_label_maps`` of each colour."""
-    ids_o = {l: l for l in op.open_labels(x)}
-    ids_c = {l: l for l in op.closed_labels(x)}
+    ids_o = {l: l for l in _ends(x, "open")}
+    ids_c = {l: l for l in _ends(x, "closed")}
     return [(m, ids_c) for m in _label_maps(op.open_labels(x), small)] + [
         (ids_o, m) for m in _label_maps(op.closed_labels(x), small)[1:]]
 
@@ -329,10 +343,10 @@ def _free_map(rho_o, rho_c, colour, *drop):
 
 
 def _memo(fn):
-    """A memo of ``fn`` for one axiom check, around the uncached body behind
-    ``operads``' process-wide cache.  Each check passes ``op._compose`` or
-    ``op._contract`` as it finds them when it starts, so a replaced
-    ``op._compose`` is seen."""
+    """A memo of ``fn`` for one axiom check (one output corolla of axiom 3),
+    around the uncached body behind ``operads``' process-wide cache.  Each
+    check passes ``op._compose`` or ``op._contract`` as it finds them when it
+    starts, so a replaced ``op._compose`` is seen."""
     return lru_cache(maxsize=None)(inspect.unwrap(fn))
 
 
@@ -477,23 +491,100 @@ def _ax2(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     return covered
 
 
-def _glue_data(x, colour, small):
+class _Relabel:
+    """``op.relabel`` as found when a check starts, evaluated once per
+    (element, map) while this memo lives.  Elements are interned as ints, as
+    in ``_ActionTable``, and so are maps, by their images of the element's
+    labels in increasing order (open, then closed): every map the verifier
+    passes lists exactly those labels in that order, so the element's id and
+    the map's id fix the relabelling.  ``rows[i]`` maps a map's id to the id
+    of element i relabelled by it.  A memo made with ``outer`` shares its
+    maps and, before it computes a value, looks it up there, so nothing the
+    longer-lived ``outer`` holds is computed again."""
+
+    def __init__(self, outer=None):
+        self.outer = outer
+        self.fn = outer.fn if outer else op.relabel
+        self.maps = outer.maps if outer else {}  # images -> id
+        self.images = outer.images if outer else []  # id -> images
+        self.joins = outer.joins if outer else {}  # (id, id) -> id of the union
+        self.ids, self.elems, self.rows = {}, [], {}
+
+    def id(self, x):
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.elems)
+            self.elems.append(x)
+        return i
+
+    def row(self, i):
+        r = self.rows.get(i)
+        if r is None:
+            r = self.rows[i] = {}
+        return r
+
+    def map_id(self, images):
+        m = self.maps.get(images)
+        if m is None:
+            m = self.maps[images] = len(self.images)
+            self.images.append(images)
+        return m
+
+    def join(self, m1, m2):
+        """The id of the union of two maps on label sets that do not meet,
+        the first one's labels below the second's in each colour."""
+        (o1, c1), (o2, c2) = self.images[m1], self.images[m2]
+        m = self.joins[m1, m2] = self.map_id((o1 + o2, c1 + c2))
+        return m
+
+    def value(self, i, m, rho_o, rho_c):
+        """The id of element ``i`` relabelled by (``rho_o``, ``rho_c``), of id
+        ``m``: from ``outer`` if it holds it, else computed; memoized."""
+        x, outer, y = self.elems[i], self.outer, None
+        if outer is not None:
+            r = outer.rows.get(outer.ids.get(x), {}).get(m)
+            if r is not None:
+                y = outer.elems[r]
+        if y is None:
+            y = self.fn(x, rho_o, rho_c)
+        r = self.row(i)[m] = self.id(y)
+        return r
+
+    def __call__(self, x, rho_o, rho_c):
+        i = self.id(x)
+        m = self.map_id((tuple(rho_o.values()), tuple(rho_c.values())))
+        r = self.row(i).get(m)
+        return self.elems[self.value(i, m, rho_o, rho_c) if r is None else r]
+
+
+def _glue_data(rel, x, colours, small):
     """The number of x's transposition generators (``_generator_maps``
-    without ``small``), and per end ``a`` of ``x`` in ``colour``: for each
+    without ``small``), and per colour and end ``a`` of ``x``: for each
     generator rho (``small`` as in ``_label_maps``), the relabelled
-    ``x.rho``, the image ``rho(a)`` and rho's open and closed maps with
-    ``a`` dropped (the part of rho that survives the gluing at ``a``)."""
+    ``x.rho`` (through the memo ``rel``), the image ``rho(a)``, rho's open
+    and closed maps with ``a`` dropped (the part of rho that survives the
+    gluing at ``a``) and their map id in ``rel``."""
     gens = _generator_maps(x, small)
-    moved = [op.relabel(x, rho_o, rho_c) for rho_o, rho_c in gens]
-    out = []
-    for a in _ends(x, colour):
-        row = []
-        for (rho_o, rho_c), xr in zip(gens, moved):
-            look = rho_o if colour == "open" else rho_c
-            row.append((xr, look[a], *_free_map(rho_o, rho_c, colour, a)))
-        out.append((a, row))
+    moved = [rel(x, rho_o, rho_c) for rho_o, rho_c in gens]
+    rows = {}
+    for colour in colours:
+        rows[colour] = out = []
+        for a in _ends(x, colour):
+            row = []
+            for (rho_o, rho_c), xr in zip(gens, moved):
+                look = rho_o if colour == "open" else rho_c
+                fo, fc = _free_map(rho_o, rho_c, colour, a)
+                m = rel.map_id((tuple(fo.values()), tuple(fc.values())))
+                row.append((xr, look[a], fo, fc, m))
+            out.append((a, row))
     sizes = len(op.open_labels(x)), len(op.closed_labels(x))
-    return 1 + sum(math.comb(n, 2) for n in sizes), out
+    return 1 + sum(math.comb(n, 2) for n in sizes), rows
+
+
+def _glued_corolla(s1, s2, colour):
+    """The corolla of a gluing of corollas s1 and s2 along ``colour``."""
+    o, c = s1[0] + s2[0], s1[1] + s2[1]
+    return (o - 2, c, s1[2] + s2[2]) if colour == "open" else (o, c - 2, s1[2] + s2[2])
 
 
 def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
@@ -503,62 +594,85 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     the identity being the first generator.  Returns the number of
     (rho, sigma) pairs of transposition generators covered.
 
-    For each factor and colour, ``_glue_data`` computes once what depends on
-    one factor only: its ends, its generator maps, its relabelling by each
-    generator and each generator's map with each end dropped.  Each instance
-    then makes one ``relabel`` of the glued surface by the joined free maps
-    and one ``_compose`` of the relabelled factors, and records the pair."""
-    compose = _memo(op._compose)
-    memo = {}
-
-    def data(x, colour):
-        d = memo.get((x, colour))
-        if d is None:
-            d = memo[x, colour] = _glue_data(x, colour, reduced)
-        return d
-
-    covered = 0
+    ``_glue_data`` computes first, once per factor, what depends on one
+    factor only: its ends, its generator maps, its relabelling by each
+    generator and each generator's map with each end dropped.  The gluings
+    are then visited one output corolla at a time, each with its own
+    memos of ``_compose`` and of ``relabel``: glued surfaces of different
+    corollas never coincide, so dropping both memos after each corolla loses
+    no reuse.  Each instance relabels the glued surface by the joined free
+    maps, glues the relabelled factors and compares."""
+    body, rel = op._compose, _Relabel()
+    colours = _colours(kind)
+    data, groups = {}, {}
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
         xs = _basis(kind, s1, extended)
         ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
-        for colour in _colours(kind):
-            data_y = [(y, data(y, colour)) for y in ys]
+        for x in (*xs, *ys):
+            if x not in data:
+                data[x] = _glue_data(rel, x, colours, reduced)
+        for colour in colours:
+            groups.setdefault(_glued_corolla(s1, s2, colour), []).append((xs, ys, colour))
+    covered = 0
+    for members in groups.values():
+        compose, glued = _memo(body), _Relabel(rel)
+        elems, joins = glued.elems, rel.joins
+        for xs, ys, colour in members:
             for x in xs:
-                nx, data_x = data(x, colour)
-                for y, (ny, dy) in data_y:
-                    for a, row_x in data_x:
-                        for b, row_y in dy:
-                            z = compose(x, a, y, b, colour, extended)
-                            covered += nx * ny
+                nx, rows_x = data[x]
+                for y in ys:
+                    ny, rows_y = data[y]
+                    covered_xy = nx * ny
+                    for a, row_x in rows_x[colour]:
+                        for b, row_y in rows_y[colour]:
+                            zi = glued.id(compose(x, a, y, b, colour, extended))
+                            zrow = glued.row(zi)
+                            covered += covered_xy
                             if reduced:
                                 pairs = [(rx, row_y[0]) for rx in row_x]
                                 pairs += [(row_x[0], ry) for ry in row_y[1:]]
                             else:
-                                pairs = itertools.product(row_x, row_y)
-                            for (xr, ia, fo, fc), (yr, ib, go, gc) in pairs:
-                                lhs = op.relabel(z, {**fo, **go}, {**fc, **gc})
+                                pairs = list(itertools.product(row_x, row_y))
+                            report.checked += len(pairs)
+                            for (xr, ia, fo, fc, mx), (yr, ib, go, gc, my) in pairs:
+                                m = joins.get((mx, my))
+                                if m is None:
+                                    m = rel.join(mx, my)
+                                r = zrow.get(m)
+                                if r is None:
+                                    r = glued.value(zi, m, {**fo, **go}, {**fc, **gc})
+                                lhs = elems[r]
                                 rhs = compose(xr, ia, yr, ib, colour, extended)
-                                report.record(3, (x, a, y, b, colour), lhs, rhs)
+                                if lhs != rhs:
+                                    report.fail(3, (x, a, y, b, colour), lhs, rhs)
     return covered
 
 
 def _ax4(report, kind, corollas, max_n, max_genus2, extended):
-    """Contraction is equivariant."""
-    contract = _memo(op._contract)
+    """Contraction is equivariant: contract(x, a, b).rho' ==
+    contract(x.rho, rho(a), rho(b)) for every transposition generator rho
+    of x's relabellings, rho' being rho with a and b dropped.  One memo of
+    ``relabel`` serves the whole check, so x.rho is computed once per
+    element and generator, and each contracted surface once per map."""
+    contract, rel = _memo(op._contract), _Relabel()
+    colours = _colours(kind)
     for shape in corollas:
         if shape[2] + 2 > max_genus2:
             continue
         for x in _basis(kind, shape, extended):
-            gens = _generator_maps(x)
-            for colour in _colours(kind):
+            gens, moved = _generator_maps(x), None
+            for colour in colours:
                 for a, b in itertools.combinations(_ends(x, colour), 2):
+                    if moved is None:  # x.rho, once x has a pair of ends
+                        moved = [rel(x, rho_o, rho_c) for rho_o, rho_c in gens]
                     z = contract(x, a, b, colour, extended)
-                    for rho_o, rho_c in gens:
+                    report.checked += len(gens)
+                    for (rho_o, rho_c), xr in zip(gens, moved):
                         look = rho_o if colour == "open" else rho_c
-                        lhs = op.relabel(z, *_free_map(rho_o, rho_c, colour, a, b))
-                        rhs = contract(op.relabel(x, rho_o, rho_c), look[a], look[b],
-                                       colour, extended)
-                        report.record(4, (x, a, b, colour), lhs, rhs)
+                        lhs = rel(z, *_free_map(rho_o, rho_c, colour, a, b))
+                        rhs = contract(xr, look[a], look[b], colour, extended)
+                        if lhs != rhs:
+                            report.fail(4, (x, a, b, colour), lhs, rhs)
 
 
 def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):

@@ -167,7 +167,7 @@ class QOSurface(NamedTuple):
 
     @property
     def arity(self) -> int:
-        return sum(len(c) for c in self.cycles)
+        return sum(map(len, self.cycles))
 
     @property
     def boundaries(self) -> int:
@@ -181,7 +181,8 @@ class QOSurface(NamedTuple):
         return b_sequence(self.cycles, self.empties)
 
     def is_stable(self) -> bool:
-        return 4 * self.g + 2 * self.boundaries - 4 + self.arity > 0
+        cycles = self.cycles
+        return 4 * self.g + 2 * (self.empties + len(cycles)) - 4 + sum(map(len, cycles)) > 0
 
 
 class QOCSurface(NamedTuple):
@@ -198,7 +199,7 @@ class QOCSurface(NamedTuple):
 
     @property
     def arity(self) -> int:
-        return sum(len(c) for c in self.cycles)
+        return sum(map(len, self.cycles))
 
     @property
     def boundaries(self) -> int:
@@ -212,10 +213,9 @@ class QOCSurface(NamedTuple):
         return b_sequence(self.cycles, self.empties)
 
     def is_stable(self) -> bool:
-        return (
-            4 * self.g + 2 * self.boundaries + 2 * len(self.closed) - 4 + self.arity
-            > 0
-        )
+        cycles = self.cycles
+        return (4 * self.g + 2 * (self.empties + len(cycles) + len(self.closed)) - 4
+                + sum(map(len, cycles)) > 0)
 
 
 def _cycle_order(c: tuple[int, ...]):

@@ -11,7 +11,13 @@ import pytest
 from operad_forge import axioms as ax
 from operad_forge import operads as op
 from operad_forge.axioms import AxiomReport, verify_axioms
-from operad_forge.combinatorics import sort_cycles
+from operad_forge.combinatorics import (
+    QCElement,
+    QOCSurface,
+    QOSurface,
+    _cycle_order,
+    sort_cycles,
+)
 from operad_forge.errors import (
     ColourMismatch,
     DuplicateLabel,
@@ -19,6 +25,15 @@ from operad_forge.errors import (
     LabelCollision,
     MissingLabel,
     Unstable,
+)
+from operad_forge.operads import (
+    _arc_after,
+    _cycle_with,
+    _merge_sorted,
+    _missing,
+    _shared,
+    element_kind,
+    is_admissible,
 )
 
 
@@ -397,6 +412,8 @@ class TestDuals:
         ("qo", op.qo_surface([(1, 2, 3)])),
         ("ass", op.qo_surface([(1, 2, 3, 4)])),
         ("qc", op.qc_element((1, 2, 3), 2)),
+        # odd genus2 as well: the colour is tested first
+        ("qc", op.QCElement(frozenset({1, 2}), 3)),
     ])
     @pytest.mark.parametrize("dual", [
         op.dual_contract, op.dual_compose,
@@ -409,6 +426,27 @@ class TestDuals:
             dual(kind, z, colour="closed")
         with pytest.raises(ColourMismatch, match="two-coloured kind"):
             dual(kind, z, a=8, b=9, colour="closed")
+
+    @pytest.mark.parametrize("z", [
+        op.QCElement(frozenset({1, 2}), 3),
+        op.QCElement(frozenset({1, 2, 3, 4}), 1),
+    ])
+    @pytest.mark.parametrize("dual", [
+        op.dual_contract, op.dual_compose,
+        op.dual_contract_formula, op.dual_compose_formula,
+    ])
+    def test_closed_surface_of_odd_genus_raises(self, z, dual, monkeypatch):
+        """No basis holds a closed surface of odd genus2, so every dual map
+        refuses one before doing any work, instead of the two routes giving
+        different sums."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on an odd genus")
+
+        monkeypatch.setattr(op, "basis", refuse)
+        for ends in ({}, {"a": 8, "b": 9}):
+            with pytest.raises(KindMismatch, match="odd genus2") as exc:
+                dual("qc", z, **ends)
+            assert type(exc.value) is KindMismatch
 
     def test_adjunction_against_structure_maps(self):
         """The coefficient of z in the contraction of x equals the
@@ -1065,3 +1103,271 @@ class TestStabilizer:
                     assert t == min(orbit, key=tuples.index)
                     covered += orbit
                 assert sorted(covered) == sorted(tuples), (kind, x, cols)
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: direct forms of ``_compose`` (uncached), ``relabel`` and
+# ``_cycle_decorations``, kept as oracles for the single-pass forms in
+# ``operads``.  They call the module's helpers.
+
+
+def _reference_cycle_decorations(labels: tuple):
+    """All ways to partition a label set into disjoint nonempty cycles."""
+    labels = tuple(sorted(labels))
+    n = len(labels)
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        cycles = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            cyc = []
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                cyc.append(labels[i])
+                i = perm[i]
+            cycles.append(tuple(cyc))
+        yield sort_cycles(cycles)
+
+
+def _reference_relabel(x, rho: dict, rho_closed: dict | None = None):
+    """Functorial relabelling; one map per colour for two-coloured elements.
+
+    Each label is mapped in one pass; a label the map lacks surfaces as the
+    lookup's ``KeyError`` and is reported as ``MissingLabel``.  Whether the
+    map is injective on the open labels is checked once per call; only a
+    map that is not goes through ``sort_cycles``, whose ``DuplicateLabel``
+    reports two labels of one cycle sent to one."""
+    if isinstance(x, QCElement):
+        try:
+            labels = frozenset(map(rho.__getitem__, x.labels))
+        except KeyError:
+            raise _missing("relabelling", x.labels, rho) from None
+        return QCElement(labels=labels, genus2=x.genus2)
+    get = rho.__getitem__
+    try:
+        mapped = [tuple(map(get, c)) for c in x.cycles]
+    except KeyError:
+        raise _missing("relabelling", x.labels, rho) from None
+    if len(set().union(*mapped)) == sum(map(len, mapped)):
+        # Injective on the open labels, so no cycle repeats a label: rotate
+        # each to its minimum without canonicalize_cycle's duplicate check.
+        cycles = []
+        for c in mapped:
+            if len(c) > 1:
+                k = c.index(min(c))
+                if k:
+                    c = c[k:] + c[:k]
+            cycles.append(c)
+        cycles.sort(key=_cycle_order)
+        cycles = tuple(cycles)
+    else:
+        cycles = sort_cycles(mapped)  # raises DuplicateLabel within a cycle
+    if isinstance(x, QOSurface):
+        return QOSurface(cycles=cycles, empties=x.empties, g=x.g)
+    rho_closed = rho_closed if rho_closed is not None else rho
+    try:
+        closed = frozenset(map(rho_closed.__getitem__, x.closed))
+    except KeyError:
+        raise _missing("closed relabelling", x.closed, rho_closed) from None
+    return QOCSurface(cycles=cycles, empties=x.empties, g=x.g, closed=closed)
+
+
+def _reference_compose(x, a, y, b, colour, extended):
+    kind = element_kind(x)
+    if element_kind(y) != kind:
+        raise KindMismatch("cannot compose elements of different kinds")
+    if colour == "closed" and kind != "qoc":
+        raise ColourMismatch("closed gluing needs the two-coloured kind")
+    if not (is_admissible(x, extended) and is_admissible(y, extended)):
+        raise Unstable("composition of an unstable element")
+    if kind == "qc":
+        lx, ly = x.labels, y.labels
+        if a not in lx or b not in ly:
+            raise MissingLabel("glued label absent")
+        if _shared(lx, a, ly, b):
+            raise LabelCollision("factors share labels")
+        return QCElement(labels=(lx - {a}) | (ly - {b}), genus2=x.genus2 + y.genus2)
+    ox, oy = x.labels, y.labels
+    two = kind == "qoc"
+    cx = x.closed if two else frozenset()
+    cy = y.closed if two else frozenset()
+    if _shared(ox, a, oy, b) or _shared(cx, a, cy, b):
+        raise LabelCollision("factors share labels")
+    if colour == "open":
+        if a not in ox:
+            raise (ColourMismatch if a in cx else MissingLabel)(
+                f"label {a} is not an open end of the first factor"
+            )
+        if b not in oy:
+            raise (ColourMismatch if b in cy else MissingLabel)(
+                f"label {b} is not an open end of the second factor"
+            )
+        ca = _cycle_with(x, a)
+        cb = _cycle_with(y, b)
+        merged = _arc_after(ca, a) + _arc_after(cb, b)
+        cycles = tuple(c for c in x.cycles if c != ca) + tuple(
+            c for c in y.cycles if c != cb
+        )
+        empties = x.empties + y.empties
+        new = ()
+        if merged:
+            new = (merged,)
+        else:
+            empties += 1
+        if two:
+            return QOCSurface(
+                cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g,
+                closed=cx | cy,
+            )
+        return QOSurface(cycles=_merge_sorted(cycles, new), empties=empties, g=x.g + y.g)
+    if a not in cx:
+        raise (ColourMismatch if a in ox else MissingLabel)(
+            f"label {a} is not a closed end of the first factor"
+        )
+    if b not in cy:
+        raise (ColourMismatch if b in oy else MissingLabel)(
+            f"label {b} is not a closed end of the second factor"
+        )
+    return QOCSurface(
+        cycles=_merge_sorted(x.cycles + y.cycles, ()), empties=x.empties + y.empties,
+        g=x.g + y.g, closed=(cx - {a}) | (cy - {b}),
+    )
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc)
+
+
+class TestAgainstReference:
+    """The single-pass ``_compose``, ``relabel`` and ``_cycle_decorations``
+    give what the reference routes give, results and exception types."""
+
+    EXTENDED = (False, True, "free")
+
+    @staticmethod
+    def _factors(kind, max_n=4, max_g2=4):
+        """Every (x, y) of the bases within the bounds, y's labels after
+        x's, with the extension shapes in."""
+        corollas = ax._corollas(kind, max_n, max_g2, True)
+        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+            for x in ax._basis(kind, s1, True):
+                for y in ax._basis(kind, s2, True, offset_o=s1[0], offset_c=s1[1]):
+                    yield x, y
+
+    @pytest.mark.parametrize("kind", ["qo", "qoc"])
+    def test_compose_on_the_bases(self, kind):
+        compose = op._compose.__wrapped__
+        seen = 0
+        for x, y in self._factors(kind):
+            for colour in ("open", "closed"):
+                for a in ax._ends(x, colour) or [1]:
+                    for b in ax._ends(y, colour) or [1]:
+                        for extended in self.EXTENDED:
+                            args = (x, a, y, b, colour, extended)
+                            assert _outcome(compose, *args) == _outcome(
+                                _reference_compose, *args), args
+                            seen += 1
+        assert seen > 1000
+
+    def test_compose_on_malformed_calls(self):
+        """Shared labels, a missing end, the wrong colour, an unstable factor,
+        mixed kinds and overlapping cycles, alone and together."""
+        qo, qoc, qc = op.qo_surface, op.qoc_surface, op.qc_element
+        pool = [
+            qo([(1, 2, 3)]), qo([(1,)]), qo([(2, 3), (4,)]), qo([(1, 2)], 1),
+            qo([(4, 5)], 0, 1), qo([], 2), qo([(1, 2), (1, 2)]), qo([(4,), (4, 9)]),
+            qoc([(1,)], closed=(7,)), qoc([(2,)], closed=(7, 9)), qoc([], 1, 0, (7,)),
+            qoc([(1, 2)], closed=(1,)), qoc([(3, 4)], 0, 1),
+            qc((1, 2, 3), 0), qc((1, 2), 0), qc((3, 4, 5), 2),
+            (1, 2),
+        ]
+        compose = op._compose.__wrapped__
+        for x, y in itertools.product(pool, repeat=2):
+            for a, b in itertools.product((1, 2, 4, 7, 9), repeat=2):
+                for colour in ("open", "closed"):
+                    for extended in self.EXTENDED:
+                        args = (x, a, y, b, colour, extended)
+                        assert _outcome(compose, *args) == _outcome(
+                            _reference_compose, *args), args
+
+    @pytest.mark.parametrize("kind", ["qc", "qo", "qoc"])
+    def test_relabel_on_the_bases(self, kind):
+        """Every slot permutation of every basis element, and maps that are
+        not injective, lack a label or leave out the closed map."""
+        seen = 0
+        for shape in ax._corollas(kind, 4, 4, True):
+            for x in ax._basis(kind, shape, True):
+                lo, lc = ax._ends(x, "open"), ax._ends(x, "closed")
+                maps = [(mo, mc) for mo in ax._perm_maps(lo) for mc in ax._perm_maps(lc)]
+                if lo:
+                    maps += [({l: lo[0] for l in lo}, {l: l for l in lc}),
+                             ({l: l for l in lo[1:]}, {l: l for l in lc}),
+                             ({l: l + 10 for l in lo}, None)]
+                if lc:
+                    maps += [({l: l for l in lo}, {l: l for l in lc[1:]}),
+                             ({l: l for l in lo}, {l: lc[0] for l in lc})]
+                for mo, mc in maps:
+                    assert _outcome(op.relabel, x, mo, mc) == _outcome(
+                        _reference_relabel, x, mo, mc), (x, mo, mc)
+                    seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize("labels", [
+        (), (1,), (1, 2, 3), (2, 5, 9, 10), (3, 1, 2, 6), tuple(range(1, 7)),
+        (4, 11, 7, 12, 30, 8), (1, 1), (2, 3, 2, 5),
+    ])
+    def test_cycle_decorations(self, labels):
+        assert _outcome(lambda: list(op._cycle_decorations(labels))) == _outcome(
+            lambda: list(_reference_cycle_decorations(labels)))
+
+    @pytest.mark.parametrize("kind", ["qo", "ass", "qoc"])
+    def test_basis_order(self, monkeypatch, kind):
+        """``basis`` lists the same elements in the same order for n <= 6."""
+        bases = op._qo_bases.__wrapped__
+        cases = []
+        for n in range(7):
+            for labels in (tuple(range(1, n + 1)), tuple(range(3, 3 * n + 3, 3))):
+                for g2 in range(4 if n < 6 else 2):
+                    for closed in ((), (1, 2)) if kind == "qoc" else ((),):
+                        for extended in (False, True):
+                            cases.append((labels, g2, closed, kind, extended))
+        ours = [bases(*case) for case in cases]
+        monkeypatch.setattr(op, "_cycle_decorations", _reference_cycle_decorations)
+        assert ours == [bases(*case) for case in cases]
+        assert sum(map(len, ours)) > 100
+
+
+class TestRelabelMemo:
+    @pytest.mark.parametrize("kind,n,g2", [("qoc", 3, 3), ("qo", 4, 4)])
+    def test_one_relabel_per_element_and_map(self, monkeypatch, kind, n, g2):
+        """Within each axiom check of one ``verify_axioms`` run, ``relabel``
+        is called exactly once per distinct (element, open map, closed map)."""
+        real = op.relabel
+        calls, check = {}, [None]
+
+        def counted(x, rho, rho_closed=None):
+            key = (x, frozenset(rho.items()), frozenset((rho_closed or {}).items()))
+            per_check = calls.setdefault(check[0], {})
+            per_check[key] = per_check.get(key, 0) + 1
+            return real(x, rho, rho_closed)
+
+        def tagged(axiom, fn):
+            def run(*args, **kwargs):
+                check[0] = (axiom, kwargs.get("reduced", False))
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(op, "relabel", counted)
+        for axiom, fn in list(ax._AXIOM_FUNCS.items()):
+            monkeypatch.setitem(ax._AXIOM_FUNCS, axiom, tagged(axiom, fn))
+        report = verify_axioms(kind, n, g2)
+        assert report.passed
+        assert {2, 3, 4} <= {axiom for axiom, _ in calls}
+        for per_check in calls.values():
+            assert set(per_check.values()) == {1}
