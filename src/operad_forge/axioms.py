@@ -124,7 +124,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import operads as op
-from .combinatorics import b_sequence, stabilizer_generators
+from .combinatorics import b_sequence, stabilizer_generators, tuple_orbits
 from .errors import Unstable
 
 __all__ = ["AxiomReport", "verify_axioms"]
@@ -201,10 +201,6 @@ def _basis(kind, shape, extended, offset_o=0, offset_c=0):
     )
 
 
-def _colours(kind):
-    return ("open", "closed") if kind == "qoc" else ("open",)
-
-
 def _ends(x, colour):
     return sorted(op.open_labels(x) if colour == "open" else op.closed_labels(x))
 
@@ -271,7 +267,7 @@ def _stabilizer(kind, x):
     gens = [(free_colour if s[:n] == tuple(range(n)) else "open",
              {labels[i]: labels[j] for i, j in enumerate(s) if i != j})
             for s in stabilizer_generators(b_sequence(cycles), len(free))]
-    ids = {c: {l: l for l in _ends(x, c)} for c in _colours(kind)}
+    ids = {c: {l: l for l in _ends(x, c)} for c in op.colours(kind)}
     for colour, move in gens:
         maps = {**ids, colour: {**ids[colour], **move}}
         if op.relabel(x, maps["open"], maps.get("closed")) != x:
@@ -289,21 +285,11 @@ def _orbits(tuples, cols, gens, weight, ordered=()):
     ``weight`` times the number of tuples of its orbit that are in order
     (``_in_order``); position i of a tuple holds an end of colour
     ``cols[i]``."""
-    out, seen = [], set()
-    for t in tuples:
-        if t in seen:
-            continue
-        orbit, todo = {t}, [t]
-        while todo:
-            u = todo.pop()
-            for colour, move in gens:
-                v = tuple(move.get(l, l) if c == colour else l for c, l in zip(cols, u))
-                if v not in orbit:
-                    orbit.add(v)
-                    todo.append(v)
-        seen |= orbit
-        out.append((t, weight * sum(_in_order(u, ordered) for u in orbit)))
-    return out
+    moves = [lambda u, colour=colour, move=move: tuple(
+                 move.get(l, l) if c == colour else l for c, l in zip(cols, u))
+             for colour, move in gens]
+    return [(t, weight * sum(_in_order(u, ordered) for u in orbit))
+            for t, orbit in tuple_orbits(tuples, moves)]
 
 
 def _end_orbits(kind, extended, reduced):
@@ -401,7 +387,7 @@ def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        for colour in _colours(kind):
+        for colour in op.colours(kind):
             cols = (colour,)
             for (x, ox), (y, oy) in itertools.product(
                 factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
@@ -603,7 +589,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     no reuse.  Each instance relabels the glued surface by the joined free
     maps, glues the relabelled factors and compares."""
     body, rel = op._compose, _Relabel()
-    colours = _colours(kind)
+    colours = op.colours(kind)
     data, groups = {}, {}
     for s1, s2 in _pairs(corollas, max_n, max_genus2):
         xs = _basis(kind, s1, extended)
@@ -655,7 +641,7 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
     ``relabel`` serves the whole check, so x.rho is computed once per
     element and generator, and each contracted surface once per map."""
     contract, rel = _memo(op._contract), _Relabel()
-    colours = _colours(kind)
+    colours = op.colours(kind)
     for shape in corollas:
         if shape[2] + 2 > max_genus2:
             continue
@@ -684,7 +670,7 @@ def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     for shape in corollas:
         if shape[2] + 4 > max_genus2:
             continue
-        for col1, col2 in itertools.product(_colours(kind), repeat=2):
+        for col1, col2 in itertools.product(op.colours(kind), repeat=2):
             ordered = ((0, 1), (2, 3), (0, 2)) if col1 == col2 else ((0, 1), (2, 3))
             for x, ox in factors(shape, 0, 0, (col1, col1, col2, col2), ordered):
                 for (a, b, c, d), wx in ox:
@@ -701,7 +687,7 @@ def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        for cols in itertools.product(_colours(kind), repeat=2):
+        for cols in itertools.product(op.colours(kind), repeat=2):
             col_ab, col_cd = cols
             for (x, ox), (y, oy) in itertools.product(
                 factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
@@ -728,7 +714,7 @@ def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     factors = _end_orbits(kind, extended, reduced)
     covered = 0
     for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
+        for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
             for (x, ox), (y, oy) in itertools.product(
                 factors(s1, 0, 0, (col_cd, col_cd, col_ab), ((0, 1),)),
                 factors(s2, s1[0], s1[1], (col_ab,)),
@@ -759,7 +745,7 @@ def _ax8(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
                 continue
             if sum(s[0] + s[1] for s in (s1, s2, s3)) - 4 > max_n:
                 continue
-            for col_ab, col_cd in itertools.product(_colours(kind), repeat=2):
+            for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
                 for (x, ox), (y, oy), (z, oz) in itertools.product(
                     factors(s1, 0, 0, (col_ab,)),
                     factors(s2, s1[0], s1[1], (col_ab, col_cd)),

@@ -10,13 +10,13 @@ The three operations of degree +1 act per component: the differential is
 the slotwise Leibniz sum, the loop operation contracts two ends of one
 representative through the inverse pairing (weighted by the formal
 parameter, so the component genus rises by one), and the bracket glues two
-representatives end to end.  All formulas run over a fixed coset section of
-the representative's orbit; only the positions the section elements assign
-to the first one or two slots enter, so the section collapses to a
-multiplicity table.
+representatives end to end.  The only group data they need is, per glued
+end or contracted ordered pair of ends, its orbit under the representative's
+stabilizer: each orbit enters once, at its least member, with weight
+|orbit| / |stabilizer| (``_end_weights``, which gives the argument).
 
-The stabilizer orders, those tables and the symmetry plans all derive from
-one description of the stabilizer, its shape (``ftalgebra.stab_shape``).
+The stabilizer orders, those end weights and the symmetry plans all derive
+from one description of the stabilizer, its shape (``ftalgebra.stab_shape``).
 Each key has one ``lru_cache``d symmetry plan (``_symmetry``), the
 ``combinatorics.WordSymmetry`` of its shape and letter parities: its cycle
 blocks grouped by length, and, once a class is expanded into its invariant
@@ -48,7 +48,7 @@ The bracket and the loop operation do not go through the endomorphism
 operad's ``endo_compose``/``endo_contract``, on which the generic residual
 they are checked against is built.  What depends on the shape only (the
 output key, the permutation carrying the glued or contracted surface onto
-its representative, its inversion masks and the section weights) is an
+its representative, its inversion masks and the end weights) is an
 ``lru_cache``d plan per (kind, keys, ends, colour); each factor is split
 around each glued end once per call, and a hash join over the nonzero
 entries of the inverse pairing writes every glued word through the plan's
@@ -87,11 +87,9 @@ from ._kernels import (
 from .combinatorics import (
     WordSymmetry,
     block_permutation,
-    bseq_arity,
     stabilizer_size,
-    transversal_slot_counts,
-    transversal_slot_pair_counts,
     trim_bseq,
+    tuple_orbits,
 )
 from .errors import (
     KindMismatch,
@@ -110,6 +108,7 @@ from .ftalgebra import (
     key_closed,
     key_of,
     representative,
+    stab_generators,
     stab_shape,
 )
 from .graded import MultiFunctional, functional_differential
@@ -150,29 +149,34 @@ def _stab_size(kind, key) -> int:
     return stabilizer_size(*stab_shape(kind, key))
 
 
-def _open_shape(kind, key):
-    """The b-sequence and free open slots (the loop kind's n) of the key."""
-    bseq, _ = stab_shape(kind, key)
-    return bseq, key_arity(key) - bseq_arity(bseq)
+@lru_cache(maxsize=None)
+def _end_weights(kind, key, colour, k) -> dict:
+    """The k-tuples of distinct ends of the colour that the bracket glues
+    (k = 1) or the loop operation contracts (k = 2) at the representative
+    of ``key``, each with its weight: the least tuple of each orbit under
+    the representative's stabilizer H, with weight |orbit| / |H|.  A tuple
+    lists ends by their index within the colour: open end i is slot i and
+    closed end i slot n + i.
 
-
-def _slot_counts(kind, key) -> dict:
-    """Multiplicity of the first-slot positions over the coset section."""
-    if key_arity(key) == 0:
-        return {}
-    return dict(transversal_slot_counts(*_open_shape(kind, key)))
-
-
-def _slot_pair_counts(kind, key) -> dict:
-    if key_arity(key) < 2:
-        return {}
-    return dict(transversal_slot_pair_counts(*_open_shape(kind, key)))
-
-
-def _open_section_size(kind, key) -> int:
-    """Size of the open coset section (the closed factor acts trivially)."""
-    return (math.factorial(key_arity(key)) * math.factorial(key_closed(key))
-            // _stab_size(kind, key))
+    The operations sum over a coset section of H in the slot permutations
+    that keep each colour: per section element, the term at the ends it
+    brings to the front of the colour, over the factorials of the slots
+    that stay.  Ends in one H-orbit give one class: the stored functionals
+    are H-invariant, so moving the ends by an element of H moves the term
+    by a relabelling within its coinvariant class.  The section sum is
+    therefore 1/|H| times the sum over all those permutations, which bring
+    each k-tuple to the front once per permutation of the slots that stay:
+    an orbit weighs |orbit| / |H| (orbit-stabilizer), gathered on one
+    member, and the least member is the section's choice.  The test suite
+    checks both against the section at small bounds.
+    """
+    n, c = key_arity(key), key_closed(key)
+    base, m = (0, n) if colour == "open" else (n, c)
+    moves = [lambda t, s=s: tuple(s[base + i] - base for i in t)
+             for s in stab_generators(kind, key)]
+    size = _stab_size(kind, key)
+    return {t: Fraction(len(orbit), size) for t, orbit in
+            tuple_orbits(itertools.permutations(range(m), k), moves)}
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +347,11 @@ def _delta_plan(kind, key, i, j, colour):
     2 + sigma(s), with sigma the canonicalizing permutation of the
     contracted surface; its Koszul sign is the sign of bringing the ends
     together in front (in ``endo_contract``'s closed case, bringing them in
-    front of the open block) times the sign of sigma on the rest.
+    front of the open block) times the sign of sigma on the rest.  The
+    scale is minus the pair's end weight.
     """
     n, c = key_arity(key), key_closed(key)
-    if colour == "open":
-        mult = _slot_pair_counts(kind, key)[(i, j)]
-        out_fact = math.factorial(max(n - 2, 0)) * math.factorial(c)
-        base = 0
-    else:
-        mult = _open_section_size(kind, key)
-        out_fact = math.factorial(n) * math.factorial(c - 2)
-        base = n
+    base = 0 if colour == "open" else n
     z = op.natural_contract(representative(key), i + 1, j + 1, colour=colour)
     rep_out, sigma = op.canonical_perm(z)
     pa, pb = base + i, base + j
@@ -364,14 +362,7 @@ def _delta_plan(kind, key, i, j, colour):
         tau[s] = 2 + sigma[k]
     return (key_of(kind, rep_out), pa, pb,
             word_getter(invert_perm(tau)[2:]), inversion_masks(tau),
-            Fraction(-mult, out_fact))
-
-
-def _contracted_pairs(kind, key, colour):
-    """The pairs of ends of one colour the loop operation contracts."""
-    if colour == "open":
-        return _slot_pair_counts(kind, key)
-    return [(0, 1)] if key_closed(key) >= 2 else []
+            -_end_weights(kind, key, colour, 2)[i, j])
 
 
 def _glued_space(x: BVElement, colour):
@@ -407,13 +398,13 @@ def bv_delta(x: BVElement) -> BVElement:
         raise KindMismatch("the genus-zero cyclic kind carries no loop operation")
     kind = x.kind
     parities = tuple(d % 2 for d in x.table())
-    colours = ("open", "closed") if kind == "qoc" else ("open",)
+    colours = op.colours(kind)
     fx, dv = _integer_functionals(x)
     dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
     jobs = [
         (key, colour, _delta_plan(kind, key, i, j, colour))
         for key in fx for colour in colours
-        for i, j in _contracted_pairs(kind, key, colour)
+        for i, j in _end_weights(kind, key, colour, 2)
     ]
     ds = lcm_of_denominators(plan[5] for _, _, plan in jobs)
     raw: dict = {}
@@ -434,22 +425,6 @@ def bv_delta(x: BVElement) -> BVElement:
             rk = (out_key, rest(w))
             raw[rk] = raw.get(rk, 0) + val
     return _add_raw(BVElement(kind, x.space, x.cspace), raw, dv * dp * ds)
-
-
-def _end_weights(kind, key, colour) -> dict:
-    """Per glued slot of the colour, its weight in the bracket: its
-    multiplicity over the coset section over the factorials of the slots
-    that stay."""
-    n, c = key_arity(key), key_closed(key)
-    if colour == "open":
-        counts = _slot_counts(kind, key)
-        rest = math.factorial(max(n - 1, 0)) * math.factorial(c)
-    else:
-        if c < 1:
-            return {}
-        counts = {0: _open_section_size(kind, key)}
-        rest = math.factorial(n) * math.factorial(c - 1)
-    return {i: Fraction(m, rest) for i, m in counts.items()}
 
 
 def _split_at_end(entries, n, slot, colour, weight, table, parities, off):
@@ -482,12 +457,12 @@ def _split_at_end(entries, n, slot, colour, weight, table, parities, off):
 def _integer_factor(x: BVElement, colours):
     """One factor of the bracket in integers: its entries (as
     ``_integer_functionals``) and the weights of its ends (as
-    ``_end_weights``), each over the lcm of their own denominators, and the
-    factor's denominator, the product of the two lcms.  A weighted entry
-    has a denominator dividing that product but not, in general, the lcm
-    of both sets of denominators."""
+    ``_end_weights`` of single ends), each over the lcm of their own
+    denominators, and the factor's denominator, the product of the two
+    lcms.  A weighted entry has a denominator dividing that product but
+    not, in general, the lcm of both sets of denominators."""
     entries, dv = _integer_functionals(x)
-    weights = {(key, colour): _end_weights(x.kind, key, colour)
+    weights = {(key, colour): _end_weights(x.kind, key, colour, 1)
                for key in entries for colour in colours}
     dw = lcm_of_denominators(
         w for ws in weights.values() for w in ws.values()
@@ -530,7 +505,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
         raise LabelMismatch("functionals over different spaces")
     table = x.table()
     parities = tuple(d % 2 for d in table)
-    colours = ("open", "closed") if kind == "qoc" else ("open",)
+    colours = op.colours(kind)
     fx, wx, dx = _integer_factor(x, colours)
     fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
     dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
@@ -543,7 +518,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
         seconds = []
         for key2, entries in fy.items():
             n2 = key_arity(key2)
-            for j, weight in wy[key2, colour].items():
+            for (j,), weight in wy[key2, colour].items():
                 buckets: dict = {}
                 for e, x2, y2, deg_e, deg_x2, deg_y2, ox2, oy2, vg in _split_at_end(
                     entries, n2, n2 * closed + j, colour, weight, table,
@@ -557,7 +532,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
                 seconds.append((key2, j, buckets))
         for key1, entries in fx.items():
             n1 = key_arity(key1)
-            for i, weight in wx[key1, colour].items():
+            for (i,), weight in wx[key1, colour].items():
                 firsts = _split_at_end(entries, n1, n1 * closed + i, colour,
                                        -weight * share, table, parities, off)
                 for key2, j, buckets in seconds:

@@ -17,7 +17,7 @@ from .axioms import verify_axioms
 from .endo import verify_twisted_axioms
 from .errors import OperadForgeError
 from .graded import canonical_space, format_rational, space_from_json, validate_space
-from .operads import basis, dual_compose, dual_contract
+from .operads import basis, colours, dual_compose, dual_contract
 from .errors import Unstable
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -186,7 +186,7 @@ def cmd_dual_table(args) -> int:
         return USAGE
     rows = []
     for z in els:
-        for colour in ("open", "closed") if args.kind == "qoc" else ("open",):
+        for colour in colours(args.kind):
             dc = dual_contract(args.kind, z, colour=colour,
                                extended=args.allow_unstable_extension)
             do = dual_compose(args.kind, z, colour=colour,

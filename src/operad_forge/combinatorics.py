@@ -11,7 +11,9 @@ Conventions used throughout the package:
 - A representative's stabilizer has a shape ``(bseq, free)``: it rotates
   and swaps the cycle blocks of the b-sequence's canonical surface and
   permutes ``free`` slots after them (closed ends, or all ends of a closed
-  surface).  ``stabilizer_size``/``_generators`` and the sections take it.
+  surface).  ``stabilizer_size`` and ``stabilizer_generators`` take it.
+- ``tuple_orbits`` walks the orbits of tuples (of ends, say) under moves
+  such as a stabilizer's generators; no group element is listed.
 - The stabilizer moves words of basis letters, with Koszul signs from the
   letters' parities.  ``symmetrize`` sums values over it, walking each
   orbit of words once along the generators, and ``WordSymmetry`` puts words
@@ -59,8 +61,7 @@ __all__ = [
     "symmetrize",
     "WordSymmetry",
     "orbit_transversal",
-    "transversal_slot_counts",
-    "transversal_slot_pair_counts",
+    "tuple_orbits",
     "rep_cycle_slots",
 ]
 
@@ -409,25 +410,26 @@ def orbit_transversal(bseq, g: int = 0) -> tuple[tuple[int, ...], ...]:
     return _transversal_of(trim_bseq(bseq))
 
 
-@lru_cache(maxsize=None)
-def transversal_slot_counts(bseq: tuple[int, ...], free: int = 0) -> dict:
-    """Multiplicity of each value of inverse(perm)[0] over the section."""
-    counts: dict[int, int] = {}
-    for p in _transversal_of(trim_bseq(bseq), free):
-        i = invert_perm(p)[0]
-        counts[i] = counts.get(i, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=None)
-def transversal_slot_pair_counts(bseq: tuple[int, ...], free: int = 0) -> dict:
-    """Multiplicity of (inverse(perm)[0], inverse(perm)[1]) pairs."""
-    counts: dict[tuple[int, int], int] = {}
-    for p in _transversal_of(trim_bseq(bseq), free):
-        q = invert_perm(p)
-        key = (q[0], q[1])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def tuple_orbits(tuples, moves) -> list:
+    """(first member, members) of each orbit that ``tuples`` meets under the
+    group the ``moves`` generate, in the order of the first members; each
+    move maps a tuple to a tuple.  The walk tries every move on every
+    member, so the members are the whole orbit, whether or not ``tuples``
+    lists them all."""
+    out, seen = [], set()
+    for t in tuples:
+        if t in seen:
+            continue
+        orbit, todo = {t}, [t]
+        for u in todo:  # grows while it is walked
+            for move in moves:
+                v = move(u)
+                if v not in orbit:
+                    orbit.add(v)
+                    todo.append(v)
+        seen |= orbit
+        out.append((t, orbit))
+    return out
 
 
 # ---------------------------------------------------------------------------

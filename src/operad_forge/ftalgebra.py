@@ -293,7 +293,7 @@ def _ft_terms(data: AlgebraData, rep):
     """``(weight, raw term)`` for each term of the generic residual at rep:
     each contraction with weight -1 and each gluing with weight -1/2."""
     okind = OPERAD_OF[data.kind]
-    colours = ("open", "closed") if data.kind == "qoc" else ("open",)
+    colours = op.colours(data.kind)
     for colour in colours:
         if data.kind == "cyclic_ainfty":
             continue
@@ -490,7 +490,7 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         _self_glue(R, precompose_entries(T, perm, table), 0, P, table, mult=mult)
     if two:
         _closed_self_glue(data, key, table, R)
-    for colour in ("open", "closed") if two else ("open",):
+    for colour in op.colours(data.kind):
         _glue_splittings(data, key, table, tie, R, colour)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, data.closed_space, key, R)

@@ -92,6 +92,12 @@ def element_kind(x) -> str:
     raise KindMismatch(f"not an operad element: {x!r}")
 
 
+def colours(kind) -> tuple:
+    """The colours of the ends of an operad or algebra kind: only the
+    two-coloured ``qoc`` has closed ends."""
+    return ("open", "closed") if kind == "qoc" else ("open",)
+
+
 def open_labels(x) -> frozenset:
     """The ends that ``colour="open"`` glues: every label but the closed
     ends of a two-coloured surface, so all labels of a closed surface."""
@@ -331,7 +337,10 @@ def _compose(x, a, y, b, colour, extended):
     two = kind == "qoc"
     cx = x.closed if two else frozenset()
     cy = y.closed if two else frozenset()
-    if _shared(ox, a, oy, b) or _shared(cx, a, cy, b):
+    # the glued ends' labels may recur in their colour, as gluing removes
+    # them; the other colour's label sets must be disjoint
+    (gx, gy), (rx, ry) = ((ox, oy), (cx, cy)) if opened else ((cx, cy), (ox, oy))
+    if _shared(gx, a, gy, b) or not rx.isdisjoint(ry):
         raise LabelCollision("factors share labels")
     cycles += rest
     empties = x.empties + y.empties

@@ -176,30 +176,50 @@ def _raw_transported(raw, out_key, sigma, entries, scale, table):
         raw[rk] = raw.get(rk, Fr(0)) + sign * scale * v
 
 
+def _section_counts(kind, key, colour, k):
+    """Per k-tuple of distinct ends of the colour, the number of elements of
+    the coset section of the representative's stabilizer that bring that
+    tuple to the colour's first k slots.  The stabilizer permutes the
+    closed ends freely, so the section is the open one (of the open part of
+    the stabilizer shape, in the n! open slot permutations) times the
+    identity on the closed ends; the closed ends brought to the front are
+    always the first k."""
+    n, c = FT.key_arity(key), FT.key_closed(key)
+    if (n if colour == "open" else c) < k:
+        return {}
+    bseq, _ = FT.stab_shape(kind, key)
+    counts = {}
+    for p in cb._transversal_of(trim_bseq(bseq), n - cb.bseq_arity(bseq)):
+        t = invert_perm(p)[:k] if colour == "open" else tuple(range(k))
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def _rest_factorial(key, colour, k):
+    """The factorials of the slots that stay once k ends of the colour go."""
+    n, c = FT.key_arity(key), FT.key_closed(key)
+    if colour == "open":
+        return math.factorial(n - k) * math.factorial(c)
+    return math.factorial(n) * math.factorial(c - k)
+
+
 def _reference_delta(x, colours=None):
     """bv_delta through endo_contract, one contraction per pair of ends."""
     table = x.table()
     colours = colours or (("open", "closed") if x.kind == "qoc" else ("open",))
     raw = {}
     for key in list(x.terms):
-        n, c = FT.key_arity(key), FT.key_closed(key)
         rep = FT.representative(key)
         f = x.functional(key)
         for colour in colours:
-            if colour == "open":
-                pairs = bv._slot_pair_counts(x.kind, key)
-                out_fact = math.factorial(max(n - 2, 0)) * math.factorial(c)
-            else:
-                if c < 2:
-                    continue
-                pairs = {(0, 1): bv._open_section_size(x.kind, key)}
-                out_fact = math.factorial(n) * math.factorial(c - 2)
-            for (i, j), mult in pairs.items():
+            for (i, j), mult in _section_counts(x.kind, key, colour, 2).items():
                 g = endo.endo_contract(f, i + 1, j + 1, colour=colour)
                 z = op.natural_contract(rep, i + 1, j + 1, colour=colour)
                 rep_out, sigma = op.canonical_perm(z)
                 _raw_transported(raw, FT.key_of(x.kind, rep_out), sigma,
-                                 g.entries, Fr(-mult, out_fact), table)
+                                 g.entries,
+                                 Fr(-mult, _rest_factorial(key, colour, 2)),
+                                 table)
     return bv._add_raw(bv.BVElement(x.kind, x.space, x.cspace), raw)
 
 
@@ -209,11 +229,6 @@ def _reference_bracket(x, y, colours=None):
     kind = x.kind
     table = x.table()
     colours = colours or (("open", "closed") if kind == "qoc" else ("open",))
-
-    def ends(key, colour):
-        if colour == "open":
-            return bv._slot_counts(kind, key)
-        return {0: bv._open_section_size(kind, key)}
 
     off = 1 + max(
         (max(FT.key_arity(k), FT.key_closed(k)) for k in x.terms), default=0
@@ -226,36 +241,22 @@ def _reference_bracket(x, y, colours=None):
         seconds.append((key2, endo.endo_relabel(f2, rho, rho_c)))
     raw = {}
     for key1 in list(x.terms):
-        n1, c1 = FT.key_arity(key1), FT.key_closed(key1)
         f1 = x.functional(key1)
         rep1 = FT.representative(key1)
         for key2, f2s in seconds:
-            n2, c2 = FT.key_arity(key2), FT.key_closed(key2)
             rep2 = FT.representative(key2)
             for colour in colours:
-                if colour == "open":
-                    out_fact = (
-                        math.factorial(max(n1 - 1, 0))
-                        * math.factorial(max(n2 - 1, 0))
-                        * math.factorial(c1) * math.factorial(c2)
-                    )
-                else:
-                    if c1 < 1 or c2 < 1:
-                        continue
-                    out_fact = (
-                        math.factorial(n1) * math.factorial(n2)
-                        * math.factorial(c1 - 1) * math.factorial(c2 - 1)
-                    )
-                for i, m1 in ends(key1, colour).items():
-                    for j, m2 in ends(key2, colour).items():
+                for (i,), m1 in _section_counts(kind, key1, colour, 1).items():
+                    for (j,), m2 in _section_counts(kind, key2, colour, 1).items():
                         h = endo.endo_compose(f1, i + 1, f2s, j + 1 + off,
                                               colour=colour)
                         z = op.natural_compose(rep1, i + 1, rep2, j + 1,
                                                colour=colour)
                         rep_out, sigma = op.canonical_perm(z)
+                        scale = Fr(-m1 * m2, _rest_factorial(key1, colour, 1)
+                                   * _rest_factorial(key2, colour, 1))
                         _raw_transported(raw, FT.key_of(kind, rep_out), sigma,
-                                         h.entries, Fr(-m1 * m2, out_fact),
-                                         table)
+                                         h.entries, scale, table)
     return bv._add_raw(bv.BVElement(kind, x.space, x.cspace), raw)
 
 
@@ -696,19 +697,25 @@ def test_stab_group_is_the_relabelling_stabilizer():
     assert kinds == set(FT.ALGEBRA_KINDS)
 
 
-def test_loop_and_cyclic_section_counts():
-    """The coset-section tables of the loop and cyclic kinds, derived from
-    their stabilizer shapes, are the closed forms: the loop section is the
-    identity, the cyclic one fixes slot 0."""
-    for n in range(1, 6):
-        key = FT.LoopKey(n, 1)
-        assert bv._slot_counts("loop", key) == {0: 1}
-        assert bv._slot_pair_counts("loop", key) == ({(0, 1): 1} if n > 1 else {})
-        assert bv._open_section_size("loop", key) == 1
-    for n in range(3, 7):
-        key = FT.CyclicKey(n)
-        assert bv._slot_counts("cyclic_ainfty", key) == {0: math.factorial(n - 1)}
-        assert bv._open_section_size("cyclic_ainfty", key) == math.factorial(n - 1)
+def test_end_weights_match_the_section():
+    """The orbit weights of single ends and ordered pairs of ends are the
+    coset section's multiplicities over the factorials of the slots that
+    stay, on the same least tuples: every key of the four kinds up to arity
+    5 and genus2 4, both colours."""
+    seen = set()
+    for kind in FT.ALGEBRA_KINDS:
+        for key in FT.enumerate_keys(kind, 5, 4):
+            for colour in ("open", "closed"):
+                for k in (1, 2):
+                    expected = {
+                        t: Fr(m, _rest_factorial(key, colour, k))
+                        for t, m in _section_counts(kind, key, colour, k).items()
+                    }
+                    assert bv._end_weights(kind, key, colour, k) == expected, (
+                        kind, key, colour, k)
+                    if expected:
+                        seen.add((kind, colour, k))
+    assert len(seen) == 4 * 2 + 2
 
 
 def _reference_diff(x):

@@ -1,5 +1,6 @@
 """Exit codes, report formats and determinism of the command line."""
 import json
+import pathlib
 import random
 
 import pytest
@@ -22,6 +23,13 @@ def cyclic_doc():
     data = FT.AlgebraData(kind="cyclic_ainfty", space=V,
                           maps={FT.CyclicKey(3): f3})
     return FT.algebra_to_json(data)
+
+
+def test_committed_cyclic_file_is_cyclic_doc():
+    """CI runs the console script on ``tests/data/cyclic_m3.json``, the
+    passing algebra that ``cyclic_doc`` builds."""
+    path = pathlib.Path(__file__).parent / "data" / "cyclic_m3.json"
+    assert json.loads(path.read_text()) == cyclic_doc()
 
 
 @pytest.fixture()

@@ -254,6 +254,12 @@ class TestCompose:
          "closed gluing needs the two-coloured kind"),
         (_qc((1, 2), 0), 1, _qc((3, 4, 5), 0), 3, "closed", ColourMismatch,
          "closed gluing needs the two-coloured kind"),
+        # the factors share an end of the colour not glued, whose number is
+        # that of a glued end
+        (_qoc([(1,)], closed=(1,)), 1, _qoc([(2,)], closed=(1,)), 2, "open",
+         LabelCollision, "factors share labels"),
+        (_qoc([(1,)], closed=(1,)), 1, _qoc([(1,)], closed=(2,)), 2, "closed",
+         LabelCollision, "factors share labels"),
     ])
     def test_malformed_call_raises(self, x, a, y, b, colour, error, message):
         """Each malformed gluing raises one exception, with its message;
@@ -718,7 +724,7 @@ class TestAxiomVerifier:
         for s1, s2 in ax._pairs(corollas, max_n, max_g2):
             xs = ax._basis(kind, s1, False)
             ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
-            for colour in ax._colours(kind):
+            for colour in op.colours(kind):
                 for x, y in itertools.product(xs, ys):
                     gens_x = ax._generator_maps(x)
                     gens_y = ax._generator_maps(y)
@@ -756,7 +762,7 @@ class TestAxiomVerifier:
                 ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
                 zs = ax._basis(kind, s3, False, offset_o=s1[0] + s2[0],
                                offset_c=s1[1] + s2[1])
-                for col_ab, col_cd in itertools.product(ax._colours(kind), repeat=2):
+                for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
                     for x, y, z in itertools.product(xs, ys, zs):
                         for a in ax._ends(x, col_ab):
                             for b in ax._ends(y, col_ab):
@@ -1055,7 +1061,7 @@ class TestStabilizer:
     def _as_pair(kind, x, gen):
         """A generator (colour, moved labels) as (open map, closed map)."""
         colour, move = gen
-        ids = {c: {l: l for l in ax._ends(x, c)} for c in ax._colours(kind)}
+        ids = {c: {l: l for l in ax._ends(x, c)} for c in op.colours(kind)}
         ids[colour] = {**ids[colour], **move}
         return ids["open"], ids.get("closed", {})
 
@@ -1089,7 +1095,7 @@ class TestStabilizer:
         for kind, x in self._elements():
             fixed = TestAxiomVerifier._stabilizer_by_search(kind, x)
             gens = ax._stabilizer(kind, x)
-            colours = ax._colours(kind)
+            colours = op.colours(kind)
             for cols in [(c,) for c in colours] + list(itertools.product(colours, repeat=2)):
                 tuples = [t for t in itertools.product(*(ax._ends(x, c) for c in cols))
                           if len(set(zip(cols, t))) == len(t)]
@@ -1193,7 +1199,12 @@ def _reference_compose(x, a, y, b, colour, extended):
     two = kind == "qoc"
     cx = x.closed if two else frozenset()
     cy = y.closed if two else frozenset()
-    if _shared(ox, a, oy, b) or _shared(cx, a, cy, b):
+    # only the glued colour's label sets may share the glued ends' label
+    if colour == "open":
+        shared = _shared(ox, a, oy, b) or bool(cx & cy)
+    else:
+        shared = _shared(cx, a, cy, b) or bool(ox & oy)
+    if shared:
         raise LabelCollision("factors share labels")
     if colour == "open":
         if a not in ox:
