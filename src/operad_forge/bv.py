@@ -1022,8 +1022,8 @@ def _compositions(n, parts):
 # random elements for the algebra-identity tests
 
 
-def random_bv_element(rng, kind, space, cspace, keys, parity=0, density=0.5,
-                      max_num=3) -> BVElement:
+def random_bv_element(rng, kind, space, cspace, keys, parity=0,
+                      density=0.5) -> BVElement:
     """Random element supported on the given keys, homogeneous of the given
     word parity."""
     out = BVElement(kind, space, cspace)
@@ -1035,7 +1035,7 @@ def random_bv_element(rng, kind, space, cspace, keys, parity=0, density=0.5,
             if sum(table[k] for k in w) % 2 != parity % 2:
                 continue
             if rng.random() < density:
-                num = rng.randint(-max_num, max_num)
+                num = rng.randint(-3, 3)
                 if num:
-                    out.add_term(key, w, Fraction(num, rng.randint(1, max_num)))
+                    out.add_term(key, w, Fraction(num, rng.randint(1, 3)))
     return out.prune()

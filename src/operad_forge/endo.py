@@ -397,12 +397,10 @@ class TwistedAxiomReport:
         }
 
 
-def _rand_functional(rng, space, labels, degree=None):
+def _rand_functional(rng, space, labels):
     from .graded import random_functional
 
-    if degree is None:
-        degree = rng.choice([-1, 0, 1])
-    h = random_functional(rng, space, labels, degree=degree)
+    h = random_functional(rng, space, labels, degree=rng.choice([-1, 0, 1]))
     if not h.entries:
         h = random_functional(rng, space, labels, degree=0, density=1.0)
     return h

@@ -447,10 +447,6 @@ def _unshuffle_perm(labels, first_block):
 # -- open-surface residuals (b-sequence keyed, one or two colours) ----------
 
 
-def _stable_open(g, boundaries, arity, closed=0):
-    return 4 * g + 2 * boundaries + 2 * closed - 4 + arity > 0
-
-
 def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
     """Member labels listed cycle by cycle, nondecreasing lengths, with the
     glued cycle (given by its arc, the glued end omitted) leftmost among the
@@ -603,42 +599,35 @@ def _partitions(n, largest=None):
 
 
 def enumerate_keys(kind, max_n, max_genus2):
-    """All admissible representative keys within arity and genus bounds."""
-    out = []
+    """All admissible representative keys within arity and genus bounds: a
+    key is stable when genus2 + arity + closed ends > 2 (``key_genus2``)."""
     if kind == "loop":
-        for n in range(0, max_n + 1):
-            for g in range(0, max_genus2 // 2 + 1):
-                if 2 * (g - 1) + n > 0:
-                    out.append(LoopKey(n, g))
-        return out
-    if kind == "cyclic_ainfty":
-        return [CyclicKey(n) for n in range(3, max_n + 1)]
-    for n in range(0, max_n + 1):
-        for part in _partitions(n):
-            nonzero = (0,) + part
-            base_b = bseq_boundaries(nonzero)
-            for b0 in range(0, max_genus2 // 2 + 2):
-                bseq = trim_bseq((b0,) + part)
-                b = base_b + b0
-                for g in range(0, max_genus2 // 4 + 1):
-                    if kind == "quantum_ainfty":
-                        if b < 1 or 4 * g + 2 * b - 2 > max_genus2:
-                            continue
-                        if not _stable_open(g, b, n):
-                            continue
-                        out.append(QuantumKey(bseq, g))
-                    else:
-                        for c in range(0, max_n + 1 - n):
-                            if 4 * g + 2 * b + c - 2 > max_genus2:
-                                continue
-                            if not _stable_open(g, b, n, c):
-                                continue
-                            out.append(QocKey(bseq, g, c))
-    return sorted(set(out), key=repr)
+        keys = [LoopKey(n, g) for n in range(max_n + 1)
+                for g in range(max_genus2 // 2 + 1)]
+    elif kind == "cyclic_ainfty":
+        keys = [CyclicKey(n) for n in range(max_n + 1)]
+    else:
+        keys = set()
+        for n in range(max_n + 1):
+            for part in _partitions(n):
+                for b0 in range(max_genus2 // 2 + 2):
+                    bseq = trim_bseq((b0,) + part)
+                    for g in range(max_genus2 // 4 + 1):
+                        if kind != "quantum_ainfty":
+                            keys.update(QocKey(bseq, g, c) for c in range(max_n + 1 - n))
+                        elif bseq_boundaries(bseq):  # open surfaces need a boundary
+                            keys.add(QuantumKey(bseq, g))
+        keys = sorted(keys, key=repr)
+    out = []
+    for key in keys:
+        genus2 = key_genus2(key)
+        if genus2 <= max_genus2 and genus2 + key_arity(key) + key_closed(key) > 2:
+            out.append(key)
+    return out
 
 
 def random_invariant_map(rng, data_kind, space, closed_space, key,
-                         density=0.6, max_num=3) -> MultiFunctional:
+                         density=0.6) -> MultiFunctional:
     """Random degree-0 functional symmetrized over the stabilizer."""
     n, c = key_arity(key), key_closed(key)
     table = space.degrees + (closed_space.degrees if data_kind == "qoc" else ())
@@ -649,9 +638,9 @@ def random_invariant_map(rng, data_kind, space, closed_space, key,
         if sum(table[k] for k in w) != 0:
             continue
         if rng.random() < density:
-            num = rng.randint(-max_num, max_num)
+            num = rng.randint(-3, 3)
             if num:
-                raw[w] = Fraction(num, rng.randint(1, max_num))
+                raw[w] = Fraction(num, rng.randint(1, 3))
     entries = symmetrize(raw, *stab_shape(data_kind, key),
                          tuple(d % 2 for d in table))
     return make_map(data_kind, space, closed_space, key, entries)
@@ -764,67 +753,54 @@ def algebra_from_json(doc) -> AlgebraData:
 
 # ---------------------------------------------------------------------------
 # cyclic algebras: bracket form and suspended multiplication form
+#
+# Each form is a sparse join: the inner factor's entries are indexed by
+# the letter that meets the outer factor (its paired output slot), and
+# every stored entry and cut of the outer factor looks up its partners.
 
 
-def hom_bracket(F: dict, G: dict, space, deg_F: int = 0, deg_G: int = 0) -> dict:
-    """Bracket of two arity-keyed families of functionals.
+def _pruned(out: dict) -> dict:
+    """An arity-keyed family without zero entries or empty arities."""
+    out = {n: {w: v for w, v in T.items() if v} for n, T in sorted(out.items())}
+    return {n: T for n, T in out.items() if T}
+
+
+def hom_bracket(F: dict, G: dict, space) -> dict:
+    """Bracket of two arity-keyed families of degree-0 functionals.
 
     The transported commutator of the coderivations the families induce on
     the tensor coalgebra: one family is applied inside the other with the
-    paired basis vectors bridging the two, minus the sign-twisted swap.
-    With a single degree-0 cyclic family f this yields d(f) = [f,f]/2.
+    paired basis vectors bridging the two, plus the swap (its sign twist is
+    +1 in degree 0).  With a single degree-0 cyclic family f this yields
+    d(f) = [f,f]/2.
     """
-    P = space.pairing.matrix
     table = space.degrees
-    dim = space.dim
+    P = space.pairing.matrix
+    cols = [[(e, row[k]) for e, row in enumerate(P) if row[k]] for k in range(space.dim)]
     out: dict = {}
-
-    def one_sided(A, B, dB, global_sign):
-        # A(pre (x) b_e (x) post (x) last) * B(mid (x) a_e) summed over cuts
-        for nA, TA in A.items():
-            for nB, TB in B.items():
-                N = nA + nB - 2
-                if N < 1:
-                    continue
-                acc = out.setdefault(N, {})
-                i2 = nB - 1
-                for i1 in range(0, N - i2):
-                    for w in itertools.product(range(dim), repeat=N):
-                        pre = w[:i1]
-                        mid = w[i1 : i1 + i2]
-                        post = w[i1 + i2 :]
-                        deg_pre = sum(table[k] for k in pre)
-                        deg_mid = sum(table[k] for k in mid)
-                        s_move = (dB + 1) * deg_pre
-                        s_inner = dB + deg_mid
-                        val = ZERO
-                        for e in range(dim):
-                            vB = TB.get(mid + (e,), ZERO)
-                            if not vB:
-                                continue
-                            row = P[e]
-                            for k in range(dim):
-                                coeff = row[k]
-                                if not coeff:
-                                    continue
-                                vA = TA.get(pre + (k,) + post, ZERO)
-                                if not vA:
-                                    continue
-                                val += coeff * vA * vB
-                        if val:
-                            if (s_move + s_inner) % 2:
-                                val = -val
-                            val *= global_sign
-                            nv = acc.get(w, ZERO) + val
-                            if nv:
-                                acc[w] = nv
-                            elif w in acc:
-                                del acc[w]
-
-    one_sided(F, G, deg_G, 1)
-    swap_sign = -1 if ((deg_F + 1) * (deg_G + 1)) % 2 else 1
-    one_sided(G, F, deg_F, -swap_sign)
-    return {n: T for n, T in out.items() if T}
+    for A, B in ((F, G), (G, F)):
+        # A(pre (x) b_e (x) post) * B(mid (x) a_e) over each cut of A
+        inner: dict = {}
+        for T in B.values():
+            for wB, vB in T.items():
+                if vB and wB:
+                    mid = wB[:-1]
+                    inner.setdefault(wB[-1], []).append(
+                        (mid, sum(table[k] for k in mid), vB))
+        for T in A.values():
+            for wA, vA in T.items():
+                deg_pre = 0
+                for i1 in range(len(wA) - 1):
+                    k = wA[i1]
+                    pre, post = wA[:i1], wA[i1 + 1 :]
+                    for e, c in cols[k]:
+                        for mid, deg_mid, vB in inner.get(e, ()):
+                            w = pre + mid + post
+                            v = c * vA * vB
+                            acc = out.setdefault(len(w), {})
+                            acc[w] = acc.get(w, ZERO) + (-v if (deg_pre + deg_mid) % 2 else v)
+                    deg_pre += table[k]
+    return _pruned(out)
 
 
 def multiplication_maps(data: AlgebraData) -> dict:
@@ -834,30 +810,18 @@ def multiplication_maps(data: AlgebraData) -> dict:
     """
     if data.kind != "cyclic_ainfty":
         raise KindMismatch("multiplication maps need cyclic data")
-    space = data.space
-    table = space.degrees
-    dim = space.dim
-    P = space.pairing.matrix
-    out = {}
+    table = data.space.degrees
+    rows = data.space.pairing.rows
+    out: dict = {}
     for key in data.maps:
-        n = key.n - 1
-        T = data.tensor(key)
-        m: dict = {}
-        for w in itertools.product(range(dim), repeat=n):
-            degw = sum(table[k] for k in w)
-            sgn = -1 if (degw + 1) % 2 else 1
-            for j in range(dim):
-                v = T.get(w + (j,), ZERO)
-                if not v:
-                    continue
-                for k in range(dim):
-                    if P[j][k]:
-                        c = sgn * v * P[j][k]
-                        m[w + (k,)] = m.get(w + (k,), ZERO) + c
-        m = {wk: v for wk, v in m.items() if v}
-        if m:
-            out[n] = m
-    return out
+        m = out.setdefault(key.n - 1, {})
+        for wj, v in data.tensor(key).items():
+            w = wj[:-1]
+            if not sum(table[k] for k in w) % 2:
+                v = -v
+            for k, c in rows[wj[-1]]:
+                m[w + (k,)] = m.get(w + (k,), ZERO) + v * c
+    return _pruned(out)
 
 
 def suspended_maps(data: AlgebraData) -> dict:
@@ -876,57 +840,42 @@ def suspended_maps(data: AlgebraData) -> dict:
     return out
 
 
-def suspended_relation_residual(data: AlgebraData, mprime: dict | None = None,
-                                max_n: int | None = None) -> dict:
+def suspended_relation_residual(data: AlgebraData, max_n: int | None = None) -> dict:
     """Residual of the standard shifted relation with the differential as
     the arity-1 map; zero exactly when the algebra solves its equations."""
     space = data.space
-    dim = space.dim
     up = tuple(d + 1 for d in space.degrees)
-    if mprime is None:
-        mprime = dict(suspended_maps(data))
-    mprime = dict(mprime)
-    d1 = {}
-    for col in range(dim):
-        for row in range(dim):
-            c = space.differential[row][col]
-            if c:
-                d1[(col, row)] = c
+    mprime = suspended_maps(data)
+    d1 = {(col, row): c for row, line in enumerate(space.differential)
+          for col, c in enumerate(line) if c}
     if d1:
         mprime[1] = d1
-    out = {}
-    arities = sorted(mprime)
-    top = max_n if max_n is not None else (max(arities) + max(arities) - 1 if arities else 0)
-    for n in range(1, top + 1):
-        acc: dict = {}
-        for i2 in arities:
-            outer_n = n - i2 + 1
-            if outer_n < 1 or outer_n not in mprime:
+    if max_n is None:
+        max_n = 2 * max(mprime, default=0) - 1
+    by_out = {}
+    for i2, inner in mprime.items():
+        index = by_out[i2] = {}
+        for wk, v in inner.items():
+            index.setdefault(wk[-1], []).append((wk[:-1], v))
+    out: dict = {}
+    for n_out, outer in mprime.items():
+        for i2, index in by_out.items():
+            n = n_out + i2 - 1
+            if n > max_n:
                 continue
-            inner = mprime[i2]
-            outer = mprime[outer_n]
-            deg_inner = 2 - i2
-            for i1 in range(0, n - i2 + 1):
-                i3 = n - i1 - i2
-                sgn_base = -1 if (i1 * i2 + i3) % 2 else 1
-                for w in itertools.product(range(dim), repeat=n):
-                    pre = sum(up[k] for k in w[:i1])
-                    move = -1 if (deg_inner * pre) % 2 else 1
-                    for k_mid in range(dim):
-                        v_in = inner.get(w[i1 : i1 + i2] + (k_mid,), ZERO)
-                        if not v_in:
-                            continue
-                        outer_word = w[:i1] + (k_mid,) + w[i1 + i2 :]
-                        for k_out in range(dim):
-                            v_out = outer.get(outer_word + (k_out,), ZERO)
-                            if not v_out:
-                                continue
-                            key = w + (k_out,)
-                            acc[key] = acc.get(key, ZERO) + sgn_base * move * v_in * v_out
-        acc = {k: v for k, v in acc.items() if v}
-        if acc:
-            out[n] = acc
-    return out
+            acc = out.setdefault(n, {})
+            for wk, v_out in outer.items():
+                pre = 0
+                for i1 in range(n_out):
+                    # (-1)^(i1 i2 + i3) and the inner map's degree 2 - i2
+                    # moving past the shifted inputs before it
+                    odd = (i1 * i2 + n_out - 1 - i1 + i2 * pre) % 2
+                    for inputs, v_in in index.get(wk[i1], ()):
+                        w = wk[:i1] + inputs + wk[i1 + 1 :]
+                        v = v_in * v_out
+                        acc[w] = acc.get(w, ZERO) + (-v if odd else v)
+                    pre += up[wk[i1]]
+    return _pruned(out)
 
 
 def family_of(data: AlgebraData) -> dict:

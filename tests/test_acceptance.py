@@ -239,7 +239,7 @@ def test_criterion_08_cyclic_equivalences():
     for n in (3, 4, 5):
         assert FT.cyclic_residual(data, n).is_zero()
     fam = FT.family_of(data)
-    br = FT.hom_bracket(fam, fam, V, 0, 0)
+    br = FT.hom_bracket(fam, fam, V)
     for key in FT.enumerate_keys("cyclic_ainfty", 5, 0):
         lhs = dict(FT.functional_differential(data.functional(key)).entries)
         for w, v in br.get(key.n, {}).items():
@@ -255,7 +255,7 @@ def test_criterion_08_cyclic_equivalences():
     broken_direct = any(not FT.cyclic_residual(pdata, n).is_zero()
                         for n in (4, 5, 6))
     pfam = FT.family_of(pdata)
-    pbr = FT.hom_bracket(pfam, pfam, V, 0, 0)
+    pbr = FT.hom_bracket(pfam, pfam, V)
     broken_bracket = False
     for key in FT.enumerate_keys("cyclic_ainfty", 6, 0):
         lhs = dict(FT.functional_differential(pdata.functional(key)).entries)

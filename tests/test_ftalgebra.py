@@ -1,4 +1,5 @@
 """Algebra data, the generic residual and the hand-coded specializations."""
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -13,6 +14,7 @@ from operad_forge import operads as op
 from operad_forge._kernels import precompose_entries
 from operad_forge.errors import (
     KeyMissing,
+    KindMismatch,
     SymmetryViolation,
     Unstable,
 )
@@ -441,14 +443,14 @@ class TestCyclicForms:
         data1 = FT.random_algebra("cyclic_ainfty", v4, 4, 0, rng)
         data2 = FT.random_algebra("cyclic_ainfty", v4, 4, 0, rng)
         F, Gf = FT.family_of(data1), FT.family_of(data2)
-        lhs = FT.hom_bracket(F, Gf, v4, 0, 0)
-        rhs = FT.hom_bracket(Gf, F, v4, 0, 0)
+        lhs = FT.hom_bracket(F, Gf, v4)
+        rhs = FT.hom_bracket(Gf, F, v4)
         assert lhs == rhs  # both families of even degree
 
     def test_bracket_identity_on_random_data(self, v4):
         data = FT.random_algebra("cyclic_ainfty", v4, 5, 0, random.Random(20))
         fam = FT.family_of(data)
-        br = FT.hom_bracket(fam, fam, v4, 0, 0)
+        br = FT.hom_bracket(fam, fam, v4)
         for key in FT.enumerate_keys("cyclic_ainfty", 5, 0):
             res = FT.cyclic_residual(data, key.n)
             lhs = dict(FT.functional_differential(data.functional(key)).entries)
@@ -474,7 +476,7 @@ class TestAssociativeExample:
         for n in (3, 4, 5):
             assert FT.cyclic_residual(data, n).is_zero()
         fam = FT.family_of(data)
-        br = FT.hom_bracket(fam, fam, V, 0, 0)
+        br = FT.hom_bracket(fam, fam, V)
         assert all(not any(t.values()) for t in br.values())
         assert FT.suspended_relation_residual(data, max_n=5) == {}
 
@@ -491,7 +493,7 @@ class TestAssociativeExample:
             not FT.cyclic_residual(pdata, n).is_zero() for n in (3, 4, 5, 6)
         )
         fam = FT.family_of(pdata)
-        br = FT.hom_bracket(fam, fam, V, 0, 0)
+        br = FT.hom_bracket(fam, fam, V)
         broken_bracket = any(any(t.values()) for n, t in br.items() if n <= 6)
         broken_suspended = FT.suspended_relation_residual(pdata, max_n=5) != {}
         assert broken_direct and broken_bracket and broken_suspended
@@ -501,3 +503,250 @@ class TestAssociativeExample:
         m = FT.multiplication_maps(data)
         # the product takes the degree-zero vector squared to the odd one
         assert m == {2: {(0, 0, 1): Fr(1)}}
+
+
+# ---------------------------------------------------------------------------
+# the dense forms of the cyclic equations, kept as oracles of the sparse
+# joins: every word of dim^N at every cut.  The suspended residual reads the
+# library's suspended_maps, whose multiplication maps are compared on their
+# own.
+
+ZERO = Fr(0)
+
+
+def _reference_hom_bracket(F: dict, G: dict, space, deg_F: int = 0, deg_G: int = 0) -> dict:
+    """Bracket of two arity-keyed families of functionals.
+
+    The transported commutator of the coderivations the families induce on
+    the tensor coalgebra: one family is applied inside the other with the
+    paired basis vectors bridging the two, minus the sign-twisted swap.
+    With a single degree-0 cyclic family f this yields d(f) = [f,f]/2.
+    """
+    P = space.pairing.matrix
+    table = space.degrees
+    dim = space.dim
+    out: dict = {}
+
+    def one_sided(A, B, dB, global_sign):
+        # A(pre (x) b_e (x) post (x) last) * B(mid (x) a_e) summed over cuts
+        for nA, TA in A.items():
+            for nB, TB in B.items():
+                N = nA + nB - 2
+                if N < 1:
+                    continue
+                acc = out.setdefault(N, {})
+                i2 = nB - 1
+                for i1 in range(0, N - i2):
+                    for w in itertools.product(range(dim), repeat=N):
+                        pre = w[:i1]
+                        mid = w[i1 : i1 + i2]
+                        post = w[i1 + i2 :]
+                        deg_pre = sum(table[k] for k in pre)
+                        deg_mid = sum(table[k] for k in mid)
+                        s_move = (dB + 1) * deg_pre
+                        s_inner = dB + deg_mid
+                        val = ZERO
+                        for e in range(dim):
+                            vB = TB.get(mid + (e,), ZERO)
+                            if not vB:
+                                continue
+                            row = P[e]
+                            for k in range(dim):
+                                coeff = row[k]
+                                if not coeff:
+                                    continue
+                                vA = TA.get(pre + (k,) + post, ZERO)
+                                if not vA:
+                                    continue
+                                val += coeff * vA * vB
+                        if val:
+                            if (s_move + s_inner) % 2:
+                                val = -val
+                            val *= global_sign
+                            nv = acc.get(w, ZERO) + val
+                            if nv:
+                                acc[w] = nv
+                            elif w in acc:
+                                del acc[w]
+
+    one_sided(F, G, deg_G, 1)
+    swap_sign = -1 if ((deg_F + 1) * (deg_G + 1)) % 2 else 1
+    one_sided(G, F, deg_F, -swap_sign)
+    return {n: T for n, T in out.items() if T}
+
+
+def _reference_multiplication_maps(data: FT.AlgebraData) -> dict:
+    """Degree +1 maps keyed by arity, solved from f_{n+1} = omega(m_n (x) id).
+
+    Returned as {n: {word+(k,): coefficient of a_k in m_n(a_word)}}.
+    """
+    if data.kind != "cyclic_ainfty":
+        raise KindMismatch("multiplication maps need cyclic data")
+    space = data.space
+    table = space.degrees
+    dim = space.dim
+    P = space.pairing.matrix
+    out = {}
+    for key in data.maps:
+        n = key.n - 1
+        T = data.tensor(key)
+        m: dict = {}
+        for w in itertools.product(range(dim), repeat=n):
+            degw = sum(table[k] for k in w)
+            sgn = -1 if (degw + 1) % 2 else 1
+            for j in range(dim):
+                v = T.get(w + (j,), ZERO)
+                if not v:
+                    continue
+                for k in range(dim):
+                    if P[j][k]:
+                        c = sgn * v * P[j][k]
+                        m[w + (k,)] = m.get(w + (k,), ZERO) + c
+        m = {wk: v for wk, v in m.items() if v}
+        if m:
+            out[n] = m
+    return out
+
+
+def _reference_suspended_relation_residual(data: FT.AlgebraData, mprime: dict | None = None,
+                                max_n: int | None = None) -> dict:
+    """Residual of the standard shifted relation with the differential as
+    the arity-1 map; zero exactly when the algebra solves its equations."""
+    space = data.space
+    dim = space.dim
+    up = tuple(d + 1 for d in space.degrees)
+    if mprime is None:
+        mprime = dict(FT.suspended_maps(data))
+    mprime = dict(mprime)
+    d1 = {}
+    for col in range(dim):
+        for row in range(dim):
+            c = space.differential[row][col]
+            if c:
+                d1[(col, row)] = c
+    if d1:
+        mprime[1] = d1
+    out = {}
+    arities = sorted(mprime)
+    top = max_n if max_n is not None else (max(arities) + max(arities) - 1 if arities else 0)
+    for n in range(1, top + 1):
+        acc: dict = {}
+        for i2 in arities:
+            outer_n = n - i2 + 1
+            if outer_n < 1 or outer_n not in mprime:
+                continue
+            inner = mprime[i2]
+            outer = mprime[outer_n]
+            deg_inner = 2 - i2
+            for i1 in range(0, n - i2 + 1):
+                i3 = n - i1 - i2
+                sgn_base = -1 if (i1 * i2 + i3) % 2 else 1
+                for w in itertools.product(range(dim), repeat=n):
+                    pre = sum(up[k] for k in w[:i1])
+                    move = -1 if (deg_inner * pre) % 2 else 1
+                    for k_mid in range(dim):
+                        v_in = inner.get(w[i1 : i1 + i2] + (k_mid,), ZERO)
+                        if not v_in:
+                            continue
+                        outer_word = w[:i1] + (k_mid,) + w[i1 + i2 :]
+                        for k_out in range(dim):
+                            v_out = outer.get(outer_word + (k_out,), ZERO)
+                            if not v_out:
+                                continue
+                            key = w + (k_out,)
+                            acc[key] = acc.get(key, ZERO) + sgn_base * move * v_in * v_out
+        acc = {k: v for k, v in acc.items() if v}
+        if acc:
+            out[n] = acc
+    return out
+
+
+def _random_family(rng, dim, arities):
+    """Random entries on random words of each arity: neither invariant nor
+    of degree 0, with some zero values stored."""
+    return {
+        n: {tuple(rng.randrange(dim) for _ in range(n)):
+            Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)}
+        for n in arities
+    }
+
+
+class TestCyclicFormsAgainstDenseReference:
+    """The sparse joins give exactly the dense loops' dicts."""
+
+    SPACES = {
+        "rich4": lambda: G.rich_space(4),
+        "rich4_d": lambda: G.rich_space(4, with_differential=True),
+        "mixed8": lambda: _mixed_space([0, -1, 0, -1]),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_equal_to_reference(self, name, seed):
+        V = self.SPACES[name]()
+        rng = random.Random(seed)
+        top = 3 if V.dim > 4 else 4  # the dense bracket visits dim^(2 top - 2) words
+        data = FT.random_algebra("cyclic_ainfty", V, top, 0, rng)
+        other = FT.random_algebra("cyclic_ainfty", V, top, 0, rng)
+        F, Gf = FT.family_of(data), FT.family_of(other)
+        raw = _random_family(rng, V.dim, range(1, top + 1))
+        raw_other = _random_family(rng, V.dim, range(1, top))
+        assert F and Gf and F != Gf
+        for A, B in ((F, Gf), (raw, raw_other), (raw_other, F)):
+            assert FT.hom_bracket(A, B, V) == _reference_hom_bracket(A, B, V)
+        for d in (data, other):
+            assert FT.multiplication_maps(d) == _reference_multiplication_maps(d)
+            for max_n in (None, top):
+                assert (FT.suspended_relation_residual(d, max_n=max_n)
+                        == _reference_suspended_relation_residual(d, max_n=max_n))
+
+
+# ---------------------------------------------------------------------------
+# enumerate_keys with one stability formula per kind, kept as its oracle
+
+
+def _reference_stable_open(g, boundaries, arity, closed=0):
+    return 4 * g + 2 * boundaries + 2 * closed - 4 + arity > 0
+
+
+def _reference_enumerate_keys(kind, max_n, max_genus2):
+    """All admissible representative keys within arity and genus bounds."""
+    out = []
+    if kind == "loop":
+        for n in range(0, max_n + 1):
+            for g in range(0, max_genus2 // 2 + 1):
+                if 2 * (g - 1) + n > 0:
+                    out.append(FT.LoopKey(n, g))
+        return out
+    if kind == "cyclic_ainfty":
+        return [FT.CyclicKey(n) for n in range(3, max_n + 1)]
+    for n in range(0, max_n + 1):
+        for part in FT._partitions(n):
+            nonzero = (0,) + part
+            base_b = FT.bseq_boundaries(nonzero)
+            for b0 in range(0, max_genus2 // 2 + 2):
+                bseq = FT.trim_bseq((b0,) + part)
+                b = base_b + b0
+                for g in range(0, max_genus2 // 4 + 1):
+                    if kind == "quantum_ainfty":
+                        if b < 1 or 4 * g + 2 * b - 2 > max_genus2:
+                            continue
+                        if not _reference_stable_open(g, b, n):
+                            continue
+                        out.append(FT.QuantumKey(bseq, g))
+                    else:
+                        for c in range(0, max_n + 1 - n):
+                            if 4 * g + 2 * b + c - 2 > max_genus2:
+                                continue
+                            if not _reference_stable_open(g, b, n, c):
+                                continue
+                            out.append(FT.QocKey(bseq, g, c))
+    return sorted(set(out), key=repr)
+
+
+@pytest.mark.parametrize("kind", FT.ALGEBRA_KINDS)
+def test_enumerate_keys_matches_per_kind_rules(kind):
+    for max_n in range(7):
+        for max_genus2 in range(9):
+            assert (FT.enumerate_keys(kind, max_n, max_genus2)
+                    == _reference_enumerate_keys(kind, max_n, max_genus2)), (max_n, max_genus2)

@@ -414,6 +414,21 @@ class TestDuals:
                 assert op.dual_compose("qoc", z, colour=colour) == \
                     op.dual_compose_formula("qoc", z, colour=colour)
 
+    def test_qoc_formula_matches_oracle_extended(self):
+        """With the two extension shapes admitted, on every basis element
+        with at most 3 open and 3 closed ends and genus2 at most 4."""
+        cases = 0
+        for o, c, g2 in itertools.product(range(4), range(4), range(5)):
+            for z in op.basis("qoc", range(1, o + 1), g2, closed=range(1, c + 1),
+                              extended=True):
+                for colour in ("open", "closed"):
+                    assert op.dual_contract("qoc", z, colour=colour, extended=True) == \
+                        op.dual_contract_formula("qoc", z, colour=colour, extended=True)
+                    assert op.dual_compose("qoc", z, colour=colour, extended=True) == \
+                        op.dual_compose_formula("qoc", z, colour=colour, extended=True)
+                    cases += 1
+        assert cases == 124
+
     @pytest.mark.parametrize("kind, z", [
         ("qo", op.qo_surface([(1, 2, 3)])),
         ("ass", op.qo_surface([(1, 2, 3, 4)])),
