@@ -106,6 +106,27 @@ def mask_sign(masks, odd):
     return -1 if (acc & odd).bit_count() & 1 else 1
 
 
+def form_at(rows, linear, z):
+    """``(parity, acc)`` of a quadratic form over GF(2) at the odd mask
+    ``z``: ``mask_sign`` with a linear part.
+
+    The form is the sum of z_i z_j over the bits j of ``rows[i]`` and of
+    z_i over the bits i of ``linear``.  acc is the XOR of ``rows`` over the
+    odd slots, and the parity counts the pairs and linear slots among them;
+    acc's bits outside ``z`` are the form's cross terms with ``z``, so a
+    caller splitting a word's odd slots into disjoint parts A and B reads
+    the pairs of A with B as ``(acc & B).bit_count()`` when ``rows[i]``
+    holds, for each i in A, every partner of i in B, before or after it.
+    """
+    acc = 0
+    rest = z
+    while rest:
+        low = rest & -rest
+        acc ^= rows[low.bit_length() - 1]
+        rest ^= low
+    return ((acc ^ linear) & z).bit_count() & 1, acc
+
+
 def precompose_entries(entries, perm, basis_degrees):
     """Entries of ``T o perm`` for a tensor T given as {word: coefficient}.
 

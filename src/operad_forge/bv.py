@@ -54,6 +54,26 @@ around each glued end once per call, and a hash join over the nonzero
 entries of the inverse pairing writes every glued word through the plan's
 permutation into the raw sums with one Koszul sign.
 
+That sign is -1 to a quadratic form in the parities of the joined word's
+letters, so one form per join (the plan's) is split along the two words:
+each first entry reads its own sign and its row of cross terms once per
+join, each second entry its own sign, and a pair then costs one AND and
+one ``bit_count`` (``_kernels.form_at``, which the endomorphism operad's
+joins evaluate too).
+
+The self-bracket [S, S] visits each unordered pair of (key, glued-end
+orbit) entries of one colour once.  A diagonal pair runs as an ordered
+one.  Off the diagonal, the swapped pair (w2 at q, w1 at p) gives the
+same class as (w1 at p, w2 at q) times (-1)^{|w1||w2|}, the Koszul sign
+of exchanging the two words: gluing is symmetric (axiom 1), so both
+orders build one surface with the same ends, and the join's sign differs
+only by that exchange.  So an off-diagonal word pair counts twice, unless
+both words are odd, when the two orders cancel and the pair is skipped.
+
+``_add_raw`` memoizes the least rotation of each block it meets for the
+length of one call, whose words share one table of letter parities; no
+memo outlives the call.
+
 The block-indexed relation ``herbst_residual`` is planned the same way,
 once per profile (bseq, g): the plan lists its merged-cycle, split-cycle
 and splitting terms, each with its scale, the map key and source positions
@@ -75,6 +95,7 @@ from functools import lru_cache
 from . import operads as op
 from ._kernels import (
     apply_perm_to_word,
+    form_at,
     invert_perm,
     inversion_masks,
     koszul_sign,
@@ -237,6 +258,7 @@ class BVElement:
         return out
 
     def plus(self, other):
+        _same_home(self, other)
         out = BVElement(self.kind, self.space, self.cspace)
         out.terms = {key: dict(comp) for key, comp in self.terms.items()}
         for key, comp in other.terms.items():
@@ -270,12 +292,23 @@ class BVElement:
         )
 
 
+def _same_home(x: BVElement, y: BVElement):
+    """Refuse to combine elements of different kinds or spaces."""
+    if x.kind != y.kind:
+        raise KindMismatch(f"elements of kinds {x.kind} and {y.kind}")
+    if (x.space, x.cspace) != (y.space, y.cspace):
+        raise LabelMismatch("functionals over different spaces")
+
+
 def _add_raw(out: BVElement, raw: dict, denom: int = 1) -> BVElement:
     """Fill the empty element ``out`` with raw contributions summed per
     (key, word), as numerators over the common denominator ``denom``: the
     plan of each key is looked up once, each distinct word canonicalized
-    once, and each class written as one ``Fraction``."""
+    once, and each class written as one ``Fraction``.  The least rotations
+    of the words' blocks are memoized for the call: its words share one
+    table of letter parities."""
     table = out.table()
+    rotations: dict = {}
     sums: dict = {}  # key -> (canonical, numerator per canonical word)
     for (key, word), num in raw.items():
         if not num:
@@ -283,7 +316,7 @@ def _add_raw(out: BVElement, raw: dict, denom: int = 1) -> BVElement:
         acc = sums.get(key)
         if acc is None:
             acc = sums[key] = (_symmetry(out.kind, key, table).canonical, {})
-        w0, sign = acc[0](word)
+        w0, sign = acc[0](word, rotations)
         if w0 is not None:
             acc[1][w0] = acc[1].get(w0, 0) + (num if sign > 0 else -num)
     for key, (_, acc) in sums.items():
@@ -427,30 +460,26 @@ def bv_delta(x: BVElement) -> BVElement:
     return _add_raw(BVElement(kind, x.space, x.cspace), raw, dv * dp * ds)
 
 
-def _split_at_end(entries, n, slot, colour, weight, table, parities, off):
-    """One factor's entries split around its glued slot.
+def _split_at_end(entries, slot, weight, parities, off, first):
+    """One factor's entries split around its glued slot, as (glued index,
+    rest, odd mask of rest, parity of the word, signed value times weight),
+    the rest being the open and then the closed letters that stay.
 
-    Each entry becomes (glued index, x, y, deg glued, deg x, deg y, odd
-    mask of x, odd mask of y, value times weight), x and y being the open
-    and closed letters that stay.  Moving the glued letter to the front of
-    its colour block costs the Koszul sign of passing the letters before it
-    in the block, as ``endo_compose``'s reordering does.
+    The sign is the factor's own part of ``endo_compose``'s: moving the
+    glued letter to the front past the letters before it (for a closed
+    end, past the open block too), times -1 to p_f for the first factor
+    and to p_g |e| for the second, p being the parity of the word.
     """
-    start = 0 if colour == "open" else n
-    no = n - 1 if colour == "open" else n
+    before = (1 << slot) - 1
     out = []
     for w, v in entries.items():
         g = w[slot]
-        deg_g = table[g] % 2
-        if deg_g and sum(table[k] for k in w[start:slot]) % 2:
-            v = -v
+        deg_g = parities[g]
         rest = w[:slot] + w[slot + 1 :]
-        xs, ys = rest[:no], rest[no:]
-        out.append((
-            g - off, xs, ys, deg_g, sum(table[k] for k in xs) % 2,
-            sum(table[k] for k in ys) % 2, odd_mask(xs, parities),
-            odd_mask(ys, parities), v * weight,
-        ))
+        odd = odd_mask(rest, parities)
+        p = deg_g ^ odd.bit_count() & 1
+        s = deg_g & (odd & before).bit_count() ^ (p if first else p & deg_g)
+        out.append((g - off, rest, odd, p, -v * weight if s & 1 else v * weight))
     return out
 
 
@@ -473,17 +502,36 @@ def _integer_factor(x: BVElement, colours):
 @lru_cache(maxsize=None)
 def _bracket_plan(kind, key1, i, key2, j, colour):
     """The shape-only part of gluing end i of one colour of key1's
-    representative to end j of key2's: (output key, getter moving the
-    assembled word x1 + x2 + y1 + y2 into canonical slot order, its
-    inversion masks, and the offsets of x2, y1 and y2 in that word)."""
+    representative to end j of key2's: (output key, getter moving the word
+    rest2 + rest1 into canonical slot order, the join's sign form over
+    that word, and the length of rest2).
+
+    In ``natural_compose``'s slot order the glued surface reads x1 x2 y1
+    y2 (x the opens, y the closeds that stay), and ``canonical_perm``
+    carries it to its representative by sigma.  The join reads the word
+    as x2 y2 x1 y1 and moves it by tau, sigma after that reordering.  The
+    reordering costs (|x2| + |y2|)(|x1| + |y1|) + |x2| |y1|, which is
+    exactly the part of ``endo_compose``'s sign that pairs the two
+    factors, so the whole pair sign is the two factors' own signs times
+    the Koszul sign of tau.  The form holds tau's inversion masks, and
+    each slot of rest1 also holds its inversions with the slots of rest2
+    before it (``form_at``'s cross terms).
+    """
     z = op.natural_compose(representative(key1), i + 1, representative(key2),
                            j + 1, colour=colour)
     rep_out, sigma = op.canonical_perm(z)
     n1, c1 = key_arity(key1), key_closed(key1)
-    n2 = key_arity(key2)
-    nx1, nx2, ny1 = (n1 - 1, n2 - 1, c1) if colour == "open" else (n1, n2, c1 - 1)
-    return (key_of(kind, rep_out), word_getter(invert_perm(sigma)),
-            inversion_masks(sigma), nx1, nx1 + nx2, nx1 + nx2 + ny1)
+    n2, c2 = key_arity(key2), key_closed(key2)
+    nx1, nx2 = (n1 - 1, n2 - 1) if colour == "open" else (n1, n2)
+    m1, m2 = n1 + c1 - 1, n2 + c2 - 1
+    cuts = (0, nx1, nx1 + nx2, nx2 + m1, m1 + m2)
+    x1, x2, y1, y2 = (range(a, b) for a, b in zip(cuts, cuts[1:]))
+    tau = [sigma[t] for t in (*x2, *y2, *x1, *y1)]
+    rows = list(inversion_masks(tau))
+    for t in range(m2, m2 + m1):
+        rows[t] |= sum(1 << u for u in range(m2) if tau[u] > tau[t])
+    return (key_of(kind, rep_out), word_getter(invert_perm(tau)), tuple(rows),
+            m2)
 
 
 def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
@@ -492,19 +540,17 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     Each factor is split around each of its glued ends once; the second
     one is bucketed by its glued letter and joined with the first through
     the nonzero entries of the inverse pairing, with ``endo_compose``'s
-    sign.  Each assembled word x1 + x2 + y1 + y2 goes through the planned
-    canonicalizing permutation into the output with one Koszul sign.
+    sign.  Each joined word goes through the planned canonicalizing
+    permutation into the output with one Koszul sign.  The self-bracket
+    joins each unordered pair of glued ends once (see the module
+    docstring).
     """
-    if x.kind != y.kind:
-        raise KindMismatch("bracket of different kinds")
+    _same_home(x, y)
     kind = x.kind
     out = BVElement(kind, x.space, x.cspace)
     if not (x.terms and y.terms):
         return out
-    if (x.space, x.cspace) != (y.space, y.cspace):
-        raise LabelMismatch("functionals over different spaces")
-    table = x.table()
-    parities = tuple(d % 2 for d in table)
+    parities = tuple(d % 2 for d in x.table())
     colours = op.colours(kind)
     fx, wx, dx = _integer_factor(x, colours)
     fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
@@ -520,51 +566,57 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
             n2 = key_arity(key2)
             for (j,), weight in wy[key2, colour].items():
                 buckets: dict = {}
-                for e, x2, y2, deg_e, deg_x2, deg_y2, ox2, oy2, vg in _split_at_end(
-                    entries, n2, n2 * closed + j, colour, weight, table,
-                    parities, off,
-                ):
-                    p_g = (deg_e + deg_x2 + deg_y2) % 2
-                    s_g = p_g * deg_e + (deg_e * deg_x2 if closed else 0)
-                    buckets.setdefault(e, []).append(
-                        (x2, y2, deg_x2, s_g, p_g + deg_e, ox2, oy2, vg)
-                    )
+                for e, r2, b, par, v in _split_at_end(
+                        entries, n2 * closed + j, weight, parities, off, False):
+                    buckets.setdefault(e, []).append((r2, b, par, v))
                 seconds.append((key2, j, buckets))
+        k = 0  # for y is x, the index of each first end among the seconds
         for key1, entries in fx.items():
             n1 = key_arity(key1)
             for (i,), weight in wx[key1, colour].items():
-                firsts = _split_at_end(entries, n1, n1 * closed + i, colour,
-                                       -weight * share, table, parities, off)
-                for key2, j, buckets in seconds:
+                firsts = _split_at_end(entries, n1 * closed + i, -weight * share,
+                                       parities, off, True)
+                for q, (key2, j, buckets) in enumerate(
+                        seconds[k:] if y is x else seconds):
                     _bracket_join(raw, _bracket_plan(kind, key1, i, key2, j, colour),
-                               firsts, buckets, rows, closed)
+                                  firsts, buckets, rows, y is x and q > 0)
+                k += 1
     return _add_raw(out, raw, dx * dp * dy)
 
 
-def _bracket_join(raw, plan, firsts, buckets, rows, closed):
+def _bracket_join(raw, plan, firsts, buckets, rows, twice):
     """Add the glued words of one pair of ends, in canonical slot order,
-    to the raw (key, word) sums."""
-    out_key, move, masks, at_x2, at_y1, at_y2 = plan
-    for d, x1, y1, deg_d, deg_x1, deg_y1, ox1, oy1, vf in firsts:
-        deg_u = deg_x1 + deg_y1
-        s_f = deg_d + deg_u + (deg_d * deg_x1 if closed else 0)
-        odd_f = ox1 | oy1 << at_y1
+    to the raw (key, word) sums; ``twice`` for the two orders of a
+    self-bracket's pair of distinct ends."""
+    out_key, move, form, shift = plan
+    signed: dict = {}  # each second entry with its own sign of tau
+    evens: dict = {}  # the even ones, which an odd first entry meets twice
+    for e, bucket in buckets.items():
+        row = signed[e] = []
+        for r2, b, p, v in bucket:
+            item = (r2, b, -v if form_at(form, 0, b)[0] else v)
+            row.append(item)
+            if twice and not p:
+                evens.setdefault(e, []).append(item)
+    for d, r1, a, p, vf in firsts:
+        own, cross = form_at(form, 0, a << shift)
+        if own:
+            vf = -vf
+        meets = signed
+        if twice:
+            vf += vf
+            if p:
+                meets = evens
         for e, coeff in rows[d]:
-            bucket = buckets.get(e)
+            bucket = meets.get(e)
             if bucket is None:
                 continue
             vfc = vf * coeff
-            for x2, y2, deg_x2, s_g, t_g, ox2, oy2, vg in bucket:
-                # endo_compose's sign: p_f + p_g deg_e + (p_g + deg_e) deg_u
-                # + deg_x2 deg_y1, plus the insertion moves when closed
-                s = s_f + s_g + t_g * deg_u + deg_x2 * deg_y1
-                odd = odd_f | ox2 << at_x2 | oy2 << at_y2
-                if mask_sign(masks, odd) < 0:
-                    s += 1
+            for r2, b, vg in bucket:
                 val = vfc * vg
-                if s % 2:
+                if (cross & b).bit_count() & 1:
                     val = -val
-                rk = (out_key, move(x1 + x2 + y1 + y2))
+                rk = (out_key, move(r2 + r1))
                 raw[rk] = raw.get(rk, 0) + val
 
 

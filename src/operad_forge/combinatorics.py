@@ -512,15 +512,24 @@ class WordSymmetry:
     def moves(self):
         return stabilizer_moves(self.bseq, self.free)
 
-    def canonical(self, word):
-        """(canonical word, sign) or (None, 0) for a vanishing class."""
+    def canonical(self, word, rotations=None):
+        """(canonical word, sign) or (None, 0) for a vanishing class.
+
+        ``rotations`` is a caller's memo of ``_least_rotation`` per block,
+        valid for as long as the letter parities are the plan's.
+        """
         parities = self.parities
+        if rotations is None:
+            rotations = {}
         sign = 1
         out = []
         for length, starts in self.groups:
             rots = []
             for start in starts:
-                rot = _least_rotation(word[start : start + length], parities)
+                sub = word[start : start + length]
+                rot = rotations.get(sub, False)
+                if rot is False:
+                    rot = rotations[sub] = _least_rotation(sub, parities)
                 if rot is None:
                     return None, 0
                 sign *= rot[1]

@@ -24,7 +24,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._kernels import lcm_of_denominators, odd_mask, precompose_entries, word_getter
+from ._kernels import (
+    form_at,
+    lcm_of_denominators,
+    odd_mask,
+    precompose_entries,
+    word_getter,
+)
 from .errors import LabelCollision, LabelMismatch, MissingLabel, SingularOmega
 from .graded import GradedSymplecticSpace, MultiFunctional, functional_differential
 
@@ -97,24 +103,11 @@ class _SignForm:
                     self.add_product((i,), (j,))
 
 
-def _form_at(rows, linear, z):
-    """``(parity, acc)`` of a form at the odd mask ``z``: acc is the XOR of
-    ``rows`` over the odd slots, and the parity counts the pairs and linear
-    slots among them (``_kernels.mask_sign`` with a linear part)."""
-    acc = 0
-    rest = z
-    while rest:
-        low = rest & -rest
-        acc ^= rows[low.bit_length() - 1]
-        rest ^= low
-    return ((acc ^ linear) & z).bit_count() & 1, acc
-
-
 def _signed_numerators(entries: dict, parities, rows, linear):
     """The entries as ``(word, numerator, odd mask, acc)`` over the lcm of
     their denominators, and that lcm; each numerator carries the sign of
     the form ``rows``, ``linear`` at its word, and acc is as in
-    ``_form_at``."""
+    ``_kernels.form_at``."""
     den = lcm_of_denominators(entries.values())
     at: dict = {}  # the form per odd mask; a word has few distinct ones
     out = []
@@ -122,7 +115,7 @@ def _signed_numerators(entries: dict, parities, rows, linear):
         z = odd_mask(w, parities)
         got = at.get(z)
         if got is None:
-            got = at[z] = _form_at(rows, linear, z)
+            got = at[z] = form_at(rows, linear, z)
         n = v.numerator * (den // v.denominator)
         out.append((w, -n if got[0] else n, z, got[1]))
     return out, den
@@ -319,7 +312,7 @@ def endo_contract_raw(f: MultiFunctional, a, b, colour: str = "open"):
         z = odd_mask(w, parities)
         odd = at.get(z)
         if odd is None:
-            odd = at[z] = _form_at(rows, linear, z)[0]
+            odd = at[z] = form_at(rows, linear, z)[0]
         val = c * v.numerator * (den_f // v.denominator)
         word = pick(w)
         out[word] = get(word, 0) - val if odd else get(word, 0) + val

@@ -1,4 +1,5 @@
 """Generating functions, the three operations and the block-indexed forms."""
+import collections
 import functools
 import itertools
 import math
@@ -19,7 +20,7 @@ from operad_forge._kernels import (
     odd_mask,
 )
 from operad_forge.combinatorics import rep_cycle_slots, trim_bseq
-from operad_forge.errors import KindMismatch, PreconditionViolated
+from operad_forge.errors import KindMismatch, LabelMismatch, PreconditionViolated
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,34 @@ class TestOperations:
                 t = t.plus(bv.bv_bracket(a, operation(b)).scaled(
                     -1 if pa % 2 else 1))
                 assert t.is_zero()
+
+    def test_sums_refuse_other_kinds_and_spaces(self, v2, v4c):
+        """plus, minus and same_as combine elements of one kind on one
+        space only."""
+        rng = random.Random(7)
+        a = bv.random_bv_element(rng, "loop", v2, None,
+                                 FT.enumerate_keys("loop", 3, 2), density=1.0)
+        q = bv.random_bv_element(rng, "quantum_ainfty", v4c, None,
+                                 FT.enumerate_keys("quantum_ainfty", 3, 2),
+                                 density=1.0)
+        far = bv.random_bv_element(rng, "loop", v4c, None,
+                                   FT.enumerate_keys("loop", 3, 2), density=1.0)
+        assert a.terms and q.terms and far.terms
+        for other, error in ((q, KindMismatch), (far, LabelMismatch)):
+            for x, y, combine in ((a, other, "plus"), (a, other, "minus"),
+                                  (a, other, "same_as"), (other, a, "plus")):
+                with pytest.raises(error):
+                    getattr(x, combine)(y)
+
+    def test_bracket_checks_spaces_before_an_empty_factor(self, v2, v4c):
+        a = bv.random_bv_element(random.Random(8), "loop", v2, None,
+                                 FT.enumerate_keys("loop", 3, 2), density=1.0)
+        empty = bv.BVElement("loop", v4c, None)
+        for x, y in ((empty, a), (a, empty)):
+            with pytest.raises(LabelMismatch):
+                bv.bv_bracket(x, y)
+        with pytest.raises(KindMismatch):
+            bv.bv_bracket(bv.BVElement("quantum_ainfty", v2, None), a)
 
     def test_cyclic_kind_has_no_loop_operation(self, v2):
         x = bv.BVElement("cyclic_ainfty", v2, None)
@@ -324,6 +353,59 @@ class TestPlannedJoins:
         assert bv.bv_bracket(a, a).terms == _reference_bracket(a, a).terms
         if kind != "cyclic_ainfty":
             assert bv.bv_delta(a).terms == _reference_delta(a).terms
+
+
+class TestSelfBracket:
+    """bv_bracket(a, a) joins each unordered pair of glued ends once: the
+    pair's two orders differ by (-1)^{|w1||w2|}, so it doubles an
+    off-diagonal word pair unless both words are odd.  It must equal the
+    ordered route, which an equal copy of a takes."""
+
+    @staticmethod
+    def _count_joins(monkeypatch):
+        """Per colour, the joins the brackets run, and the (key, word) sums
+        they write."""
+        joins, sums, colour = collections.Counter(), collections.Counter(), []
+        plan, join = bv._bracket_plan, bv._bracket_join
+
+        def planning(*args):
+            colour[:] = args[-1:]
+            return plan(*args)
+
+        def joining(raw, *args):
+            before = len(raw)
+            join(raw, *args)
+            joins[colour[0]] += 1
+            sums[colour[0]] += len(raw) - before
+
+        monkeypatch.setattr(bv, "_bracket_plan", planning)
+        monkeypatch.setattr(bv, "_bracket_join", joining)
+        return joins, sums
+
+    @pytest.mark.parametrize("kind", ["loop", "cyclic_ainfty",
+                                      "quantum_ainfty", "qoc"])
+    @pytest.mark.parametrize("parity", [0, 1, "mixed"])
+    def test_matches_the_ordered_route(self, monkeypatch, kind, parity):
+        space = _mixed_space([-1, -1])
+        cspace = _mixed_space([0, 0]) if kind == "qoc" else None
+        keys = FT.enumerate_keys(kind, *TestPlannedJoins.BOUNDS[kind])
+        a = _random_element(random.Random(f"self {kind}{parity}"), kind, space,
+                            cspace, keys, parity)
+        b = a.scaled(1)  # equal terms, another object
+        assert b is not a and b.terms == a.terms
+        joins, sums = self._count_joins(monkeypatch)
+        got = bv.bv_bracket(a, a)
+        self_joins, self_sums = dict(joins), dict(sums)
+        joins.clear()
+        assert got.terms == bv.bv_bracket(a, b).terms
+        assert bool(got.terms) == (parity != 1)  # an odd a has [a, a] = 0
+        colours = ("open", "closed") if kind == "qoc" else ("open",)
+        for colour in colours:
+            n = sum(len(bv._end_weights(kind, key, colour, 1)) for key in a.terms)
+            assert n > 1
+            assert self_joins[colour] == n * (n + 1) // 2
+            assert joins[colour] == n * n
+            assert self_sums[colour] > 0, colour  # every colour glues words
 
 
 def test_bv_route_does_not_call_the_endomorphism_operad(monkeypatch, v2):

@@ -38,6 +38,37 @@ def test_no_two_modules_define_one_name():
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
 
 
+def imported_modules(module):
+    """The package modules a module's source imports from, anywhere in
+    the file: ``from .endo import f``, ``from . import endo`` and their
+    absolute forms all name ``operad_forge.endo``."""
+    package = operad_forge.__name__
+    with open(module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"{package}.{base}" if base else package
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name for name in out if name.startswith(package + ".")}
+
+
+@pytest.mark.parametrize("route, other", [("bv", "endo"), ("endo", "bv")])
+def test_the_master_equation_routes_import_nothing_from_each_other(route, other):
+    """The bracket and the loop operation are checked against the generic
+    residual built on the endomorphism operad, so neither module imports
+    the other; they share the kernels instead."""
+    module = importlib.import_module(f"operad_forge.{route}")
+    imports = imported_modules(module)
+    assert f"operad_forge.{other}" not in imports
+    assert "operad_forge._kernels" in imports
+
+
 # Past 8,192 tokens the parser doubles its token array, which shows in the
 # peak memory of a process that compiles the package without ``.pyc`` files.
 TOKEN_LINE = 8192

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from operad_forge._kernels import (
     apply_perm_to_word,
     compose_perms,
+    form_at,
     invert_perm,
     inversion_masks,
     koszul_sign,
@@ -82,6 +83,49 @@ def test_mask_sign_matches_pairwise_definition():
             assert got == want, (perm, word)
             signs.add(got)
     assert signs == {1, -1}
+
+
+@given(st.permutations(range(8)).flatmap(
+           lambda perm: st.tuples(st.just(tuple(perm)),
+                                  st.lists(st.integers(-3, 3), min_size=8,
+                                           max_size=8),
+                                  st.integers(0, 255))),
+       st.integers(0, 8))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_split_form_matches_mask_sign(case, n):
+    """A word's Koszul sign read in two parts, as the bracket's joins read
+    it: the odd slots split into A (inside ``part``) and B (outside), each
+    part's own sign from ``form_at``, and the pairs across from one AND of
+    A's accumulated row with B, when each row of a slot in ``part`` also
+    holds its inverted partners outside ``part``, before or after it."""
+    perm, degrees, part = case
+    perm = tuple(p for p in perm if p < n)  # a permutation of range(n)
+    degrees = degrees[:n]
+    part &= (1 << n) - 1
+    z = odd_mask(range(n), [d % 2 for d in degrees])
+    masks = inversion_masks(perm)
+    rows = list(masks)
+    for i in range(n):
+        if part >> i & 1:
+            partners = sum(1 << j for j in range(n)
+                           if (j - i) * (perm[j] - perm[i]) < 0)
+            rows[i] = masks[i] & part | partners & ~part
+    a, b = z & part, z & ~part
+    own_a, cross = form_at(rows, 0, a)
+    own_b = form_at(rows, 0, b)[0]
+    parity = own_a ^ own_b ^ (cross & b).bit_count() & 1
+    assert (-1) ** parity == mask_sign(masks, z) == koszul_sign(perm, degrees)
+
+
+def test_form_at_with_a_linear_part():
+    """The linear part adds one to the parity per odd slot it lists."""
+    rows = inversion_masks((2, 0, 1))
+    for z in range(8):
+        for linear in range(8):
+            got, acc = form_at(rows, linear, z)
+            base = form_at(rows, 0, z)
+            assert acc == base[1]
+            assert got == base[0] ^ (linear & z).bit_count() & 1
 
 
 def test_precompose_identity_copies_entries():
