@@ -89,6 +89,14 @@ of the numbers of transposition generators of x and y per (x, a, y, b).
 It equals the exhaustive count.  Generators of only a subgroup of a stabilizer
 would leave smaller orbits, so more instances, but the same count.
 
+Axioms 1 and 5-8 run through one loop, ``_on_orbits``, which sums their
+``covered`` in one place.  Each axiom's equation, its two sides and the
+instance it reports, is a named function (``_symmetric``,
+``_contractions_commute``, ``_contract_across``, ``_contract_inside``,
+``_associative``); its row of ``_ORBIT_AXIOMS`` adds the genus it needs,
+its colours and each factor's ends.  ``_corolla_tuples`` lists the corollas
+that these loops and those of axioms 3 and 4 glue.
+
 What depends on one element only is computed once, not once per instance:
 each element's stabilizer and end orbits (axioms 1 and 5-8, once per
 corolla, label offsets and colours in one check), its relabellings by
@@ -121,7 +129,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import operads as op
 from .combinatorics import b_sequence, stabilizer_generators, tuple_orbits
@@ -297,13 +305,16 @@ def _end_orbits(kind, extended, reduced):
     offsets, colours, ``ordered``) to the factors of ``_factors`` that have
     a tuple of distinct ends of those colours, each with its tuples in
     orbits of its stabilizer's generators (none unless ``reduced``), built
-    once each.  Without ``reduced``, only the tuples in order are listed:
-    those the exhaustive loop takes."""
+    once each.  A pair of ``ordered`` whose two ends have different colours
+    is dropped: labels of different colours are not compared.  Without
+    ``reduced``, only the tuples in order are listed: those the exhaustive
+    loop takes."""
     stabilizer = lru_cache(maxsize=None)(
         lambda x: _stabilizer(kind, x) if reduced else ())
 
     @lru_cache(maxsize=None)
     def factors(shape, offset_o, offset_c, cols, ordered=()):
+        ordered = [(i, j) for i, j in ordered if cols[i] == cols[j]]
         out = []
         for x, w in _factors(kind, shape, extended, offset_o, offset_c, reduced):
             tuples = [t for t in itertools.product(*(_ends(x, c) for c in cols))
@@ -369,38 +380,20 @@ def verify_axioms(kind, max_n, max_genus2, extended=False) -> AxiomReport:
     return report
 
 
-def _pairs(corollas, max_n, max_genus2, extra_genus2=0):
-    for s1, s2 in itertools.product(corollas, repeat=2):
-        if s1[2] + s2[2] + extra_genus2 > max_genus2:
-            continue
-        if s1[0] + s1[1] + s2[0] + s2[1] - 2 > max_n:
-            continue
-        yield s1, s2
-
-
-def _ax1(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Gluing is symmetric in its two factors.  Like ``_ax3`` and
-    ``_ax5``-``_ax8``, it returns the number of instances covered; with
-    ``reduced`` it runs on orbits of each factor and of its ends (module
-    docstring)."""
-    compose = _memo(op._compose)
-    factors = _end_orbits(kind, extended, reduced)
-    covered = 0
-    for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        for colour in op.colours(kind):
-            cols = (colour,)
-            for (x, ox), (y, oy) in itertools.product(
-                factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
-            ):
-                for (a,), wa in ox:
-                    for (b,), wb in oy:
-                        lhs = compose(x, a, y, b, colour, extended)
-                        rhs = compose(y, b, x, a, colour, extended)
-                        report.checked += 1
-                        covered += wa * wb
-                        if lhs != rhs:
-                            report.fail(1, (x, a, y, b, colour), lhs, rhs)
-    return covered
+def _corolla_tuples(corollas, k, max_n, max_genus2, extra_genus2=0):
+    """The k-tuples of ``corollas``, in lexicographic order, each of whose
+    prefixes of two or more glues (one gluing per corolla added) within
+    ``max_n`` and ``max_genus2``, the whole tuple also with ``extra_genus2``
+    more genus."""
+    tuples = [()]
+    for i in range(1, k + 1):
+        grown = []
+        for t in tuples:  # the genus and the ends a last corolla may add
+            g2 = max_genus2 - sum(u[2] for u in t) - (extra_genus2 if i == k else 0)
+            n = max_n - sum(u[0] + u[1] - 2 for u in t)
+            grown += [t + (s,) for s in corollas if s[2] <= g2 and s[0] + s[1] <= n]
+        tuples = grown
+    return tuples
 
 
 class _ActionTable:
@@ -591,7 +584,7 @@ def _ax3(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
     body, rel = op._compose, _Relabel()
     colours = op.colours(kind)
     data, groups = {}, {}
-    for s1, s2 in _pairs(corollas, max_n, max_genus2):
+    for s1, s2 in _corolla_tuples(corollas, 2, max_n, max_genus2):
         xs = _basis(kind, s1, extended)
         ys = _basis(kind, s2, extended, offset_o=s1[0], offset_c=s1[1])
         for x in (*xs, *ys):
@@ -642,9 +635,7 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
     element and generator, and each contracted surface once per map."""
     contract, rel = _memo(op._contract), _Relabel()
     colours = op.colours(kind)
-    for shape in corollas:
-        if shape[2] + 2 > max_genus2:
-            continue
+    for (shape,) in _corolla_tuples(corollas, 1, max_n, max_genus2, 2):
         for x in _basis(kind, shape, extended):
             gens, moved = _generator_maps(x), None
             for colour in colours:
@@ -661,129 +652,114 @@ def _ax4(report, kind, corollas, max_n, max_genus2, extended):
                             report.fail(4, (x, a, b, colour), lhs, rhs)
 
 
-def _ax5(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Contractions commute: at pairs a < b and c < d, the pair (a, b) first
-    when both have one colour; with ``reduced`` at every order of them."""
-    contract = _memo(op._contract)
-    factors = _end_orbits(kind, extended, reduced)
-    covered = 0
-    for shape in corollas:
-        if shape[2] + 4 > max_genus2:
-            continue
-        for col1, col2 in itertools.product(op.colours(kind), repeat=2):
-            ordered = ((0, 1), (2, 3), (0, 2)) if col1 == col2 else ((0, 1), (2, 3))
-            for x, ox in factors(shape, 0, 0, (col1, col1, col2, col2), ordered):
-                for (a, b, c, d), wx in ox:
-                    lhs = contract(contract(x, c, d, col2, extended), a, b, col1, extended)
-                    rhs = contract(contract(x, a, b, col1, extended), c, d, col2, extended)
-                    covered += wx
-                    report.record(5, (x, a, b, c, d, col1, col2), lhs, rhs)
-    return covered
-
-
-def _ax6(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Contracting across a gluing agrees in either order."""
+def _on_orbits(axiom, report, kind, corollas, max_n, max_genus2, extended,
+               reduced=False):
+    """Axiom 1 or 5-8, as its row of ``_ORBIT_AXIOMS`` gives it, at every
+    tuple of corollas of ``_corolla_tuples``, every choice of its colours and
+    every factor and end tuple of ``_end_orbits``; with ``reduced`` on orbits
+    of each factor and of its ends (module docstring).  Like ``_ax2`` and
+    ``_ax3``, it returns the number of instances covered: per instance
+    evaluated, the product of its factors' weights."""
+    extra_genus2, n_colours, ends, ordered, equation = _ORBIT_AXIOMS[axiom]
     compose, contract = _memo(op._compose), _memo(op._contract)
     factors = _end_orbits(kind, extended, reduced)
+
+    def glue(x, a, y, b, colour):
+        return compose(x, a, y, b, colour, extended)
+
+    def cut(x, a, b, colour):
+        return contract(x, a, b, colour, extended)
+
+    colourings = [(cols, [tuple(cols[i] for i in e) for e in ends])
+                  for cols in itertools.product(op.colours(kind), repeat=n_colours)]
     covered = 0
-    for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        for cols in itertools.product(op.colours(kind), repeat=2):
-            col_ab, col_cd = cols
-            for (x, ox), (y, oy) in itertools.product(
-                factors(s1, 0, 0, cols), factors(s2, s1[0], s1[1], cols)
-            ):
-                for (a, c), wx in ox:
-                    for (b, d), wy in oy:
-                        lhs = contract(
-                            compose(x, c, y, d, col_cd, extended), a, b, col_ab, extended
-                        )
-                        rhs = contract(
-                            compose(x, a, y, b, col_ab, extended), c, d, col_cd, extended
-                        )
-                        report.checked += 1
-                        covered += wx * wy
-                        if lhs != rhs:
-                            report.fail(6, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs)
+    for shapes in _corolla_tuples(corollas, len(ends), max_n, max_genus2, extra_genus2):
+        offsets_o = list(itertools.accumulate((s[0] for s in shapes), initial=0))
+        offsets_c = list(itertools.accumulate((s[1] for s in shapes), initial=0))
+        for cols, factor_cols in colourings:
+            for xs in itertools.product(
+                    *map(factors, shapes, offsets_o, offsets_c, factor_cols, ordered)):
+                elems, orbits = zip(*xs)
+                for ts in itertools.product(*orbits):
+                    tuples, weights = zip(*ts)
+                    instance, lhs, rhs = equation(
+                        glue, cut, *elems, *itertools.chain(*tuples), *cols)
+                    report.checked += 1
+                    covered += math.prod(weights)
+                    if lhs != rhs:
+                        report.fail(axiom, instance, lhs, rhs)
     return covered
 
 
-def _ax7(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Gluing commutes with a contraction inside one factor: at c < d, with
-    ``reduced`` in either order."""
-    compose, contract = _memo(op._compose), _memo(op._contract)
-    factors = _end_orbits(kind, extended, reduced)
-    covered = 0
-    for s1, s2 in _pairs(corollas, max_n, max_genus2, extra_genus2=2):
-        for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
-            for (x, ox), (y, oy) in itertools.product(
-                factors(s1, 0, 0, (col_cd, col_cd, col_ab), ((0, 1),)),
-                factors(s2, s1[0], s1[1], (col_ab,)),
-            ):
-                for (c, d, a), wx in ox:
-                    for (b,), wy in oy:
-                        lhs = compose(
-                            contract(x, c, d, col_cd, extended), a, y, b, col_ab, extended
-                        )
-                        rhs = contract(
-                            compose(x, a, y, b, col_ab, extended), c, d, col_cd, extended
-                        )
-                        report.checked += 1
-                        covered += wx * wy
-                        if lhs != rhs:
-                            report.fail(7, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs)
-    return covered
+# The equations of axioms 1 and 5-8.  Each takes the check's gluing and
+# contraction, the factors, their ends in the order of the factors (each
+# factor's as its row lists them) and the colours, and returns the instance
+# it reports and its two sides.
+
+def _symmetric(glue, cut, x, y, a, b, colour):
+    """Axiom 1: gluing is symmetric in its two factors, x o_a y == y o_b x;
+    reported as (x, a, y, b, colour)."""
+    return (x, a, y, b, colour), glue(x, a, y, b, colour), glue(y, b, x, a, colour)
 
 
-def _ax8(report, kind, corollas, max_n, max_genus2, extended, reduced=False):
-    """Gluing is associative."""
-    compose = _memo(op._compose)
-    factors = _end_orbits(kind, extended, reduced)
-    covered = 0
-    for s1, s2 in _pairs(corollas, max_n, max_genus2):
-        for s3 in corollas:
-            if s1[2] + s2[2] + s3[2] > max_genus2:
-                continue
-            if sum(s[0] + s[1] for s in (s1, s2, s3)) - 4 > max_n:
-                continue
-            for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
-                for (x, ox), (y, oy), (z, oz) in itertools.product(
-                    factors(s1, 0, 0, (col_ab,)),
-                    factors(s2, s1[0], s1[1], (col_ab, col_cd)),
-                    factors(s3, s1[0] + s2[0], s1[1] + s2[1], (col_cd,)),
-                ):
-                    for (a,), wx in ox:
-                        for (b, c), wy in oy:
-                            xy = compose(x, a, y, b, col_ab, extended)
-                            for (d,), wz in oz:
-                                lhs = compose(
-                                    x, a, compose(y, c, z, d, col_cd, extended),
-                                    b, col_ab, extended,
-                                )
-                                rhs = compose(xy, c, z, d, col_cd, extended)
-                                report.checked += 1
-                                covered += wx * wy * wz
-                                if lhs != rhs:
-                                    report.fail(
-                                        8, (x, y, z, a, b, c, d, col_ab, col_cd),
-                                        lhs, rhs,
-                                    )
-    return covered
+def _contractions_commute(glue, cut, x, a, b, c, d, col1, col2):
+    """Axiom 5: contractions commute, at pairs a < b and c < d, the pair
+    (a, b) first when both have one colour; with ``reduced`` at every order
+    of them.  Reported as (x, a, b, c, d, col1, col2)."""
+    return ((x, a, b, c, d, col1, col2), cut(cut(x, c, d, col2), a, b, col1),
+            cut(cut(x, a, b, col1), c, d, col2))
 
+
+def _contract_across(glue, cut, x, y, a, c, b, d, col_ab, col_cd):
+    """Axiom 6: contracting across a gluing agrees in either order, gluing
+    at (c, d) then contracting (a, b) or gluing at (a, b) then contracting
+    (c, d).  Reported as (x, y, a, b, c, d, col_ab, col_cd)."""
+    return ((x, y, a, b, c, d, col_ab, col_cd),
+            cut(glue(x, c, y, d, col_cd), a, b, col_ab),
+            cut(glue(x, a, y, b, col_ab), c, d, col_cd))
+
+
+def _contract_inside(glue, cut, x, y, c, d, a, b, col_ab, col_cd):
+    """Axiom 7: gluing commutes with a contraction inside one factor: at
+    c < d, with ``reduced`` in either order.  Reported as
+    (x, y, a, b, c, d, col_ab, col_cd)."""
+    return ((x, y, a, b, c, d, col_ab, col_cd),
+            glue(cut(x, c, d, col_cd), a, y, b, col_ab),
+            cut(glue(x, a, y, b, col_ab), c, d, col_cd))
+
+
+def _associative(glue, cut, x, y, z, a, b, c, d, col_ab, col_cd):
+    """Axiom 8: gluing is associative, x o_a (y o_c z) == (x o_a y) o_c z;
+    reported as (x, y, z, a, b, c, d, col_ab, col_cd)."""
+    return ((x, y, z, a, b, c, d, col_ab, col_cd),
+            glue(x, a, glue(y, c, z, d, col_cd), b, col_ab),
+            glue(glue(x, a, y, b, col_ab), c, z, d, col_cd))
+
+
+# Axioms 1 and 5-8, one row each: the genus2 the equation adds to the
+# gluing of its factors' corollas, its number of colours, each factor's end
+# colours (as indices into the colours), each factor's pairs of ends in
+# order (``_in_order``) and the equation.  The number of factors is that of
+# the end colours.
+_ORBIT_AXIOMS = {
+    1: (0, 1, ((0,), (0,)), ((), ()), _symmetric),
+    5: (4, 2, ((0, 0, 1, 1),), (((0, 1), (2, 3), (0, 2)),), _contractions_commute),
+    6: (2, 2, ((0, 1), (0, 1)), ((), ()), _contract_across),
+    7: (2, 2, ((1, 1, 0), (0,)), (((0, 1),), ()), _contract_inside),
+    8: (0, 2, ((0,), (0, 1), (1,)), ((), (), ()), _associative),
+}
 
 _AXIOM_FUNCS = {
-    1: _ax1,
+    1: partial(_on_orbits, 1),
     2: _ax2,
     3: _ax3,
     4: _ax4,
-    5: _ax5,
-    6: _ax6,
-    7: _ax7,
-    8: _ax8,
+    **{axiom: partial(_on_orbits, axiom) for axiom in (5, 6, 7, 8)},
 }
 
 # The axioms with a reduced check, each with the axioms its argument needs.
 _REDUCED = {
     2: set(),
     3: {2},
-    **{axiom: {2, 3, 4} for axiom in (1, 5, 6, 7, 8)},
+    **{axiom: {2, 3, 4} for axiom in _ORBIT_AXIOMS},
 }

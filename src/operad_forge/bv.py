@@ -699,6 +699,7 @@ def qc_poly_bracket(x: BVElement, y: BVElement) -> BVElement:
     """Right-by-left derivative pairing of two polynomial series."""
     _require_loop(x)
     _require_loop(y)
+    _same_home(x, y)
     from .graded import invert_matrix
 
     inv = invert_matrix(x.space.omega)

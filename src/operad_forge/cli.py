@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 malformed
 input or usage.  Reports are deterministic for a fixed seed; rationals are
-printed as p/q strings.
+printed as p/q strings.  A command imports the modules that not every
+command uses (``graded``, ``endo``, ``ftalgebra``, ``bv``) when it runs, so
+``verify-operad`` and ``dual-table`` load none of them.
 """
 from __future__ import annotations
 
@@ -12,13 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bv, ftalgebra as ft
 from .axioms import verify_axioms
-from .endo import verify_twisted_axioms
-from .errors import OperadForgeError
-from .graded import canonical_space, format_rational, space_from_json, validate_space
+from .errors import OperadForgeError, Unstable
 from .operads import basis, colours, dual_compose, dual_contract
-from .errors import Unstable
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -51,6 +49,9 @@ def cmd_verify_operad(args) -> int:
 
 
 def cmd_verify_endo(args) -> int:
+    from .endo import verify_twisted_axioms
+    from .graded import canonical_space, space_from_json
+
     if args.input:
         with open(args.input) as fh:
             space = space_from_json(json.load(fh))
@@ -74,12 +75,16 @@ def cmd_verify_endo(args) -> int:
 
 def _require_valid(*spaces):
     """A space that breaks an invariant is a usage error (exit 2)."""
+    from .graded import validate_space
+
     bad = [v for space in spaces if space is not None for v in validate_space(space)]
     if bad:
         raise OperadForgeError("invalid space: " + "; ".join(bad))
 
 
 def _load_algebra(path):
+    from . import ftalgebra as ft
+
     with open(path) as fh:
         data = ft.algebra_from_json(json.load(fh))
     _require_valid(data.space, data.closed_space)
@@ -87,6 +92,9 @@ def _load_algebra(path):
 
 
 def cmd_check_algebra(args) -> int:
+    from . import ftalgebra as ft
+    from .graded import format_rational
+
     data = _load_algebra(args.input)
     keys = ft.enumerate_keys(data.kind, args.max_n, args.max_genus2)
     nonzero = []
@@ -116,6 +124,9 @@ def cmd_check_algebra(args) -> int:
 
 
 def cmd_master_eq(args) -> int:
+    from . import bv, ftalgebra as ft
+    from .graded import format_rational
+
     data = _load_algebra(args.input)
     if args.form == "raw":
         residual = bv.master_residual(bv.generating_function(data))

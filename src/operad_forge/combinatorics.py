@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,7 +60,6 @@ __all__ = [
     "stabilizer_moves",
     "symmetrize",
     "WordSymmetry",
-    "orbit_transversal",
     "tuple_orbits",
     "rep_cycle_slots",
 ]
@@ -373,41 +372,6 @@ def symmetrize(values: dict, bseq, free, parities, moves=None) -> dict:
             for w, s in signs.items():
                 out[w] = total if s > 0 else -total
     return out
-
-
-def _transversal_ok(perm: tuple[int, ...], blocks: list[tuple[int, int]], n: int) -> bool:
-    prev_start_image: dict[int, int] = {}
-    for start, length in blocks:
-        imgs = perm[start : start + length]
-        if imgs[0] != min(imgs):
-            return False
-        if length in prev_start_image and not prev_start_image[length] < imgs[0]:
-            return False
-        prev_start_image[length] = imgs[0]
-    return all(a < b for a, b in zip(perm[n:], perm[n + 1 :]))
-
-
-@lru_cache(maxsize=None)
-def _transversal_of(bseq: tuple[int, ...], free: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Sorted coset section of the stabilizer of the shape (bseq, free)."""
-    bseq = trim_bseq(bseq)
-    n = bseq_arity(bseq)
-    blocks = rep_cycle_slots(bseq)
-    return tuple(
-        p for p in itertools.permutations(range(n + free))
-        if _transversal_ok(p, blocks, n)
-    )
-
-
-def orbit_transversal(bseq, g: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Coset section for the orbit of the canonical surface.
-
-    Every surface in the orbit is the image of the representative under
-    exactly one returned permutation; the list is sorted lexicographically
-    on one-line notation.
-    """
-    orbit_representative(bseq, g)  # stability check
-    return _transversal_of(trim_bseq(bseq))
 
 
 def tuple_orbits(tuples, moves) -> list:

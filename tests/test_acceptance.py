@@ -20,6 +20,8 @@ from operad_forge import operads as op
 from operad_forge.axioms import verify_axioms
 from operad_forge.endo import verify_twisted_axioms
 
+from coset_sections import orbit_transversal
+
 
 def report(num, text):
     print(f"\nACCEPTANCE {num}: PASS - {text}")
@@ -322,7 +324,7 @@ def test_criterion_10_counting_identities():
                         b = cb.bseq_boundaries(bseq)
                         if not (4 * g + 2 * b - 4 + n > 0):
                             continue
-                        orbit = len(cb.orbit_transversal(bseq, g))
+                        orbit = len(orbit_transversal(bseq, g))
                         stab = cb.stabilizer_size(bseq, closed_arity=c)
                         assert orbit * stab == math.factorial(n) * \
                             math.factorial(c), (bseq, c)

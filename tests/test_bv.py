@@ -22,6 +22,8 @@ from operad_forge._kernels import (
 from operad_forge.combinatorics import rep_cycle_slots, trim_bseq
 from operad_forge.errors import KindMismatch, LabelMismatch, PreconditionViolated
 
+from coset_sections import transversal_of
+
 
 @pytest.fixture(scope="module")
 def v2():
@@ -218,7 +220,7 @@ def _section_counts(kind, key, colour, k):
         return {}
     bseq, _ = FT.stab_shape(kind, key)
     counts = {}
-    for p in cb._transversal_of(trim_bseq(bseq), n - cb.bseq_arity(bseq)):
+    for p in transversal_of(trim_bseq(bseq), n - cb.bseq_arity(bseq)):
         t = invert_perm(p)[:k] if colour == "open" else tuple(range(k))
         counts[t] = counts.get(t, 0) + 1
     return counts
@@ -911,6 +913,18 @@ class TestPolynomialForms:
                 if not x.terms or not y.terms:
                     continue
                 assert bv.bv_bracket(x, y).same_as(bv.qc_poly_bracket(x, y))
+
+    def test_bracket_refuses_other_spaces(self, v2, v4):
+        """The two series of a bracket live on one space: in either order,
+        factors on spaces of dimensions 4 and 2 raise ``LabelMismatch``."""
+        rng = random.Random(5)
+        keys = FT.enumerate_keys("loop", 4, 4)
+        x = bv.random_bv_element(rng, "loop", v4, None, keys, density=1.0)
+        y = bv.random_bv_element(rng, "loop", v2, None, keys, density=1.0)
+        assert x.terms and y.terms
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(LabelMismatch):
+                bv.qc_poly_bracket(a, b)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_poly_ops_match_transferred(self, v2, v4, dim):

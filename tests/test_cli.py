@@ -1,7 +1,10 @@
 """Exit codes, report formats and determinism of the command line."""
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -79,6 +82,23 @@ class TestVerifyOperad:
                            "--max-n", "2", "--max-genus2", "2",
                            "--allow-unstable-extension")
         assert code == 0
+
+    def test_loads_only_the_verifier(self):
+        """In a fresh interpreter, ``verify-operad`` imports none of the
+        graded-space, algebra, BV and endomorphism modules."""
+        script = (
+            "import sys\n"
+            "from operad_forge import cli\n"
+            "code = cli.main(['verify-operad', '--kind', 'qo', '--max-n', '3',"
+            " '--max-genus2', '2'])\n"
+            "print(code, [m for m in ('operad_forge.bv', 'operad_forge.ftalgebra',"
+            " 'operad_forge.endo', 'operad_forge.graded') if m in sys.modules])\n"
+        )
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCheckAlgebra:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from operad_forge import combinatorics as cb
 from operad_forge.errors import DuplicateLabel, OverlappingCycles, Unstable
 
+from coset_sections import orbit_transversal, transversal_of
+
 
 class TestCanonicalizeCycle:
     def test_rotation_to_minimum(self):
@@ -224,18 +226,18 @@ class TestSymmetrize:
 
 class TestTransversal:
     def test_single_triple(self):
-        ts = cb.orbit_transversal((0, 0, 0, 1), 0)
+        ts = orbit_transversal((0, 0, 0, 1), 0)
         assert len(ts) == 2
         assert {cb.invert_perm(p)[0] for p in ts} <= {0}
 
     def test_fixed_points_only(self):
-        ts = cb.orbit_transversal((0, 4), 0)
+        ts = orbit_transversal((0, 4), 0)
         assert ts == (tuple(range(4)),)
 
     def test_single_pair(self):
         # the section itself only depends on the block structure; genus one
         # makes the surface stable
-        assert len(cb.orbit_transversal((0, 0, 1), 1)) == 1
+        assert len(orbit_transversal((0, 0, 1), 1)) == 1
 
     @pytest.mark.parametrize("bseq,g", [
         ((0, 2, 1), 0), ((0, 0, 2), 0), ((1, 1, 1), 0), ((0, 1, 0, 1), 0),
@@ -244,7 +246,7 @@ class TestTransversal:
     def test_orbit_size_and_distinctness(self, bseq, g):
         rep = cb.orbit_representative(bseq, g)
         n = rep.arity
-        ts = cb.orbit_transversal(bseq, g)
+        ts = orbit_transversal(bseq, g)
         assert len(ts) * cb.stabilizer_size(bseq) == math.factorial(n)
         images = set()
         for p in ts:
@@ -261,7 +263,7 @@ class TestTransversal:
         one permutation per coset, told apart by the cycles and the set of
         free slots they reach."""
         n = cb.bseq_arity(bseq)
-        ts = cb._transversal_of(bseq, free)
+        ts = transversal_of(bseq, free)
         assert len(ts) * cb.stabilizer_size(bseq, free) == math.factorial(n + free)
         assert len({_slot_image(bseq, p) for p in ts}) == len(ts)
         if n == 0:

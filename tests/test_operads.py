@@ -518,6 +518,15 @@ class TestDuals:
         assert checked
 
 
+def _glued_pairs(corollas, max_n, max_g2, extra_genus2=0):
+    """The pairs of corollas whose gluing fits the bounds, with
+    ``extra_genus2`` more genus."""
+    for s1, s2 in itertools.product(corollas, repeat=2):
+        if s1[2] + s2[2] + extra_genus2 <= max_g2 and \
+                s1[0] + s1[1] + s2[0] + s2[1] - 2 <= max_n:
+            yield s1, s2
+
+
 class TestAxiomVerifier:
     def test_small_bounds_pass(self):
         for kind, n, g2 in [("qc", 4, 4), ("qo", 3, 4), ("qoc", 2, 3)]:
@@ -729,14 +738,32 @@ class TestAxiomVerifier:
         assert not [f for f in report.failures if f["axiom"] == 2]
         assert report.per_axiom[2] > report.covered[2] == direct.checked
 
-    # Reference definitions of axioms 3 and 8, one instance at a time: the
-    # ends, generator relabellings and free maps of each factor are
-    # recomputed for every instance.
+    # Reference definitions of axioms 1, 3 and 5-8, one instance at a time:
+    # every basis element and every tuple of ends, and for axiom 3 each
+    # factor's generator relabellings and free maps, recomputed for every
+    # instance.
+    @staticmethod
+    def _per_instance_ax1(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, False)
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2):
+            xs = ax._basis(kind, s1, False)
+            ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
+            for colour in op.colours(kind):
+                for x, y in itertools.product(xs, ys):
+                    for a in ax._ends(x, colour):
+                        for b in ax._ends(y, colour):
+                            lhs = op._compose(x, a, y, b, colour, False)
+                            rhs = op._compose(y, b, x, a, colour, False)
+                            report.record(1, (x, a, y, b, colour), lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
     @staticmethod
     def _per_instance_ax3(kind, max_n, max_g2):
         report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
         corollas = ax._corollas(kind, max_n, max_g2, False)
-        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2):
             xs = ax._basis(kind, s1, False)
             ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
             for colour in op.colours(kind):
@@ -767,7 +794,7 @@ class TestAxiomVerifier:
     def _per_instance_ax8(kind, max_n, max_g2):
         report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
         corollas = ax._corollas(kind, max_n, max_g2, False)
-        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2):
             for s3 in corollas:
                 if s1[2] + s2[2] + s3[2] > max_g2:
                     continue
@@ -796,18 +823,85 @@ class TestAxiomVerifier:
         report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
         return report
 
+    @staticmethod
+    def _per_instance_ax5(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        for shape in ax._corollas(kind, max_n, max_g2, False):
+            if shape[2] + 4 > max_g2:
+                continue
+            for x in ax._basis(kind, shape, False):
+                for col1, col2 in itertools.product(op.colours(kind), repeat=2):
+                    for a, b in itertools.combinations(ax._ends(x, col1), 2):
+                        for c, d in itertools.combinations(ax._ends(x, col2), 2):
+                            if col1 == col2 and (c <= a or {a, b} & {c, d}):
+                                continue
+                            lhs = op._contract(op._contract(x, c, d, col2, False),
+                                               a, b, col1, False)
+                            rhs = op._contract(op._contract(x, a, b, col1, False),
+                                               c, d, col2, False)
+                            report.record(5, (x, a, b, c, d, col1, col2), lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @staticmethod
+    def _per_instance_ax6(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, False)
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2, extra_genus2=2):
+            xs = ax._basis(kind, s1, False)
+            ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
+            for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
+                for x, y in itertools.product(xs, ys):
+                    for a, c in itertools.product(ax._ends(x, col_ab), ax._ends(x, col_cd)):
+                        for b, d in itertools.product(ax._ends(y, col_ab),
+                                                      ax._ends(y, col_cd)):
+                            if col_ab == col_cd and (a == c or b == d):
+                                continue
+                            lhs = op._contract(op._compose(x, c, y, d, col_cd, False),
+                                               a, b, col_ab, False)
+                            rhs = op._contract(op._compose(x, a, y, b, col_ab, False),
+                                               c, d, col_cd, False)
+                            report.record(6, (x, y, a, b, c, d, col_ab, col_cd), lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
+    @staticmethod
+    def _per_instance_ax7(kind, max_n, max_g2):
+        report = AxiomReport(kind=kind, max_n=max_n, max_genus2=max_g2)
+        corollas = ax._corollas(kind, max_n, max_g2, False)
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2, extra_genus2=2):
+            xs = ax._basis(kind, s1, False)
+            ys = ax._basis(kind, s2, False, offset_o=s1[0], offset_c=s1[1])
+            for col_ab, col_cd in itertools.product(op.colours(kind), repeat=2):
+                for x, y in itertools.product(xs, ys):
+                    for c, d in itertools.combinations(ax._ends(x, col_cd), 2):
+                        for a in ax._ends(x, col_ab):
+                            if col_ab == col_cd and a in (c, d):
+                                continue
+                            for b in ax._ends(y, col_ab):
+                                lhs = op._compose(op._contract(x, c, d, col_cd, False),
+                                                  a, y, b, col_ab, False)
+                                rhs = op._contract(op._compose(x, a, y, b, col_ab, False),
+                                                   c, d, col_cd, False)
+                                report.record(7, (x, y, a, b, c, d, col_ab, col_cd),
+                                              lhs, rhs)
+        report.failures.sort(key=lambda f: (f["axiom"], f["instance"]))
+        return report
+
     def _assert_matches_reference(self, kind, n, g2):
-        """The exhaustive loops of axioms 3 and 8 check exactly the
+        """The exhaustive loops of axioms 1, 3 and 5-8 check exactly the
         per-instance definitions' instances, with the same failures;
         ``verify_axioms`` covers them and reports the exhaustive failures."""
-        ref3, ref8 = self._per_instance_ax3(kind, n, g2), self._per_instance_ax8(kind, n, g2)
+        refs = {axiom: getattr(self, f"_per_instance_ax{axiom}")(kind, n, g2)
+                for axiom in (1, 3, 5, 6, 7, 8)}
         full = self._exhaustive(kind, n, g2)
-        for axiom, ref in ((3, ref3), (8, ref8)):
-            assert full.per_axiom[axiom] == ref.checked > 0
+        for axiom, ref in refs.items():
+            assert full.per_axiom[axiom] == ref.checked
             assert [f for f in full.failures if f["axiom"] == axiom] == ref.failures
+        assert all(refs[axiom].checked for axiom in (1, 3, 8))
         report = verify_axioms(kind, n, g2)
-        assert report.covered[3] == ref3.checked
-        assert report.covered[8] == ref8.checked
+        assert {axiom: report.covered[axiom] for axiom in refs} == \
+            {axiom: ref.checked for axiom, ref in refs.items()}
         assert report.failures == full.failures
         return report
 
@@ -830,6 +924,34 @@ class TestAxiomVerifier:
         assert report.covered == full.per_axiom
         assert all(report.per_axiom[a] <= report.covered[a] for a in range(1, 9))
         assert report.checked == sum(report.per_axiom.values()) <= full.checked
+
+    def test_contractions_match_per_instance(self, monkeypatch):
+        """At ``qoc``(4,6) axioms 5-7 contract ends of both colours, in every
+        pair of colours.  The reduced run covers exactly the per-instance
+        definitions' instances; under a contraction that adds genus at end 1
+        of an element with four ends of its colour or more, each exhaustive
+        loop checks them with the same failures."""
+        kind, n, g2 = "qoc", 4, 6
+        refs = {axiom: getattr(self, f"_per_instance_ax{axiom}")(kind, n, g2)
+                for axiom in (5, 6, 7)}
+        report = verify_axioms(kind, n, g2)
+        assert report.passed
+        assert {axiom: report.covered[axiom] for axiom in refs} == \
+            {axiom: ref.checked for axiom, ref in refs.items()} == {5: 74, 6: 7370, 7: 3603}
+        real = op._contract.__wrapped__
+
+        def broken(x, a, b, colour, extended):
+            z = real(x, a, b, colour, extended)
+            if a == 1 and len(ax._ends(x, colour)) >= 4:
+                return z._replace(g=z.g + 1)
+            return z
+
+        monkeypatch.setattr(op, "_contract", broken)
+        for axiom in refs:
+            ref, loop = getattr(self, f"_per_instance_ax{axiom}")(kind, n, g2), \
+                self._verifier(axiom, kind, n, g2)
+            assert loop.checked == ref.checked == refs[axiom].checked
+            assert loop.failures == ref.failures != []
 
     @pytest.mark.parametrize("kind,n,g2", GLUING_BOUNDS)
     def test_non_equivariant_relabel_fails_axiom_3(self, monkeypatch, kind, n, g2):
@@ -1281,7 +1403,7 @@ class TestAgainstReference:
         """Every (x, y) of the bases within the bounds, y's labels after
         x's, with the extension shapes in."""
         corollas = ax._corollas(kind, max_n, max_g2, True)
-        for s1, s2 in ax._pairs(corollas, max_n, max_g2):
+        for s1, s2 in _glued_pairs(corollas, max_n, max_g2):
             for x in ax._basis(kind, s1, True):
                 for y in ax._basis(kind, s2, True, offset_o=s1[0], offset_c=s1[1]):
                     yield x, y
