@@ -83,6 +83,11 @@ signs compose, so that permutation's sign, read with one ``mask_sign``,
 is the sign of the reordering times the sign of each vertex's block
 permutation.  The relation shares the vertex plans, the inverse pairing
 rows and the kernels with the route it checks, and nothing else.
+
+The polynomial forms of the closed-surface kind, the second route for
+the loop operation and the bracket, use none of these plans: they keep
+``Fraction``s and their own inverse pairing, list each word's derivative
+summands once and sort each distinct joined word once.
 """
 from __future__ import annotations
 
@@ -132,7 +137,7 @@ from .ftalgebra import (
     stab_generators,
     stab_shape,
 )
-from .graded import MultiFunctional, functional_differential
+from .graded import MultiFunctional, functional_differential, invert_matrix
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -637,107 +642,93 @@ def _require_loop(x: BVElement):
         raise KindMismatch("polynomial forms exist for the closed-surface kind")
 
 
-def _poly_left_derivative(word, i, table):
-    """Summands of the left derivative at variable i: (rest, sign).
+def _poly_derivatives(word, table, right=False):
+    """Every summand of the left (or right) derivative of a word, as
+    (letter, rest, sign), in one pass.
 
-    The derivative moves past the preceding variables with the Koszul sign
+    A left derivative moves past the preceding letters with the Koszul sign
     of its own parity against theirs, which is what consistency on the
-    graded symmetric algebra forces.
+    graded symmetric algebra forces; a right derivative moves past the
+    following ones, whose degree is the total minus the prefix minus the
+    letter.
     """
-    out = []
-    di = table[i] % 2
-    prefix = 0
-    for k, idx in enumerate(word):
-        if idx == i:
-            out.append((word[:k] + word[k + 1 :], -1 if (di * prefix) % 2 else 1))
-        prefix += table[idx]
-    return out
-
-
-def _poly_right_derivative(word, i, table):
-    out = []
-    di = table[i] % 2
     total = sum(table[k] for k in word)
+    out = []
     prefix = 0
-    for k, idx in enumerate(word):
-        if idx == i:
-            suffix = total - prefix - table[idx]
-            out.append((word[:k] + word[k + 1 :], -1 if (di * suffix) % 2 else 1))
-        prefix += table[idx]
+    for k, a in enumerate(word):
+        past = total - prefix - table[a] if right else prefix
+        out.append((a, word[:k] + word[k + 1 :], -1 if table[a] * past % 2 else 1))
+        prefix += table[a]
     return out
 
 
 def qc_poly_delta(x: BVElement) -> BVElement:
     """Second-order left-derivative form of the loop operation."""
     _require_loop(x)
-    from .graded import invert_matrix
-
     inv = invert_matrix(x.space.omega)
     table = x.space.degrees
-    dim = x.space.dim
     out = BVElement(x.kind, x.space, None)
     for key, comp in x.terms.items():
-        out_key = LoopKey(key.n - 2, key.genus + 1) if key.n >= 2 else None
-        if out_key is None:
+        if key.n < 2:
             continue
+        out_key = LoopKey(key.n - 2, key.genus + 1)
         for w, c in comp.items():
             # the transferred operation twists odd classes by a sign
             cc = -c if sum(table[k] for k in w) % 2 else c
-            for i in range(dim):
-                for j in range(dim):
+            for j, rest1, s1 in _poly_derivatives(w, table):
+                for i, rest2, s2 in _poly_derivatives(rest1, table):
                     wij = inv[i][j]
-                    if not wij:
-                        continue
-                    coeff = -wij if table[i] % 2 else wij
-                    for rest1, s1 in _poly_left_derivative(w, j, table):
-                        for rest2, s2 in _poly_left_derivative(rest1, i, table):
-                            out.add_term(out_key, rest2, coeff * s1 * s2 * cc)
+                    if wij:
+                        coeff = -wij if table[i] % 2 else wij
+                        out.add_term(out_key, rest2, coeff * s1 * s2 * cc)
     return out
 
 
 def qc_poly_bracket(x: BVElement, y: BVElement) -> BVElement:
-    """Right-by-left derivative pairing of two polynomial series."""
+    """Right-by-left derivative pairing of two polynomial series.
+
+    The terms are summed per (output key, joined word), and each distinct
+    joined word is sorted with its own Koszul sign once, apart from the
+    symmetry plan.
+    """
     _require_loop(x)
     _require_loop(y)
     _same_home(x, y)
-    from .graded import invert_matrix
-
     inv = invert_matrix(x.space.omega)
     table = x.space.degrees
-    dim = x.space.dim
-    out = BVElement(x.kind, x.space, None)
-    for key1, comp1 in x.terms.items():
-        for key2, comp2 in y.terms.items():
-            if key1.n < 1 or key2.n < 1:
-                continue
-            out_key = LoopKey(key1.n + key2.n - 2, key1.genus + key2.genus)
-            for w1, c1 in comp1.items():
-                p1 = sum(table[k] for k in w1) % 2
-                for w2, c2 in comp2.items():
-                    p2 = sum(table[k] for k in w2) % 2
+
+    def summands(z, right):
+        return [(key, [(c, sum(table[k] for k in w) % 2,
+                        _poly_derivatives(w, table, right))
+                       for w, c in comp.items()])
+                for key, comp in z.terms.items() if key.n >= 1]
+
+    sums: dict = {}
+    right_of_x, left_of_y = summands(x, True), summands(y, False)
+    for key1, words1 in right_of_x:
+        for key2, words2 in left_of_y:
+            acc = sums.setdefault(
+                LoopKey(key1.n + key2.n - 2, key1.genus + key2.genus), {})
+            for c1, p1, d1 in words1:
+                for c2, p2, d2 in words2:
                     # the transferred bracket twists by the factor parities
-                    cc = c1 * c2
-                    if ((p1 + 1) * p2) % 2:
-                        cc = -cc
-                    for i in range(dim):
-                        for j in range(dim):
-                            wij = inv[i][j]
-                            if not wij:
-                                continue
-                            for r1, s1 in _poly_right_derivative(w1, i, table):
-                                for r2, s2 in _poly_left_derivative(w2, j, table):
-                                    # sorted with its own Koszul sign,
-                                    # apart from the symmetry plan
-                                    word = r1 + r2
-                                    perm = invert_perm(sorted(
-                                        range(len(word)),
-                                        key=lambda p: (word[p], p)))
-                                    sm = koszul_sign(perm, tuple(
-                                        table[k] for k in word))
-                                    out.add_term(
-                                        out_key, apply_perm_to_word(perm, word),
-                                        wij * s1 * s2 * sm * cc,
-                                    )
+                    cc = -c1 * c2 if (p1 + 1) * p2 % 2 else c1 * c2
+                    for i, r1, s1 in d1:
+                        row = inv[i]
+                        for j, r2, s2 in d2:
+                            wij = row[j]
+                            if wij:
+                                word = r1 + r2
+                                v = wij * cc
+                                acc[word] = acc.get(word, ZERO) + (
+                                    v if s1 == s2 else -v)
+    out = BVElement(x.kind, x.space, None)
+    for out_key, acc in sums.items():
+        for word, value in acc.items():
+            perm = invert_perm(sorted(range(len(word)),
+                                      key=lambda p: (word[p], p)))
+            sm = koszul_sign(perm, tuple(table[k] for k in word))
+            out.add_term(out_key, apply_perm_to_word(perm, word), sm * value)
     return out
 
 
@@ -1016,16 +1007,21 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
 
     A block-indexed word can only be nonzero where its target word is in
     the support of the stored tensor, so each (composition, genus, empty
-    boundaries) walks that support and maps each target word back through
-    the vertex's block permutation.
+    boundaries) walks that support.  The block-indexed word w has target
+    word vperm . w and series word sigma . w, so one move pi, with
+    pi[vperm[i]] = sigma[i], takes each target word to its series word;
+    Koszul signs compose, so pi's sign is that of sigma times that of the
+    vertex's block permutation.  The series' weight -2 / (bbar! prod l)
+    times the vertex's -1/2 leaves 1 / (bbar! prod l).
     """
     if data.kind != "quantum_ainfty":
         raise KindMismatch("the block-indexed series needs open-surface data")
     out = BVElement(data.kind, data.space, None)
-    table = data.space.degrees
+    parities = tuple(d % 2 for d in data.space.degrees)
     for n in range(0, max_n + 1):
         for bbar in range(0 if n == 0 else 1, n + 1):
             for comp in _compositions(n, bbar):
+                weight = Fraction(1, math.factorial(bbar) * math.prod(comp))
                 for g in range(0, max_genus2 // 4 + 1):
                     for b0 in range(0, max_genus2 // 2 + 2):
                         b = bbar + b0
@@ -1037,27 +1033,18 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                         for l in comp:
                             cycles.append(tuple(range(nxt, nxt + l)))
                             nxt += l
-                        elem = op.qo_surface(cycles, b0, g)
-                        rep, sigma = op.canonical_perm(elem)
-                        key = key_of("quantum_ainfty", rep)
-                        denom = math.factorial(bbar)
-                        for l in comp:
-                            denom *= l
-                        _, vkey, vperm = _vertex_plan(data.kind, g, b, comp, 0,
-                                                      "stable")
-                        back = word_getter(vperm)
-                        for target in data.tensor(vkey):
-                            word = back(target)
-                            val = string_vertex_F(data, g, b, comp, word)
-                            if not val:
-                                continue
-                            sign = koszul_sign(
-                                sigma, tuple(table[k] for k in word)
-                            )
-                            out.add_term(
-                                key, apply_perm_to_word(sigma, word),
-                                Fraction(-2, denom) * sign * val,
-                            )
+                        _, sigma = op.canonical_perm(op.qo_surface(cycles, b0, g))
+                        _, key, vperm = _vertex_plan(data.kind, g, b, comp, 0,
+                                                     "stable")
+                        pi = [0] * n
+                        for i, p in enumerate(vperm):
+                            pi[p] = sigma[i]
+                        move = word_getter(invert_perm(pi))
+                        masks = inversion_masks(pi)
+                        for target, value in data.tensor(key).items():
+                            if mask_sign(masks, odd_mask(target, parities)) < 0:
+                                value = -value
+                            out.add_term(key, move(target), weight * value)
     return out.prune()
 
 

@@ -18,6 +18,7 @@ from operad_forge._kernels import (
     invert_perm,
     koszul_sign,
     odd_mask,
+    word_getter,
 )
 from operad_forge.combinatorics import rep_cycle_slots, trim_bseq
 from operad_forge.errors import KindMismatch, LabelMismatch, PreconditionViolated
@@ -897,7 +898,190 @@ class TestCommonDenominator:
         assert _all_nonzero_fractions(got)
 
 
+def _reference_poly_left_derivative(word, i, table):
+    """Summands of the left derivative at variable i: (rest, sign).
+
+    The derivative moves past the preceding variables with the Koszul sign
+    of its own parity against theirs, which is what consistency on the
+    graded symmetric algebra forces.
+    """
+    out = []
+    di = table[i] % 2
+    prefix = 0
+    for k, idx in enumerate(word):
+        if idx == i:
+            out.append((word[:k] + word[k + 1 :], -1 if (di * prefix) % 2 else 1))
+        prefix += table[idx]
+    return out
+
+
+def _reference_poly_right_derivative(word, i, table):
+    out = []
+    di = table[i] % 2
+    total = sum(table[k] for k in word)
+    prefix = 0
+    for k, idx in enumerate(word):
+        if idx == i:
+            suffix = total - prefix - table[idx]
+            out.append((word[:k] + word[k + 1 :], -1 if (di * suffix) % 2 else 1))
+        prefix += table[idx]
+    return out
+
+
+def _reference_qc_poly_delta(x):
+    """qc_poly_delta as a dense loop over the inverse pairing, one
+    ``add_term`` per summand."""
+    bv._require_loop(x)
+    inv = G.invert_matrix(x.space.omega)
+    table = x.space.degrees
+    dim = x.space.dim
+    out = bv.BVElement(x.kind, x.space, None)
+    for key, comp in x.terms.items():
+        out_key = FT.LoopKey(key.n - 2, key.genus + 1) if key.n >= 2 else None
+        if out_key is None:
+            continue
+        for w, c in comp.items():
+            # the transferred operation twists odd classes by a sign
+            cc = -c if sum(table[k] for k in w) % 2 else c
+            for i in range(dim):
+                for j in range(dim):
+                    wij = inv[i][j]
+                    if not wij:
+                        continue
+                    coeff = -wij if table[i] % 2 else wij
+                    for rest1, s1 in _reference_poly_left_derivative(w, j, table):
+                        for rest2, s2 in _reference_poly_left_derivative(
+                                rest1, i, table):
+                            out.add_term(out_key, rest2, coeff * s1 * s2 * cc)
+    return out
+
+
+def _reference_qc_poly_bracket(x, y):
+    """qc_poly_bracket as a dense loop over the inverse pairing, one sort
+    and one ``add_term`` per summand."""
+    bv._require_loop(x)
+    bv._require_loop(y)
+    bv._same_home(x, y)
+    inv = G.invert_matrix(x.space.omega)
+    table = x.space.degrees
+    dim = x.space.dim
+    out = bv.BVElement(x.kind, x.space, None)
+    for key1, comp1 in x.terms.items():
+        for key2, comp2 in y.terms.items():
+            if key1.n < 1 or key2.n < 1:
+                continue
+            out_key = FT.LoopKey(key1.n + key2.n - 2, key1.genus + key2.genus)
+            for w1, c1 in comp1.items():
+                p1 = sum(table[k] for k in w1) % 2
+                for w2, c2 in comp2.items():
+                    p2 = sum(table[k] for k in w2) % 2
+                    # the transferred bracket twists by the factor parities
+                    cc = c1 * c2
+                    if ((p1 + 1) * p2) % 2:
+                        cc = -cc
+                    for i in range(dim):
+                        for j in range(dim):
+                            wij = inv[i][j]
+                            if not wij:
+                                continue
+                            for r1, s1 in _reference_poly_right_derivative(
+                                    w1, i, table):
+                                for r2, s2 in _reference_poly_left_derivative(
+                                        w2, j, table):
+                                    # sorted with its own Koszul sign,
+                                    # apart from the symmetry plan
+                                    word = r1 + r2
+                                    perm = invert_perm(sorted(
+                                        range(len(word)),
+                                        key=lambda p: (word[p], p)))
+                                    sm = koszul_sign(perm, tuple(
+                                        table[k] for k in word))
+                                    out.add_term(
+                                        out_key, apply_perm_to_word(perm, word),
+                                        wij * s1 * s2 * sm * cc,
+                                    )
+    return out
+
+
+def _criterion_7_pairs():
+    """Criterion 7's 20 pairs of random closed-surface series."""
+    V4 = G.rich_space(4, with_differential=True)
+    keys = FT.enumerate_keys("loop", 4, 4)
+    rng = random.Random(70)
+    pairs = []
+    for _ in range(20):
+        x = bv.random_bv_element(rng, "loop", V4, None, keys,
+                                 parity=rng.choice([0, 1]), density=0.4)
+        y = bv.random_bv_element(rng, "loop", V4, None, keys,
+                                 parity=rng.choice([0, 1]), density=0.4)
+        pairs.append((x, y))
+    return pairs
+
+
 class TestPolynomialForms:
+    def test_derivatives_match_the_one_variable_forms(self, v4c):
+        """The one-pass helper lists, per letter, the summands of the left
+        and right derivatives at that letter, in the word's order."""
+        table = v4c.degrees
+        for n in range(5):
+            for w in itertools.product(range(v4c.dim), repeat=n):
+                for right, ref in ((False, _reference_poly_left_derivative),
+                                   (True, _reference_poly_right_derivative)):
+                    got = bv._poly_derivatives(w, table, right)
+                    for i in range(v4c.dim):
+                        assert [(rest, s) for a, rest, s in got if a == i] == \
+                            ref(w, i, table), (w, i, right)
+
+    def test_match_dense_oracles_on_criterion_7(self):
+        for x, y in _criterion_7_pairs():
+            assert bv.qc_poly_delta(x).terms == _reference_qc_poly_delta(x).terms
+            assert bv.qc_poly_bracket(x, y).terms == \
+                _reference_qc_poly_bracket(x, y).terms
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_match_dense_oracles_on_random_series(self, v2, v4, dim):
+        """Both parities, keys of arity 0 and 1 (which both forms skip),
+        and the zero element."""
+        space = v2 if dim == 2 else v4
+        rng = random.Random(100 + dim)
+        keys = FT.enumerate_keys("loop", 4, 4)
+        assert {FT.key_arity(k) for k in keys} >= {0, 1}
+        series = [bv.BVElement("loop", space, None)] + [
+            bv.random_bv_element(rng, "loop", space, None, keys, parity=parity)
+            for parity in (0, 1)]
+        series[1].add_term(FT.LoopKey(0, 2), (), Fr(3))
+        assert all(x.terms for x in series[1:])
+        assert {FT.key_arity(k) for x in series for k in x.terms} >= {0, 1}
+        for x in series:
+            assert bv.qc_poly_delta(x).terms == _reference_qc_poly_delta(x).terms
+            for y in series:
+                assert bv.qc_poly_bracket(x, y).terms == \
+                    _reference_qc_poly_bracket(x, y).terms
+
+    def test_does_not_share_the_planned_joins(self, monkeypatch, v4):
+        """The polynomial forms are a route of their own: with the planned
+        joins of the transferred operations, their integer functionals and
+        their sign-form kernels made to raise, they still equal their
+        dense oracles."""
+        rng = random.Random(12)
+        keys = FT.enumerate_keys("loop", 4, 4)
+        x = bv.random_bv_element(rng, "loop", v4, None, keys, parity=0)
+        y = bv.random_bv_element(rng, "loop", v4, None, keys, parity=1)
+        expected = [_reference_qc_poly_delta(x).terms,
+                    _reference_qc_poly_bracket(x, y).terms,
+                    _reference_qc_poly_bracket(y, x).terms]
+        assert all(expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the polynomial forms used the planned joins")
+
+        for name in ("_bracket_plan", "_delta_plan", "_end_weights",
+                     "_split_at_end", "_bracket_join", "_integer_functionals",
+                     "form_at", "mask_sign"):
+            monkeypatch.setattr(bv, name, refuse)
+        assert [bv.qc_poly_delta(x).terms, bv.qc_poly_bracket(x, y).terms,
+                bv.qc_poly_bracket(y, x).terms] == expected
+
     def test_delta_of_constant(self, v2):
         x = bv.BVElement("loop", v2, None)
         x.add_term(FT.LoopKey(0, 2), (), Fr(5))
@@ -1092,6 +1276,67 @@ class TestStringVertices:
             assert got == want
 
 
+def _reference_herbst_generating_function(data, max_n, max_genus2):
+    """herbst_generating_function mapping each target word back through the
+    vertex's block permutation and evaluating it through string_vertex_F,
+    with a second Koszul sign for the canonicalizing permutation."""
+    if data.kind != "quantum_ainfty":
+        raise KindMismatch("the block-indexed series needs open-surface data")
+    out = bv.BVElement(data.kind, data.space, None)
+    table = data.space.degrees
+    for n in range(0, max_n + 1):
+        for bbar in range(0 if n == 0 else 1, n + 1):
+            for comp in bv._compositions(n, bbar):
+                for g in range(0, max_genus2 // 4 + 1):
+                    for b0 in range(0, max_genus2 // 2 + 2):
+                        b = bbar + b0
+                        genus2 = 4 * g + 2 * b - 2
+                        if genus2 > max_genus2 or genus2 + n <= 2:
+                            continue
+                        cycles = []
+                        nxt = 1
+                        for l in comp:
+                            cycles.append(tuple(range(nxt, nxt + l)))
+                            nxt += l
+                        elem = op.qo_surface(cycles, b0, g)
+                        rep, sigma = op.canonical_perm(elem)
+                        key = FT.key_of("quantum_ainfty", rep)
+                        denom = math.factorial(bbar)
+                        for l in comp:
+                            denom *= l
+                        _, vkey, vperm = bv._vertex_plan(data.kind, g, b, comp,
+                                                         0, "stable")
+                        back = word_getter(vperm)
+                        for target in data.tensor(vkey):
+                            word = back(target)
+                            val = bv.string_vertex_F(data, g, b, comp, word)
+                            if not val:
+                                continue
+                            sign = koszul_sign(
+                                sigma, tuple(table[k] for k in word)
+                            )
+                            out.add_term(
+                                key, apply_perm_to_word(sigma, word),
+                                Fr(-2, denom) * sign * val,
+                            )
+    return out.prune()
+
+
+def _criterion_9_data(seed):
+    """Criterion 9's random minimal data set of one seed."""
+    space = G.rich_space(4)
+    rng = random.Random(seed)
+    maps = {}
+    for key in FT.enumerate_keys("quantum_ainfty", 5, 4):
+        if key.bseq[0] > 0:
+            continue
+        f = FT.random_invariant_map(rng, "quantum_ainfty", space, None,
+                                    key, density=0.4)
+        if f.entries:
+            maps[key] = f
+    return FT.AlgebraData(kind="quantum_ainfty", space=space, maps=maps)
+
+
 class TestHerbst:
     def _minimal_data(self, seed=42):
         space = G.rich_space(4)
@@ -1166,6 +1411,17 @@ class TestHerbst:
             if FT.key_arity(key) > 4 or FT.key_genus2(key) > 4:
                 continue
             assert S1.component(key) == S2.component(key), key
+
+    def test_generating_function_matches_round_trip(self):
+        """One planned move per shape gives the series that the round trip
+        through string_vertex_F gives, term for term."""
+        for data, bounds in [(self._minimal_data(), ((4, 4), (5, 4)))] + [
+                (_criterion_9_data(seed), ((5, 4),)) for seed in range(900, 910)]:
+            for max_n, max_genus2 in bounds:
+                got = bv.herbst_generating_function(data, max_n, max_genus2)
+                assert got.terms
+                assert got.terms == _reference_herbst_generating_function(
+                    data, max_n, max_genus2).terms
 
 
 def _reference_herbst_residual(data, bseq, g, args, families=None):
