@@ -758,16 +758,14 @@ def s_prime(S: BVElement) -> BVElement:
 # string vertices
 
 
-def _block_sort_perm(lengths, tie="stable"):
-    """Block permutation arranging block lengths in nondecreasing order."""
-    step = 1 if tie == "stable" else -1
-    return invert_perm(
-        sorted(range(len(lengths)), key=lambda i: (lengths[i], step * i))
-    )
+def _block_sort_perm(lengths):
+    """Block permutation arranging block lengths in nondecreasing order,
+    blocks of equal length keeping their order."""
+    return invert_perm(sorted(range(len(lengths)), key=lengths.__getitem__))
 
 
 @lru_cache(maxsize=None)
-def _vertex_plan(kind, g, b_total, blocks, n_closed, tie):
+def _vertex_plan(kind, g, b_total, blocks, n_closed):
     """The argument-independent part of a string vertex: (number of open
     arguments, map key, block permutation); the key is None when there are
     more blocks than boundaries."""
@@ -785,21 +783,22 @@ def _vertex_plan(kind, g, b_total, blocks, n_closed, tie):
         key = QocKey(bseq, g, n_closed)
     else:
         key = QuantumKey(bseq, g)
-    perm = block_permutation(_block_sort_perm(blocks, tie), blocks)
+    perm = block_permutation(_block_sort_perm(blocks), blocks)
     return sum(blocks), key, perm
 
 
 def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
-                    closed_args=(), tie="stable") -> Fraction:
+                    closed_args=()) -> Fraction:
     """Block-indexed evaluation of one map, minus one half by convention.
 
     ``blocks`` are the nonempty block lengths in subscript order; the total
     boundary count ``b_total`` fixes how many empty boundaries the map key
-    carries.  Any block ordering with nondecreasing lengths gives the same
-    value, which the tie parameter lets the tests exercise.
+    carries.  The blocks are sorted stably by length onto the key's cycles,
+    so exchanging the arguments of two blocks of one length only changes
+    the value by their Koszul sign, since the stored map is invariant.
     """
     n_open, key, perm = _vertex_plan(
-        data.kind, g, b_total, tuple(blocks), len(closed_args), tie
+        data.kind, g, b_total, tuple(blocks), len(closed_args)
     )
     if n_open != len(args):
         raise PreconditionViolated("arguments do not fill the blocks")
@@ -822,15 +821,15 @@ def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
     return HALF * value
 
 
-def string_vertex_V(data: AlgebraData, g, blocks, args, closed_args=(),
-                    tie="stable") -> Fraction:
+def string_vertex_V(data: AlgebraData, g, blocks, args,
+                    closed_args=()) -> Fraction:
     """String vertex allowing empty blocks: the empty ones are dropped in
     order and contribute a factorial weight."""
     blocks = tuple(int(l) for l in blocks)
     nonzero = tuple(l for l in blocks if l)
     b0 = len(blocks) - len(nonzero)
     return math.factorial(b0) * string_vertex_F(
-        data, g, len(blocks), nonzero, args, closed_args=closed_args, tie=tie
+        data, g, len(blocks), nonzero, args, closed_args=closed_args
     )
 
 
@@ -875,8 +874,7 @@ def _herbst_plan(bseq, g):
         # vertices: (genus, boundaries, blocks, source positions) per vertex
         parts, targets = [], []
         for gv, b_total, blocks, sources in vertices:
-            _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks,
-                                        0, "stable")
+            _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks, 0)
             at = apply_perm_to_word(perm, sources)
             parts.append((key, word_getter(at)))
             targets += at
@@ -1007,8 +1005,9 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
 
     A block-indexed word can only be nonzero where its target word is in
     the support of the stored tensor, so each (composition, genus, empty
-    boundaries) walks that support.  The block-indexed word w has target
-    word vperm . w and series word sigma . w, so one move pi, with
+    boundaries) walks that support, and a shape whose tensor is empty is
+    skipped before its surface is built.  The block-indexed word w has
+    target word vperm . w and series word sigma . w, so one move pi, with
     pi[vperm[i]] = sigma[i], takes each target word to its series word;
     Koszul signs compose, so pi's sign is that of sigma times that of the
     vertex's block permutation.  The series' weight -2 / (bbar! prod l)
@@ -1028,20 +1027,22 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                         genus2 = 4 * g + 2 * b - 2
                         if genus2 > max_genus2 or genus2 + n <= 2:
                             continue
+                        _, key, vperm = _vertex_plan(data.kind, g, b, comp, 0)
+                        T = data.tensor(key)
+                        if not T:
+                            continue
                         cycles = []
                         nxt = 1
                         for l in comp:
                             cycles.append(tuple(range(nxt, nxt + l)))
                             nxt += l
                         _, sigma = op.canonical_perm(op.qo_surface(cycles, b0, g))
-                        _, key, vperm = _vertex_plan(data.kind, g, b, comp, 0,
-                                                     "stable")
                         pi = [0] * n
                         for i, p in enumerate(vperm):
                             pi[p] = sigma[i]
                         move = word_getter(invert_perm(pi))
                         masks = inversion_masks(pi)
-                        for target, value in data.tensor(key).items():
+                        for target, value in T.items():
                             if mask_sign(masks, odd_mask(target, parities)) < 0:
                                 value = -value
                             out.add_term(key, move(target), weight * value)

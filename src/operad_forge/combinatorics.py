@@ -267,13 +267,7 @@ def stabilizer_size(bseq: Sequence[int], closed_arity: int = 0) -> int:
 
 def rep_cycle_slots(bseq: Sequence[int]) -> list[tuple[int, int]]:
     """(start_slot, length) for each nonempty cycle of the representative."""
-    out = []
-    pos = 0
-    for k in range(1, len(bseq)):
-        for _ in range(bseq[k]):
-            out.append((pos, k))
-            pos += k
-    return out
+    return [(c[0] - 1, len(c)) for c in _rep_cycles(bseq)]
 
 
 def stabilizer_generators(bseq: Sequence[int], free: int = 0) -> list[tuple[int, ...]]:

@@ -11,8 +11,7 @@ each factor is moved into glue order, the join is signed there, and the
 result is transported back to the ascending assignment.  Each of those
 steps multiplies by -1 to a quadratic form in the parities of the letters,
 so one form per call (``_SignForm``) carries their product, and the join
-reads every stored word once, as it is stored.  Results are independent of
-the assignment chosen, which `tests/test_endo.py` exercises explicitly.
+reads every stored word once, as it is stored.
 
 The joins sum integer numerators: each factor's entries over the lcm of
 their denominators and the inverse pairing over the lcm of its own (the
@@ -54,11 +53,6 @@ def _slots(f: MultiFunctional, opens, closeds):
     out = [f.labels.index(l) for l in opens]
     out += [no + f.clabels.index(l) for l in closeds]
     return out
-
-
-def _reorder_slots(f: MultiFunctional, slot_order) -> dict:
-    """Entries of f with slots rearranged along ``slot_order``."""
-    return precompose_entries(f.entries, tuple(slot_order), f.degree_table)
 
 
 class _SignForm:
@@ -144,7 +138,7 @@ def endo_relabel(f: MultiFunctional, rho: dict, rho_closed: dict | None = None):
     inv_o = {rho[l]: l for l in f.labels}
     inv_c = {rho_closed[l]: l for l in f.clabels}
     slots = _slots(f, [inv_o[l] for l in new_open], [inv_c[l] for l in new_closed])
-    entries = _reorder_slots(f, slots)
+    entries = precompose_entries(f.entries, tuple(slots), f.degree_table)
     return MultiFunctional._built(f.space, tuple(new_open), entries, f.degree,
                                   f.cspace, tuple(new_closed))
 
@@ -156,18 +150,13 @@ def _split_labels(f, drop, colour):
 
 
 def endo_compose(f: MultiFunctional, a, g: MultiFunctional, b,
-                 colour: str = "open", order=None) -> MultiFunctional:
-    """Glue end a of f to end b of g through the inverse pairing.
-
-    ``order``, used by the assignment-independence tests, lists the result
-    labels of each factor (opens then closeds per factor) and may arrange
-    each block arbitrarily.
-    """
-    return _as_functional(f, *endo_compose_raw(f, a, g, b, colour, order))
+                 colour: str = "open") -> MultiFunctional:
+    """Glue end a of f to end b of g through the inverse pairing."""
+    return _as_functional(f, *endo_compose_raw(f, a, g, b, colour))
 
 
 def endo_compose_raw(f: MultiFunctional, a, g: MultiFunctional, b,
-                     colour: str = "open", order=None):
+                     colour: str = "open"):
     """``endo_compose`` as ``(labels, clabels, numerators, den, degree)``:
     the result's ascending labels per colour, its nonzero integer
     numerators by word over the denominator ``den``, and its degree.
@@ -192,8 +181,6 @@ def endo_compose_raw(f: MultiFunctional, a, g: MultiFunctional, b,
     lo2, lc2 = _split_labels(g, b, colour)
     if set(lo1) & set(lo2) or set(lc1) & set(lc2):
         raise LabelCollision("factors share labels")
-    if order is not None:
-        lo1, lc1, lo2, lc2 = [list(part) for part in order]
     glue_space = f.space if colour == "open" else f.cspace
     if glue_space is None:
         raise MissingLabel("no closed space present")

@@ -447,14 +447,11 @@ def _unshuffle_perm(labels, first_block):
 # -- open-surface residuals (b-sequence keyed, one or two colours) ----------
 
 
-def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
+def _ordered_cycle_sequence(cycles, arc, a_len):
     """Member labels listed cycle by cycle, nondecreasing lengths, with the
     glued cycle (given by its arc, the glued end omitted) leftmost among the
     cycles of its length; other cycles start at their minimum."""
-    keyed = []
-    for c in cycles:
-        second = c if tie == "lex" else tuple(-x for x in c)
-        keyed.append(((len(c), 0, second), c))
+    keyed = [((len(c), 0, c), c) for c in cycles]
     if a_len:
         keyed.append(((a_len, -1, ()), None))
     keyed.sort(key=lambda t: t[0])
@@ -464,7 +461,7 @@ def _ordered_cycle_sequence(cycles, arc, a_len, tie="lex"):
     return seq
 
 
-def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional:
+def _open_surface_residual(data: AlgebraData, key) -> MultiFunctional:
     check_key(data.kind, key)
     two = data.kind == "qoc"
     closed = range(1, key_closed(key) + 1)
@@ -482,28 +479,28 @@ def _open_surface_residual(data: AlgebraData, key, tie="lex") -> MultiFunctional
         T = data.tensor(key_of(data.kind, x))
         if not T:
             continue
-        perm = op.canonical_perm(x, tie=tie)[1]
+        perm = op.canonical_perm(x)[1]
         _self_glue(R, precompose_entries(T, perm, table), 0, P, table, mult=mult)
     if two:
         _closed_self_glue(data, key, table, R)
     for colour in op.colours(data.kind):
-        _glue_splittings(data, key, table, tie, R, colour)
+        _glue_splittings(data, key, table, R, colour)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, data.closed_space, key, R)
 
 
-def quantum_residual(data: AlgebraData, bseq, g: int, tie: str = "lex"):
+def quantum_residual(data: AlgebraData, bseq, g: int):
     """Hand-coded defining equation for b-sequence indexed maps."""
     if data.kind != "quantum_ainfty":
         raise KindMismatch("quantum residual needs open-surface data")
-    return _open_surface_residual(data, QuantumKey(trim_bseq(bseq), g), tie=tie)
+    return _open_surface_residual(data, QuantumKey(trim_bseq(bseq), g))
 
 
-def qoc_residual(data: AlgebraData, key: QocKey, tie: str = "lex"):
+def qoc_residual(data: AlgebraData, key: QocKey):
     """Hand-coded defining equation for the two-coloured maps."""
     if data.kind != "qoc":
         raise KindMismatch("qoc residual needs two-coloured data")
-    return _open_surface_residual(data, key, tie=tie)
+    return _open_surface_residual(data, key)
 
 
 def _closed_self_glue(data, key, table, R):
@@ -516,7 +513,7 @@ def _closed_self_glue(data, key, table, R):
                off=data.space.dim)
 
 
-def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
+def _factor(data, cycles, arc, empties, g, closed_n, colour, table):
     """One splitting factor: its stored tensor precomposed into the slot
     order of its representative, and its member labels in slot order; None
     when no map is stored for its shape.
@@ -536,16 +533,16 @@ def _factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
     T = data.tensor(QocKey(bseq, g, closed_n) if two else QuantumKey(bseq, g))
     if not T:
         return None
-    seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if opened else 0, tie)
+    seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if opened else 0)
     rho = {0: 1}
     rho.update((l, i + shift) for i, l in enumerate(seq))
     y = op._make(two, tuple(tuple(rho[l] for l in c) for c in cycles + glued),
                  empties, g, range(1, closed_n + 1))
-    perm = op.canonical_perm(y, tie=tie)[1]
+    perm = op.canonical_perm(y)[1]
     return precompose_entries(T, perm, table), seq
 
 
-def _glue_splittings(data, key, table, tie, R, colour):
+def _glue_splittings(data, key, table, R, colour):
     """Ordered splittings glued along an end of one colour: products of two
     maps, pulled back onto the slots of the key.  Each distinct factor is
     built once per call; the factors are not mutated by the joins."""
@@ -562,7 +559,7 @@ def _glue_splittings(data, key, table, tie, R, colour):
     def factor(cycles, arc, empties, g, closed_n):
         shape = (cycles, arc, empties, g, closed_n)
         if shape not in built:
-            built[shape] = _factor(data, *shape, colour, table, tie)
+            built[shape] = _factor(data, *shape, colour, table)
         return built[shape]
 
     for cyc1, cyc2, e1, e2, g1, arc1, arc2 in cases(rep.cycles, rep.empties, rep.g):

@@ -448,7 +448,7 @@ def contract(x, a, b, colour: str = "open", extended: bool = False):
 # canonical forms on standard label sets
 
 
-def canonical_perm(x, tie: str = "lex"):
+def canonical_perm(x):
     """Slot permutation carrying x (over open labels [n] and closed labels
     [c]) onto its orbit representative.
 
@@ -456,20 +456,15 @@ def canonical_perm(x, tie: str = "lex"):
     over all n + c slots, open slots first: open label l of x becomes label
     perm[l-1]+1 of the representative, and every closed slot is fixed,
     since the representative keeps the closed labels [c].  Callers
-    precompose a stored tensor by perm as it is.  ``tie`` fixes the order
-    among cycles of equal length; any admissible choice produces a valid
-    canonicalizing permutation.
+    precompose a stored tensor by perm as it is.  Cycles of equal length
+    are taken in lexicographic order.
     """
     if isinstance(x, QCElement):
         return x, tuple(range(len(x.labels)))
-    key = (lambda c: (len(c), c)) if tie == "lex" else (
-        lambda c: (len(c), tuple(-l for l in c))
-    )
-    ordered = sorted(x.cycles, key=key)
     n = x.arity
     perm = [0] * n
     pos = 0
-    for c in ordered:
+    for c in sorted(x.cycles, key=_cycle_order):
         for l in c:
             perm[l - 1] = pos
             pos += 1

@@ -1264,10 +1264,23 @@ class TestStringVertices:
             assert lhs == sgn * bv.string_vertex_F(self.data, 0, 1, (3,), rotated)
 
     def test_beta_choice_independence(self):
+        """The two one-letter blocks go onto the key's two one-cycles in
+        subscript order, and exchanging their arguments changes the value
+        by exactly their Koszul sign."""
+        T = self.data.tensor(FT.QuantumKey((0, 2, 1), 0))
+        degs = self.space.degrees
+        flips = 0
         for args in itertools.product(range(4), repeat=4):
-            a = bv.string_vertex_F(self.data, 0, 3, (2, 1, 1), args, tie="stable")
-            b = bv.string_vertex_F(self.data, 0, 3, (2, 1, 1), args, tie="revstable")
-            assert a == b
+            d0, d1, d2, d3 = (degs[k] for k in args)
+            lhs = bv.string_vertex_F(self.data, 0, 3, (2, 1, 1), args)
+            sgn = -1 if ((d0 + d1) * (d2 + d3)) % 2 else 1
+            assert lhs == -Fr(1, 2) * sgn * T.get(args[2:] + args[:2], Fr(0))
+            swapped = args[:2] + (args[3], args[2])
+            swap = -1 if (d2 * d3) % 2 else 1
+            assert lhs == swap * bv.string_vertex_F(self.data, 0, 3, (2, 1, 1),
+                                                    swapped)
+            flips += lhs != 0 and swap < 0
+        assert flips
 
     def test_vertex_with_empty_blocks(self):
         for args in itertools.product(range(4), repeat=2):
@@ -1304,8 +1317,7 @@ def _reference_herbst_generating_function(data, max_n, max_genus2):
                         denom = math.factorial(bbar)
                         for l in comp:
                             denom *= l
-                        _, vkey, vperm = bv._vertex_plan(data.kind, g, b, comp,
-                                                         0, "stable")
+                        _, vkey, vperm = bv._vertex_plan(data.kind, g, b, comp, 0)
                         back = word_getter(vperm)
                         for target in data.tensor(vkey):
                             word = back(target)
@@ -1422,6 +1434,27 @@ class TestHerbst:
                 assert got.terms
                 assert got.terms == _reference_herbst_generating_function(
                     data, max_n, max_genus2).terms
+
+    def test_generating_function_canonicalizes_only_stored_shapes(self, monkeypatch):
+        """The series canonicalizes the surface of a (composition, genus,
+        empty boundaries) shape only when the shape's vertex has a stored
+        word: the reference, which canonicalizes every shape, lists the
+        shapes, and those without a stored tensor are skipped."""
+        data = _criterion_9_data(900)
+        real = op.canonical_perm
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return real(x)
+
+        monkeypatch.setattr(op, "canonical_perm", counting)
+        want = _reference_herbst_generating_function(data, 5, 4).terms
+        stored = [x for x in seen if data.tensor(FT.key_of(data.kind, x))]
+        assert 0 < len(stored) < len(seen)
+        seen.clear()
+        assert bv.herbst_generating_function(data, 5, 4).terms == want
+        assert seen == stored
 
 
 def _reference_herbst_residual(data, bseq, g, args, families=None):

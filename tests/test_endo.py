@@ -121,17 +121,6 @@ class TestComposeContract:
         with pytest.raises(MissingLabel):
             endo_contract(f, 1, 7)
 
-    def test_assignment_independence(self, spaces):
-        """The result does not depend on the pinned slot assignment."""
-        V = spaces[4]
-        rng = random.Random(2)
-        f = G.random_functional(rng, V, (1, 3, 5), degree=0)
-        g = G.random_functional(rng, V, (2, 4), degree=1)
-        default = endo_compose(f, 3, g, 4)
-        shuffled = endo_compose(f, 3, g, 4, order=[[5, 1], [], [2], []])
-        assert default.same_entries(shuffled)
-        assert default.labels == shuffled.labels
-
 
 def _mixed_space():
     """block_space([0, 0]) in a basis that mixes the two vectors of each

@@ -231,10 +231,10 @@ class TestSpecializations:
         real_factor, real_glue = FT._factor, FT._glue_splittings
         builds, repeats = [], []
 
-        def factor(data, cycles, arc, empties, g, closed_n, colour, table, tie):
+        def factor(data, cycles, arc, empties, g, closed_n, colour, table):
             builds.append((cycles, arc, empties, g, closed_n))
             return real_factor(data, cycles, arc, empties, g, closed_n, colour,
-                               table, tie)
+                               table)
 
         def glue(*args):
             builds.clear()
@@ -315,15 +315,6 @@ class TestSpecializations:
         keys = [k for k in FT.enumerate_keys("quantum_ainfty", 3, 6)
                 if k.bseq[0] >= 2]
         _compare(data, keys, lambda k: FT.quantum_residual(data, k.bseq, k.g))
-
-    def test_quantum_tie_break_independence(self, v4):
-        """The residual does not depend on the admissible orderings chosen
-        inside the contribution formulas."""
-        data = FT.random_algebra("quantum_ainfty", v4, 4, 4, random.Random(15))
-        for key in FT.enumerate_keys("quantum_ainfty", 4, 4):
-            a = FT.quantum_residual(data, key.bseq, key.g, tie="lex")
-            b = FT.quantum_residual(data, key.bseq, key.g, tie="revlex")
-            assert a.entries == b.entries
 
     def test_residuals_stabilizer_invariant(self, v4):
         data = FT.random_algebra("quantum_ainfty", v4, 4, 4, random.Random(16))
@@ -421,16 +412,12 @@ class TestSpecializationsMixedPairing:
         self._compare("cyclic_ainfty", (4, 0),
                       lambda d, k: FT.cyclic_residual(d, k.n), mixed8)
 
-    @pytest.mark.parametrize("tie", ["lex", "revlex"])
-    def test_quantum(self, mixed8, tie):
+    def test_quantum(self, mixed8):
         self._compare("quantum_ainfty", (3, 2),
-                      lambda d, k: FT.quantum_residual(d, k.bseq, k.g, tie=tie),
-                      mixed8)
+                      lambda d, k: FT.quantum_residual(d, k.bseq, k.g), mixed8)
 
-    @pytest.mark.parametrize("tie", ["lex", "revlex"])
-    def test_qoc(self, mixed8, mixed4, tie):
-        self._compare("qoc", (3, 4),
-                      lambda d, k: FT.qoc_residual(d, k, tie=tie), mixed8, mixed4)
+    def test_qoc(self, mixed8, mixed4):
+        self._compare("qoc", (3, 4), FT.qoc_residual, mixed8, mixed4)
 
 
 class TestCyclicForms:

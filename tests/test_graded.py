@@ -376,6 +376,8 @@ class TestDirectConstruction:
         closeds = [l for _, l in sorted((rho_c[l], l) for l in f.clabels)]
         old = replace(
             f, labels=(3, 6, 9), clabels=(1, 8) if two else (),
-            entries=endo._reorder_slots(f, endo._slots(f, opens, closeds)),
+            entries=precompose_entries(f.entries,
+                                       tuple(endo._slots(f, opens, closeds)),
+                                       f.degree_table),
         )
         assert _fields(endo.endo_relabel(f, rho, rho_c)) == _fields(old)
