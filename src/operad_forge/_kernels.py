@@ -148,6 +148,34 @@ def precompose_entries(entries, perm, basis_degrees):
     return out
 
 
+class Memo(dict):
+    """A dict that fills a missing key k with ``fill(k)``.  Callers keep
+    one for as long as its values hold, at most one call."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def add_precomposed(out, entries, perm, basis_degrees):
+    """Add the entries of ``T o perm`` (``precompose_entries``) into the
+    dict ``out``, each signed entry written straight in."""
+    move = word_getter(perm)
+    masks = inversion_masks(invert_perm(perm))
+    parities = tuple(d % 2 for d in basis_degrees)
+    get = out.get
+    for word, value in entries.items():
+        w = move(word)
+        if mask_sign(masks, odd_mask(word, parities)) < 0:
+            out[w] = get(w, 0) - value
+        else:
+            out[w] = get(w, 0) + value
+
+
 def lcm_of_denominators(values):
     """The lcm of the denominators of the rational ``values``; 1 for none."""
     return math.lcm(*{v.denominator for v in values})

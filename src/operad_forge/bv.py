@@ -56,10 +56,11 @@ permutation into the raw sums with one Koszul sign.
 
 That sign is -1 to a quadratic form in the parities of the joined word's
 letters, so one form per join (the plan's) is split along the two words:
-each first entry reads its own sign and its row of cross terms once per
-join, each second entry its own sign, and a pair then costs one AND and
-one ``bit_count`` (``_kernels.form_at``, which the endomorphism operad's
-joins evaluate too).
+each first entry reads its own sign and its row of cross terms, each
+second entry its own sign, and a pair then costs one AND and one
+``bit_count`` (``_kernels.form_at``, which the endomorphism operad's
+joins evaluate too).  An entry's part depends on its odd mask only, so
+one ``bv_bracket`` call evaluates each form once per odd mask it meets.
 
 The self-bracket [S, S] visits each unordered pair of (key, glued-end
 orbit) entries of one colour once.  A diagonal pair runs as an ordered
@@ -95,10 +96,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import operads as op
 from ._kernels import (
+    Memo,
     apply_perm_to_word,
     form_at,
     invert_perm,
@@ -561,6 +563,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
     dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
     raw: dict = {}
+    signs = Memo(lambda form: Memo(partial(form_at, form, 0)))
     for colour in colours:
         closed = colour == "closed"
         space, off = _glued_space(x, colour)
@@ -584,27 +587,31 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
                 for q, (key2, j, buckets) in enumerate(
                         seconds[k:] if y is x else seconds):
                     _bracket_join(raw, _bracket_plan(kind, key1, i, key2, j, colour),
-                                  firsts, buckets, rows, y is x and q > 0)
+                                  firsts, buckets, rows, y is x and q > 0, signs)
                 k += 1
     return _add_raw(out, raw, dx * dp * dy)
 
 
-def _bracket_join(raw, plan, firsts, buckets, rows, twice):
+def _bracket_join(raw, plan, firsts, buckets, rows, twice, signs):
     """Add the glued words of one pair of ends, in canonical slot order,
     to the raw (key, word) sums; ``twice`` for the two orders of a
-    self-bracket's pair of distinct ends."""
+    self-bracket's pair of distinct ends.  ``signs`` holds, for one
+    ``bv_bracket`` call, each plan's sign form at each odd mask met
+    (``form_at``), so an entry is signed once per (form, mask) and not
+    once per join."""
     out_key, move, form, shift = plan
+    at = signs[form]
     signed: dict = {}  # each second entry with its own sign of tau
     evens: dict = {}  # the even ones, which an odd first entry meets twice
     for e, bucket in buckets.items():
         row = signed[e] = []
         for r2, b, p, v in bucket:
-            item = (r2, b, -v if form_at(form, 0, b)[0] else v)
+            item = (r2, b, -v if at[b][0] else v)
             row.append(item)
             if twice and not p:
                 evens.setdefault(e, []).append(item)
     for d, r1, a, p, vf in firsts:
-        own, cross = form_at(form, 0, a << shift)
+        own, cross = at[a << shift]
         if own:
             vf = -vf
         meets = signed

@@ -16,6 +16,12 @@ code with the generic route beyond the inverse pairing, the sign and
 permutation kernels, the subset enumeration and the orbit-representative
 lookup (``canonical_perm``, ``key_of``) that finds a stored map.
 
+Within one generic residual each oracle element is extended once per
+standard form (the element relabelled onto consecutive labels in label
+order, which fixes the extension's entries), together with the integer
+numerators its gluings read, and a term with a factor whose orbit stores
+no map is skipped: it is zero by linearity.  The memo lives for the call.
+
 The gluing and open self-gluing terms of the open-surface equations are
 sums over the ordered splittings along an open or a closed end and over
 the contraction preimages, each preimage up to the swap of the glued ends
@@ -26,7 +32,9 @@ reaches both families only through the pairing oracles ``dual_compose``
 and ``dual_contract``.  Each splitting factor's map is looked up by the
 factor's shape (cycle lengths, empty boundaries, genus, closed ends)
 before the factor is built, so a shape without a stored map costs one
-dictionary lookup.
+dictionary lookup; each pair of factor maps in one slot order is joined
+once per call, since the join does not depend on the labels, and each
+scaled join is written straight into the residual along every pull-back.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import operads as op
-from ._kernels import invert_perm, precompose_entries
+from ._kernels import Memo, add_precomposed, invert_perm, precompose_entries
 from .combinatorics import (
     QCElement,
     QOCSurface,
@@ -52,7 +60,8 @@ from .combinatorics import (
     trim_bseq,
 )
 from .endo import (
-    endo_compose_raw,
+    _compose_integers,
+    _integers,
     endo_contract_raw,
     endo_sum_raw,
 )
@@ -264,18 +273,27 @@ def make_map(data_kind, space, closed_space, key, entries) -> MultiFunctional:
 
 def functional_for(data: AlgebraData, x) -> MultiFunctional:
     """Extension of the representative-keyed maps to the basis element x."""
+    return _extended(data, x, {})[0]
+
+
+def _extended(data: AlgebraData, x, memo: dict):
+    """``functional_for(data, x)`` and its ``_integers``.  Both depend on
+    x only through x relabelled onto [n] and [c] in label order, so they
+    are computed once per such form and kept in ``memo``; only the labels
+    are x's own."""
     lo, lc = sorted(op.open_labels(x)), sorted(op.closed_labels(x))
-    rho = {l: i + 1 for i, l in enumerate(lo)}
-    rho_c = {l: i + 1 for i, l in enumerate(lc)}
-    rep, sigma = op.canonical_perm(op.relabel(x, rho, rho_c))
-    base = data.functional(key_of(data.kind, rep))
-    entries = base.entries
-    if sigma:
-        entries = precompose_entries(entries, tuple(sigma), base.degree_table)
+    y = op.relabel(x, {l: i + 1 for i, l in enumerate(lo)},
+                   {l: i + 1 for i, l in enumerate(lc)})
+    if y not in memo:
+        rep, sigma = op.canonical_perm(y)
+        f = data.functional(key_of(data.kind, rep))
+        f = f._derived(precompose_entries(f.entries, sigma, f.degree_table), 0)
+        memo[y] = f.entries, _integers(f)
+    entries, integers = memo[y]
     return MultiFunctional._built(
         data.space, tuple(lo), entries, 0,
         data.closed_space if data.kind == "qoc" else None, tuple(lc),
-    )
+    ), integers
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +309,34 @@ def ft_residual(data: AlgebraData, key) -> MultiFunctional:
 
 def _ft_terms(data: AlgebraData, rep):
     """``(weight, raw term)`` for each term of the generic residual at rep:
-    each contraction with weight -1 and each gluing with weight -1/2."""
+    each contraction with weight -1 and each gluing with weight -1/2.
+
+    Each factor is extended once per call (``_extended``), and each gluing
+    reads the integer numerators of its factors from there
+    (``endo._compose_integers``).  A term with a factor whose orbit stores
+    no map, or an empty one, is zero by linearity and is skipped, so no
+    operation runs on it.
+    """
     okind = OPERAD_OF[data.kind]
     colours = op.colours(data.kind)
+    memo: dict = {}
     for colour in colours:
         if data.kind == "cyclic_ainfty":
             continue
         a, b = op.fresh_pair(rep, colour)
         for x in op.dual_contract(okind, rep, a, b, colour=colour):
-            yield -1, endo_contract_raw(functional_for(data, x), a, b, colour)
+            f, _ = _extended(data, x, memo)
+            if f.entries:
+                yield -1, endo_contract_raw(f, a, b, colour)
     for colour in colours:
         a, b = op.fresh_pair(rep, colour)
         for x, y in op.dual_compose(okind, rep, a, b, colour=colour):
-            yield -HALF, endo_compose_raw(functional_for(data, x), a,
-                                          functional_for(data, y), b, colour)
+            f = _extended(data, x, memo)
+            if not f[0].entries:
+                continue
+            g = _extended(data, y, memo)
+            if g[0].entries:
+                yield -HALF, _compose_integers(*f, a, *g, b, colour)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +344,8 @@ def _ft_terms(data: AlgebraData, rep):
 
 
 def _glue_join(F, G, n1, n2, rows, table, colour="open", off=0):
-    """Pairing sum of two factors glued along one end, keyed by x_o y_o x_c y_c.
+    """Minus half the pairing sum of two factors glued along one end, the
+    weight of a gluing term in the equation, keyed by x_o y_o x_c y_c.
 
     F and G are factor tensors already precomposed by their canonicalizing
     permutations, with n1 and n2 open slots besides the glued end.  That end
@@ -338,8 +371,7 @@ def _glue_join(F, G, n1, n2, rows, table, colour="open", off=0):
         d, x_o, x_c = cut(w1, n1)
         deg_xo = sum(table[k] for k in x_o)
         deg_xc = sum(table[k] for k in x_c)
-        if colour == "closed" and (table[d] * deg_xo) % 2:
-            v1 = -v1
+        v1 *= HALF if colour == "closed" and (table[d] * deg_xo) % 2 else -HALF
         for e, coeff in rows[d - off]:
             bucket = buckets.get(e)
             if bucket is None:
@@ -354,10 +386,8 @@ def _glue_join(F, G, n1, n2, rows, table, colour="open", off=0):
     return acc
 
 
-def _pull_back(R, acc, psi, table, scale):
-    """Add scale * koszul(psi, deg w) * acc[psi . w] to R[w] for every w."""
-    for w, v in precompose_entries(acc, psi, table).items():
-        R[w] = R.get(w, ZERO) + scale * v
+# the hand route's pull-back of a join onto the slots of its key
+_pull_back = add_precomposed
 
 
 def _self_glue(R, T, at, P, table, off=0, mult=1):
@@ -405,7 +435,7 @@ def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
             if not acc:
                 continue
             for c1 in itertools.combinations(labels, n1):
-                _pull_back(R, acc, _unshuffle_perm(labels, c1), table, -HALF)
+                _pull_back(R, acc, _unshuffle_perm(labels, c1), table)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -427,7 +457,7 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
             continue
         for s in range(n):
             psi = tuple((i - s) % n for i in range(n))  # label s+k goes to slot k-1
-            _pull_back(R, acc, psi, table, -HALF)
+            _pull_back(R, acc, psi, table)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -514,9 +544,10 @@ def _closed_self_glue(data, key, table, R):
 
 
 def _factor(data, cycles, arc, empties, g, closed_n, colour, table):
-    """One splitting factor: its stored tensor precomposed into the slot
-    order of its representative, and its member labels in slot order; None
-    when no map is stored for its shape.
+    """One splitting factor: the key of its stored map with the permutation
+    carrying the factor onto its representative, which fix the map in the
+    factor's slot order, and its member labels in slot order; None when no
+    map is stored for its shape.
 
     For an open gluing the factor gains the glued cycle, the glued end
     (open label 1) followed by ``arc``; for a closed gluing it gains the
@@ -530,22 +561,24 @@ def _factor(data, cycles, arc, empties, g, closed_n, colour, table):
     else:
         glued, shift, closed_n = (), 1, closed_n + 1
     bseq = b_sequence(cycles + glued, empties)
-    T = data.tensor(QocKey(bseq, g, closed_n) if two else QuantumKey(bseq, g))
-    if not T:
+    key = QocKey(bseq, g, closed_n) if two else QuantumKey(bseq, g)
+    if not data.tensor(key):
         return None
     seq = _ordered_cycle_sequence(cycles, arc, len(arc) + 1 if opened else 0)
     rho = {0: 1}
     rho.update((l, i + shift) for i, l in enumerate(seq))
     y = op._make(two, tuple(tuple(rho[l] for l in c) for c in cycles + glued),
                  empties, g, range(1, closed_n + 1))
-    perm = op.canonical_perm(y)[1]
-    return precompose_entries(T, perm, table), seq
+    return (key, op.canonical_perm(y)[1]), seq
 
 
 def _glue_splittings(data, key, table, R, colour):
     """Ordered splittings glued along an end of one colour: products of two
-    maps, pulled back onto the slots of the key.  Each distinct factor is
-    built once per call; the factors are not mutated by the joins."""
+    maps, pulled back onto the slots of the key.  Per call (``Memo``),
+    each distinct factor shape is looked up once, each (key, permutation)
+    precomposes its map once, and each pair of those is joined once: the
+    join does not depend on which labels the factors carry.  Nothing is
+    mutated after it is built."""
     rep = representative(key)
     n = key_arity(key)
     closed_labels = range(1, key_closed(key) + 1)
@@ -554,28 +587,23 @@ def _glue_splittings(data, key, table, R, colour):
     else:
         rows = data.closed_space.pairing.rows
         off, cases = data.space.dim, op._closed_splittings
-    built = {}
-
-    def factor(cycles, arc, empties, g, closed_n):
-        shape = (cycles, arc, empties, g, closed_n)
-        if shape not in built:
-            built[shape] = _factor(data, *shape, colour, table)
-        return built[shape]
-
+    factor = Memo(lambda shape: _factor(data, *shape, colour, table))
+    tensor = Memo(lambda k: precompose_entries(data.tensor(k[0]), k[1], table))
+    joins = Memo(lambda k: _glue_join(tensor[k[0]], tensor[k[1]], k[2], k[3],
+                                      rows, table, colour, off))
     for cyc1, cyc2, e1, e2, g1, arc1, arc2 in cases(rep.cycles, rep.empties, rep.g):
         for D1, D2 in op._ordered_splits(closed_labels):
-            f1 = factor(cyc1, arc1, e1, g1, len(D1))
+            f1 = factor[cyc1, arc1, e1, g1, len(D1)]
             if f1 is None:
                 continue
-            f2 = factor(cyc2, arc2, e2, rep.g - g1, len(D2))
+            f2 = factor[cyc2, arc2, e2, rep.g - g1, len(D2)]
             if f2 is None:
                 continue
-            (T1, seq1), (T2, seq2) = f1, f2
+            (k1, seq1), (k2, seq2) = f1, f2
             psi = _seq_perm(range(1, n + 1), seq1 + seq2) + tuple(
                 n + p for p in _unshuffle_perm(closed_labels, D1)
             )
-            acc = _glue_join(T1, T2, len(seq1), len(seq2), rows, table, colour, off)
-            _pull_back(R, acc, psi, table, -HALF)
+            _pull_back(R, joins[k1, k2, len(seq1), len(seq2)], psi, table)
 
 
 # ---------------------------------------------------------------------------

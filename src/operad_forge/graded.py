@@ -15,7 +15,9 @@ on first use and held by the space object: the ``contraction_pair``
 matrix, its nonzero rows, and both again as integer numerators over the
 lcm of their denominators.  Every gluing reads it there.  A space whose
 omega is singular still constructs, so ``validate_space`` can report it;
-reading its ``pairing`` raises ``SingularOmega``.
+reading its ``pairing`` raises ``SingularOmega``.  The nonzero entries of
+each row of the differential are kept the same way, as
+``differential_rows``, for the Leibniz sum of ``functional_differential``.
 """
 from __future__ import annotations
 
@@ -122,6 +124,14 @@ def _nonzero_rows(matrix) -> tuple:
 
 @dataclass(frozen=True)
 class GradedSymplecticSpace:
+    """A homogeneous basis with its degrees, differential and pairing.
+
+    Two views are computed on first use and kept on the object: the
+    inverse pairing record ``pairing`` and ``differential_rows``, the
+    nonzero (column, coefficient)s of each row of ``differential``.  The
+    fields are never changed after construction, so neither goes stale.
+    """
+
     basis_names: tuple
     degrees: tuple
     differential: tuple
@@ -147,6 +157,12 @@ class GradedSymplecticSpace:
                            for row in matrix)
         return Pairing(matrix, _nonzero_rows(matrix), int_matrix,
                        _nonzero_rows(int_matrix), den)
+
+    @cached_property
+    def differential_rows(self) -> tuple:
+        """Per basis vector i, the (j, differential[i][j]) that are nonzero:
+        the vectors whose image under d has a component along a_i."""
+        return _nonzero_rows(self.differential)
 
 
 def validate_space(space: GradedSymplecticSpace) -> list[str]:
@@ -351,28 +367,29 @@ def eval_via_iota(f: MultiFunctional, psi: dict, word) -> Fraction:
 
 
 def functional_differential(f: MultiFunctional) -> MultiFunctional:
-    """Signed Leibniz sum over slots; raises the degree by one."""
+    """Signed Leibniz sum over slots; raises the degree by one.  Each letter
+    meets only the nonzero entries of its row, from its space's
+    ``differential_rows``."""
     table = f.degree_table
-    no = len(f.labels)
-    spaces = [f.space] * no + [f.cspace] * len(f.clabels)
-    offs = [0] * no + [f.space.dim] * len(f.clabels)
+    no, nc = len(f.labels), len(f.clabels)
+    rows = [f.space.differential_rows] * no
+    offs = [0] * no
+    if nc:
+        rows += [f.cspace.differential_rows] * nc
+        offs += [f.space.dim] * nc
     entries: dict = {}
+    get = entries.get
     for w, v in f.entries.items():
         parity = sum(table[k] for k in w) % 2
         base = -v if parity else v  # (-1)^{|f|} with |f| = -deg(word)
         prefix = 0
-        for slot in range(f.arity):
-            sp = spaces[slot]
+        for slot, k in enumerate(w):
             off = offs[slot]
-            col = w[slot] - off
             sgn = -base if prefix % 2 else base
-            for j in range(sp.dim):
-                c = sp.differential[col][j]
-                if not c:
-                    continue
+            for j, c in rows[slot][k - off]:
                 nw = w[:slot] + (j + off,) + w[slot + 1 :]
-                entries[nw] = entries.get(nw, ZERO) + sgn * c
-            prefix += table[w[slot]]
+                entries[nw] = get(nw, ZERO) + sgn * c
+            prefix += table[k]
     entries = {w: v for w, v in entries.items() if v}
     degree = None if f.degree is None else f.degree + 1
     return f._derived(entries, degree)
@@ -391,8 +408,10 @@ def random_functional(rng, space, labels, degree=0, cspace=None, clabels=(),
     ranges = [range(space.dim)] * no + [
         range(space.dim, space.dim + cspace.dim) if cspace is not None else range(0)
     ] * nc
-    for w in itertools.product(*ranges):
-        if -sum(table[k] for k in w) != degree:
+    # each word's letter degrees, walked in step with the words
+    degrees = itertools.product(*[[table[k] for k in r] for r in ranges])
+    for w, ds in zip(itertools.product(*ranges), degrees):
+        if -sum(ds) != degree:
             continue
         if rng.random() < density:
             num = rng.randint(-max_num, max_num)

@@ -18,6 +18,7 @@ from operad_forge.errors import (
     SymmetryViolation,
     Unstable,
 )
+from test_endo import _hand_residual
 
 
 @pytest.fixture(scope="module")
@@ -296,15 +297,88 @@ class TestSpecializations:
             monkeypatch.setattr(endo, name, refuse)
         # the integer forms the generic residual sums, where ftalgebra
         # reaches them and where they are defined
-        for name in ("endo_contract_raw", "endo_compose_raw", "endo_sum_raw"):
+        for name in ("endo_contract_raw", "_compose_integers", "_integers",
+                     "endo_sum_raw"):
             monkeypatch.setattr(FT, name, refuse)
             monkeypatch.setattr(endo, name, refuse)
+        monkeypatch.setattr(endo, "endo_compose_raw", refuse)
+        # the generic route's extensions, so that no extension is shared
+        for name in ("functional_for", "_extended"):
+            monkeypatch.setattr(FT, name, refuse)
         for data, key, generic, _ in cases:
             if data.kind == "qoc":
                 got = FT.qoc_residual(data, key)
             else:
                 got = FT.quantum_residual(data, key.bseq, key.g)
             assert got.entries == generic, key
+
+    @staticmethod
+    def _half_stored(v2, v4, kind):
+        """A density-1 random algebra of one kind with every other stored
+        key dropped, and its keys."""
+        bounds = {"loop": (4, 4), "cyclic_ainfty": (6, 0),
+                  "quantum_ainfty": (3, 4), "qoc": (3, 4)}[kind]
+        data = FT.random_algebra(kind, v4, *bounds, random.Random(f"half {kind}"),
+                                 closed_space=v2 if kind == "qoc" else None,
+                                 density=1.0)
+        kept = sorted(data.maps, key=repr)[::2]
+        data = FT.AlgebraData(kind=kind, space=v4,
+                              maps={k: data.maps[k] for k in kept},
+                              closed_space=data.closed_space)
+        return data, FT.enumerate_keys(kind, *bounds)
+
+    @pytest.mark.parametrize("kind", FT.ALGEBRA_KINDS)
+    def test_half_stored_algebra_matches_the_hand_residual(self, v2, v4, kind):
+        """With half of the stored maps dropped, many oracle terms have a
+        factor without a map; skipping them leaves every key's generic
+        residual equal to the hand-coded one."""
+        data, keys = self._half_stored(v2, v4, kind)
+        _compare(data, keys, lambda k: _hand_residual(data, k))
+        assert any(FT.ft_residual(data, k).entries for k in keys)
+
+    @pytest.mark.parametrize("kind", FT.ALGEBRA_KINDS)
+    def test_operations_run_only_on_stored_factors(self, monkeypatch, v2, v4,
+                                                   kind):
+        """The generic residual runs a contraction or a gluing exactly for
+        the oracle terms whose factors all have a stored map: counted
+        around the operations it calls, against the pairing oracles'
+        terms classified by each factor's key."""
+        data, keys = self._half_stored(v2, v4, kind)
+        okind = FT.OPERAD_OF[kind]
+
+        def stored(x):
+            rho = {l: i + 1 for i, l in enumerate(sorted(op.open_labels(x)))}
+            rho_c = {l: i + 1 for i, l in enumerate(sorted(op.closed_labels(x)))}
+            rep, _ = op.canonical_perm(op.relabel(x, rho, rho_c))
+            return FT.key_of(kind, rep) in data.maps
+
+        want = got = skipped = 0
+        for key in keys:
+            rep = FT.representative(key)
+            for colour in op.colours(kind):
+                a, b = op.fresh_pair(rep, colour)
+                if kind != "cyclic_ainfty":
+                    for x in op.dual_contract(okind, rep, a, b, colour=colour):
+                        want += stored(x)
+                        skipped += not stored(x)
+                for x, y in op.dual_compose(okind, rep, a, b, colour=colour):
+                    want += stored(x) and stored(y)
+                    skipped += not (stored(x) and stored(y))
+        real = {name: getattr(FT, name)
+                for name in ("endo_contract_raw", "_compose_integers")}
+
+        def counted(name):
+            def run(*args):
+                nonlocal got
+                got += 1
+                return real[name](*args)
+            return run
+
+        for name in real:
+            monkeypatch.setattr(FT, name, counted(name))
+        for key in keys:
+            FT.ft_residual(data, key)
+        assert skipped and got == want
 
     def test_quantum_many_empty_boundaries(self, v4):
         """Keys with two or more empty boundaries, at doubled genus up to 6,

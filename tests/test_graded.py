@@ -167,8 +167,6 @@ class TestFunctionalDifferential:
         (-1)^(|f| + |u_1| + ... + |u_(i-1)|) d[k][u_i] f(u with u_i -> k),
         closed letters offset by dim and acted on by the closed d."""
         space = G.rich_space(4, with_differential=True)
-        dim = space.dim
-        table = space.degrees * (2 if two else 1)
         rng = random.Random(f"dense {two} {degree}")
         compared = 0
         for arity in (1, 2, 3):
@@ -177,23 +175,87 @@ class TestFunctionalDifferential:
                     rng, space, range(1, arity - nc + 1), degree=degree,
                     cspace=space if two else None, clabels=range(1, nc + 1),
                 )
-                letters = [range(dim)] * (arity - nc) + [range(dim, 2 * dim)] * nc
-                want = {}
-                for u in itertools.product(*letters):
-                    acc = Fr(0)
-                    for i, ui in enumerate(u):
-                        off = dim if ui >= dim else 0
-                        sign = -1 if (degree + sum(table[k] for k in u[:i])) % 2 else 1
-                        for k in range(dim):
-                            c = space.differential[k][ui - off]
-                            if c:
-                                acc += sign * c * f.value(u[:i] + (k + off,) + u[i + 1:])
-                    if acc:
-                        want[u] = acc
+                want = _dense_leibniz(f, space, arity - nc, nc)
                 got = G.functional_differential(f)
                 assert got.entries == want and got.degree == degree + 1
                 compared += len(want)
         assert compared
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_dense_leibniz_with_two_entries_in_a_row(self, two):
+        """On a space whose differential has rows with two nonzero entries
+        the sparse sum still meets every one: ``differential_rows`` lists
+        exactly the nonzero entries, and the differential equals the dense
+        Leibniz sum."""
+        space = _mixed_differential_space()
+        rows = space.differential_rows
+        assert rows == tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in space.differential)
+        assert max(map(len, rows)) == 2
+        assert space.differential_rows is rows
+        rng = random.Random(f"two in a row {two}")
+        compared = 0
+        for arity in (1, 2, 3):
+            for nc in range(1, arity + 1) if two else (0,):
+                for degree in (-1, 0, 1):
+                    f = G.random_functional(
+                        rng, space, range(1, arity - nc + 1), degree=degree,
+                        cspace=space if two else None, clabels=range(1, nc + 1),
+                    )
+                    want = _dense_leibniz(f, space, arity - nc, nc)
+                    assert G.functional_differential(f).entries == want
+                    compared += len(want)
+        assert compared
+
+
+def _dense_leibniz(f, space, no, nc):
+    """The Leibniz sum taken one output word u at a time:  (df)(u) = sum
+    over slots i and letters k of (-1)^(|f| + |u_1| + ... + |u_(i-1)|)
+    d[k][u_i] f(u with u_i -> k), closed letters offset by dim and acted
+    on by the closed d, here the same space's."""
+    dim = space.dim
+    table = space.degrees * 2
+    want = {}
+    for u in itertools.product(*[range(dim)] * no, *[range(dim, 2 * dim)] * nc):
+        acc = Fr(0)
+        for i, ui in enumerate(u):
+            off = dim if ui >= dim else 0
+            sign = -1 if (f.degree + sum(table[k] for k in u[:i])) % 2 else 1
+            for k in range(dim):
+                c = space.differential[k][ui - off]
+                if c:
+                    acc += sign * c * f.value(u[:i] + (k + off,) + u[i + 1:])
+        if acc:
+            want[u] = acc
+    return want
+
+
+def _mixed_differential_space():
+    """Two copies of ``rich_space(4)``, the differential on the first copy
+    only, in a basis mixing the two vectors of each degree: vector i and
+    i + 4 go to a_i + a_(i+4) and a_(i+4) - 2 a_i.  The differential
+    becomes B^-1 D B and the pairing B^T omega B, so each row of the
+    differential that is nonzero has two nonzero entries."""
+    V = G.block_space([0, -1, 0, -1], {(3, 1): 1, (0, 2): 1})
+    n, h = V.dim, V.dim // 2
+    B = [[Fr(0)] * n for _ in range(n)]
+    for i in range(h):
+        B[i][i], B[i + h][i] = Fr(1), Fr(1)
+        B[i][i + h], B[i + h][i + h] = Fr(-2), Fr(1)
+    Binv = G.invert_matrix(B)
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    Bt = [list(col) for col in zip(*B)]
+    space = G.GradedSymplecticSpace(
+        basis_names=V.basis_names, degrees=V.degrees,
+        differential=mul(mul(Binv, V.differential), B),
+        omega=mul(mul(Bt, V.omega), B),
+    )
+    assert G.validate_space(space) == []
+    return space
 
 
 class TestSpaceJson:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge._kernels import (
+    Memo,
+    add_precomposed,
     apply_perm_to_word,
     compose_perms,
     form_at,
@@ -137,7 +139,9 @@ def test_precompose_identity_copies_entries():
 
 
 def test_precompose_matches_per_word_definition():
-    """(T o perm)(a_w) = koszul(perm, deg w) * T(a_{perm . w}) on every word."""
+    """(T o perm)(a_w) = koszul(perm, deg w) * T(a_{perm . w}) on every word;
+    ``add_precomposed`` adds the same entries into a dict that holds some
+    of the words already."""
     rng = random.Random(5)
     degs = (0, 1, -1, 2)
     for _ in range(40):
@@ -155,6 +159,25 @@ def test_precompose_matches_per_word_definition():
             sign = koszul_sign(perm, tuple(degs[k] for k in u))
             expected[u] = sign * entries[apply_perm_to_word(perm, u)]
         assert precompose_entries(entries, perm, degs) == expected
+        held = {w: Fraction(rng.randint(-5, 5)) for w in list(expected)[::2]}
+        held[(9,) * n] = Fraction(1, 3)
+        out = dict(held)
+        add_precomposed(out, entries, perm, degs)
+        assert out == {w: held.get(w, 0) + expected.get(w, 0)
+                       for w in held.keys() | expected.keys()}
+
+
+def test_memo_fills_each_missing_key_once():
+    calls = []
+
+    def fill(k):
+        calls.append(k)
+        return k * k
+
+    memo = Memo(fill)
+    assert [memo[3], memo[4], memo[3]] == [9, 16, 9]
+    assert calls == [3, 4] and memo == {3: 9, 4: 16}
+    assert memo.get(5) is None and 5 not in memo
 
 
 def test_precompose_is_right_action():
