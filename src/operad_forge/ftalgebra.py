@@ -386,10 +386,6 @@ def _glue_join(F, G, n1, n2, rows, table, colour="open", off=0):
     return acc
 
 
-# the hand route's pull-back of a join onto the slots of its key
-_pull_back = add_precomposed
-
-
 def _self_glue(R, T, at, P, table, off=0, mult=1):
     """Subtract mult * sum_{d,e} P[d][e] T(w[:at] a_d a_e w[at:]) from R[w].
 
@@ -435,7 +431,7 @@ def loop_residual(data: AlgebraData, n: int, genus: int) -> MultiFunctional:
             if not acc:
                 continue
             for c1 in itertools.combinations(labels, n1):
-                _pull_back(R, acc, _unshuffle_perm(labels, c1), table)
+                add_precomposed(R, acc, _unshuffle_perm(labels, c1), table)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -457,7 +453,7 @@ def cyclic_residual(data: AlgebraData, n: int) -> MultiFunctional:
             continue
         for s in range(n):
             psi = tuple((i - s) % n for i in range(n))  # label s+k goes to slot k-1
-            _pull_back(R, acc, psi, table)
+            add_precomposed(R, acc, psi, table)
     R = {w: v for w, v in R.items() if v}
     return make_map(data.kind, space, None, key, R)
 
@@ -603,7 +599,7 @@ def _glue_splittings(data, key, table, R, colour):
             psi = _seq_perm(range(1, n + 1), seq1 + seq2) + tuple(
                 n + p for p in _unshuffle_perm(closed_labels, D1)
             )
-            _pull_back(R, joins[k1, k2, len(seq1), len(seq2)], psi, table)
+            add_precomposed(R, joins[k1, k2, len(seq1), len(seq2)], psi, table)
 
 
 # ---------------------------------------------------------------------------

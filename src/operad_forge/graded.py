@@ -408,10 +408,8 @@ def random_functional(rng, space, labels, degree=0, cspace=None, clabels=(),
     ranges = [range(space.dim)] * no + [
         range(space.dim, space.dim + cspace.dim) if cspace is not None else range(0)
     ] * nc
-    # each word's letter degrees, walked in step with the words
-    degrees = itertools.product(*[[table[k] for k in r] for r in ranges])
-    for w, ds in zip(itertools.product(*ranges), degrees):
-        if -sum(ds) != degree:
+    for w in itertools.product(*ranges):
+        if -sum(table[k] for k in w) != degree:
             continue
         if rng.random() < density:
             num = rng.randint(-max_num, max_num)

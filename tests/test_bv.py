@@ -1395,7 +1395,7 @@ class TestHerbst:
 
         for name in ("_open_contractions", "_open_splittings", "_closed_splittings"):
             monkeypatch.setattr(op, name, refuse)
-        for name in ("_glue_join", "_pull_back", "_self_glue"):
+        for name in ("_glue_join", "add_precomposed", "_self_glue"):
             monkeypatch.setattr(FT, name, refuse)
             monkeypatch.setattr(bv, name, refuse, raising=False)
         for key in keys:
