@@ -9,6 +9,11 @@ Permutations are words in one-line notation over 0-based slots:
 action on tensors is ``perm(v_0 @ ... @ v_{n-1}) = sign * v_{q(0)} @ ...``
 with ``q`` the inverse permutation, i.e. the factor starting in slot ``i``
 ends up in slot ``perm[i]``.
+
+Every planned sign is -1 to a quadratic form in the parities of a word's
+letters.  ``SignForm`` is the one builder of such forms (slot moves, whole
+permutations, products and linear terms) and ``form_at`` the one
+evaluator; ``koszul_sign`` is the definition the tests check them against.
 """
 
 import math
@@ -57,20 +62,6 @@ def apply_perm_to_word(perm, word):
     return tuple(out)
 
 
-def inversion_masks(perm):
-    """Per slot i, the bitmask of the slots j > i with perm[j] < perm[i].
-
-    They depend on the permutation alone, so a caller moving many words
-    along one permutation computes them once and reads each word's Koszul
-    sign from them with ``mask_sign``.
-    """
-    n = len(perm)
-    return tuple(
-        sum(1 << j for j in range(i + 1, n) if perm[j] < p)
-        for i, p in enumerate(perm)
-    )
-
-
 def word_getter(positions):
     """The function taking a word to the tuple of its letters at ``positions``."""
     if len(positions) > 1:
@@ -90,33 +81,73 @@ def odd_mask(word, parities):
     return mask
 
 
-def mask_sign(masks, odd):
-    """``koszul_sign`` from a permutation's inversion masks and the odd mask
-    of the word it acts on.
+class SignForm:
+    """-1 to a quadratic form over GF(2) in the odd-degree indicators z_i of
+    the letters of a word: the sum of z_i z_j over the recorded pairs of
+    slots plus the sum of z_i over the recorded linear slots.
 
-    The sign is -1 to the number of inverted pairs of odd slots, which has
-    the parity of (XOR of masks[i] over the odd slots i) & odd.
+    ``rows[i]`` is the bitmask of the slots j > i paired with i, and
+    ``linear`` the bitmask of the linear slots; ``form_at`` reads the form
+    at a word's odd mask.  Koszul signs of moving slots and the signs of
+    the gluing formulas are all of this shape, so one form holds the
+    product of the signs of a whole operation.
     """
-    acc = 0
-    rest = odd
-    while rest:
-        low = rest & -rest
-        acc ^= masks[low.bit_length() - 1]
-        rest ^= low
-    return -1 if (acc & odd).bit_count() & 1 else 1
+
+    def __init__(self, n):
+        self.rows = [0] * n
+        self.linear = 0
+
+    @classmethod
+    def of_perm(cls, perm):
+        """The form of ``koszul_sign(perm, .)``: ``rows[i]`` holds the slots
+        j > i with perm[j] < perm[i]."""
+        n = len(perm)
+        form = cls(n)
+        for i, p in enumerate(perm):
+            form.rows[i] = sum(1 << j for j in range(i + 1, n) if perm[j] < p)
+        return form
+
+    def add_linear(self, slots):
+        """Add the sum of z over ``slots``."""
+        for i in slots:
+            self.linear ^= 1 << i
+
+    def add_product(self, first, second):
+        """Add (sum of z over ``first``) * (sum of z over ``second``)."""
+        for i in first:
+            for j in second:
+                if i == j:
+                    self.linear ^= 1 << i  # z_i z_i = z_i
+                elif i < j:
+                    self.rows[i] ^= 1 << j
+                else:
+                    self.rows[j] ^= 1 << i
+
+    def add_move(self, before, after):
+        """Add the Koszul sign of bringing the letters at the slots listed
+        in ``before`` into the order in which ``after`` lists them."""
+        rank = {s: k for k, s in enumerate(after)}
+        before = list(before)
+        rows = self.rows
+        for x, i in enumerate(before):
+            for j in before[x + 1 :]:
+                if rank[i] > rank[j]:  # the pair z_i z_j, with i != j
+                    if i < j:
+                        rows[i] ^= 1 << j
+                    else:
+                        rows[j] ^= 1 << i
 
 
 def form_at(rows, linear, z):
-    """``(parity, acc)`` of a quadratic form over GF(2) at the odd mask
-    ``z``: ``mask_sign`` with a linear part.
+    """``(parity, acc)`` of the form ``rows``, ``linear`` (a ``SignForm``'s)
+    at the odd mask ``z``; the sign is -1 to the parity.
 
-    The form is the sum of z_i z_j over the bits j of ``rows[i]`` and of
-    z_i over the bits i of ``linear``.  acc is the XOR of ``rows`` over the
-    odd slots, and the parity counts the pairs and linear slots among them;
-    acc's bits outside ``z`` are the form's cross terms with ``z``, so a
-    caller splitting a word's odd slots into disjoint parts A and B reads
-    the pairs of A with B as ``(acc & B).bit_count()`` when ``rows[i]``
-    holds, for each i in A, every partner of i in B, before or after it.
+    acc is the XOR of ``rows`` over the odd slots, and the parity counts
+    the pairs and linear slots among them.  acc's bits outside ``z`` are
+    the form's cross terms with ``z``: a caller splitting a word's odd
+    slots into disjoint parts A and B, every slot of A before every slot
+    of B, reads the pairs of A with B as ``(acc & B).bit_count()``, with
+    acc taken at A.
     """
     acc = 0
     rest = z
@@ -138,11 +169,11 @@ def precompose_entries(entries, perm, basis_degrees):
         return dict(entries)
     # a permutation other than the identity moves at least two slots
     move = itemgetter(*perm)
-    masks = inversion_masks(invert_perm(perm))
+    rows = SignForm.of_perm(invert_perm(perm)).rows
     parities = tuple(d % 2 for d in basis_degrees)
     out = {}
     for word, value in entries.items():
-        if mask_sign(masks, odd_mask(word, parities)) < 0:
+        if form_at(rows, 0, odd_mask(word, parities))[0]:
             value = -value
         out[move(word)] = value
     return out
@@ -165,12 +196,12 @@ def add_precomposed(out, entries, perm, basis_degrees):
     """Add the entries of ``T o perm`` (``precompose_entries``) into the
     dict ``out``, each signed entry written straight in."""
     move = word_getter(perm)
-    masks = inversion_masks(invert_perm(perm))
+    rows = SignForm.of_perm(invert_perm(perm)).rows
     parities = tuple(d % 2 for d in basis_degrees)
     get = out.get
     for word, value in entries.items():
         w = move(word)
-        if mask_sign(masks, odd_mask(word, parities)) < 0:
+        if form_at(rows, 0, odd_mask(word, parities))[0]:
             out[w] = get(w, 0) - value
         else:
             out[w] = get(w, 0) + value

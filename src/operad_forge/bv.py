@@ -21,7 +21,7 @@ Each key has one ``lru_cache``d symmetry plan (``_symmetry``), the
 ``combinatorics.WordSymmetry`` of its shape and letter parities: its cycle
 blocks grouped by length, and, once a class is expanded into its invariant
 functional, the stabilizer's generators as pairs of word getter and
-inversion masks.  A canonical word rotates each block to its least
+sign-form rows.  A canonical word rotates each block to its least
 rotation, trying only the rotations that start at the block's least letter
 and reading each sign off the block's odd mask; it sorts a group of
 equal-length blocks only when the group has more than one member, and the
@@ -48,19 +48,22 @@ The bracket and the loop operation do not go through the endomorphism
 operad's ``endo_compose``/``endo_contract``, on which the generic residual
 they are checked against is built.  What depends on the shape only (the
 output key, the permutation carrying the glued or contracted surface onto
-its representative, its inversion masks and the end weights) is an
+its representative, its sign form and the end weights) is an
 ``lru_cache``d plan per (kind, keys, ends, colour); each factor is split
 around each glued end once per call, and a hash join over the nonzero
 entries of the inverse pairing writes every glued word through the plan's
 permutation into the raw sums with one Koszul sign.
 
-That sign is -1 to a quadratic form in the parities of the joined word's
-letters, so one form per join (the plan's) is split along the two words:
-each first entry reads its own sign and its row of cross terms, each
-second entry its own sign, and a pair then costs one AND and one
-``bit_count`` (``_kernels.form_at``, which the endomorphism operad's
-joins evaluate too).  An entry's part depends on its odd mask only, so
-one ``bv_bracket`` call evaluates each form once per odd mask it meets.
+Every planned sign here is -1 to a quadratic form in the parities of a
+word's letters, built once per plan by ``_kernels.SignForm`` and read by
+``_kernels.form_at``, the builder and evaluator of the endomorphism
+operad's joins too.  The loop operation's form carries the contraction's
+own sign, the parity of the word, as its linear part.  The bracket's form
+(one per joined pair of ends) is split along the two words: each second
+entry reads its own sign and its accumulated row, each first entry its
+own sign, and a pair then costs one AND and one ``bit_count``.  An
+entry's part depends on its odd mask only, so one ``bv_bracket`` call
+evaluates each form once per odd mask it meets.
 
 The self-bracket [S, S] visits each unordered pair of (key, glued-end
 orbit) entries of one colour once.  A diagonal pair runs as an ordered
@@ -78,10 +81,10 @@ memo outlives the call.
 The block-indexed relation ``herbst_residual`` is planned the same way,
 once per profile (bseq, g): the plan lists its merged-cycle, split-cycle
 and splitting terms, each with its scale, the map key and source positions
-of each string vertex, and the inversion masks of the one permutation
-taking the source word (d, e) + args to the vertex target words.  Koszul
-signs compose, so that permutation's sign, read with one ``mask_sign``,
-is the sign of the reordering times the sign of each vertex's block
+of each string vertex, and the sign form of the one permutation taking
+the source word (d, e) + args to the vertex target words.  Koszul signs
+compose, so that permutation's sign, read with one ``form_at``, is the
+sign of the reordering times the sign of each vertex's block
 permutation.  The relation shares the vertex plans, the inverse pairing
 rows and the kernels with the route it checks, and nothing else.
 
@@ -101,13 +104,12 @@ from functools import lru_cache, partial
 from . import operads as op
 from ._kernels import (
     Memo,
+    SignForm,
     apply_perm_to_word,
     form_at,
     invert_perm,
-    inversion_masks,
     koszul_sign,
     lcm_of_denominators,
-    mask_sign,
     numerators,
     odd_mask,
     word_getter,
@@ -381,14 +383,15 @@ def bv_diff(x: BVElement) -> BVElement:
 def _delta_plan(kind, key, i, j, colour):
     """The shape-only part of contracting ends i and j of one colour of the
     representative of ``key``: (output key, slots of the two ends, getter of
-    the remaining letters in canonical order, inversion masks, scale).
+    the remaining letters in canonical order, sign form, scale).
 
     The move tau sends the two ends to the front and every other slot s to
     2 + sigma(s), with sigma the canonicalizing permutation of the
     contracted surface; its Koszul sign is the sign of bringing the ends
     together in front (in ``endo_contract``'s closed case, bringing them in
-    front of the open block) times the sign of sigma on the rest.  The
-    scale is minus the pair's end weight.
+    front of the open block) times the sign of sigma on the rest.  The form
+    is that sign times the contraction's own, as in ``endo_contract`` the
+    parity of the whole word.  The scale is minus the pair's end weight.
     """
     n, c = key_arity(key), key_closed(key)
     base = 0 if colour == "open" else n
@@ -400,8 +403,10 @@ def _delta_plan(kind, key, i, j, colour):
     rest = [s for s in range(n + c) if s not in (pa, pb)]
     for k, s in enumerate(rest):
         tau[s] = 2 + sigma[k]
+    form = SignForm.of_perm(tau)
+    form.add_linear(range(n + c))
     return (key_of(kind, rep_out), pa, pb,
-            word_getter(invert_perm(tau)[2:]), inversion_masks(tau),
+            word_getter(invert_perm(tau)[2:]), form,
             -_end_weights(kind, key, colour, 2)[i, j])
 
 
@@ -430,9 +435,8 @@ def bv_delta(x: BVElement) -> BVElement:
     arity n+2 and genus2 G feed components of arity n and genus2 G+2.
 
     Each stored word is contracted through the inverse pairing and moved
-    straight into canonical slot order with one Koszul sign; the sign of
-    the contraction itself, as in ``endo_contract``, is the parity of the
-    whole word.
+    straight into canonical slot order with one sign, that of the plan's
+    form: the Koszul sign of the move times the contraction's own.
     """
     if x.kind == "cyclic_ainfty":
         raise KindMismatch("the genus-zero cyclic kind carries no loop operation")
@@ -448,19 +452,18 @@ def bv_delta(x: BVElement) -> BVElement:
     ]
     ds = lcm_of_denominators(plan[5] for _, _, plan in jobs)
     raw: dict = {}
-    for key, colour, (out_key, pa, pb, rest, masks, scale) in jobs:
+    for key, colour, (out_key, pa, pb, rest, form, scale) in jobs:
         space, off = _glued_space(x, colour)
         matrix, den = space.pairing.int_matrix, space.pairing.den
+        rows, linear = form.rows, form.linear
         # the scale carries the colour's share of the common pairing lcm
         sn = scale.numerator * (ds // scale.denominator) * (dp // den)
         for w, v in fx[key].items():
             coeff = matrix[w[pa] - off][w[pb] - off]
             if not coeff:
                 continue
-            odd = odd_mask(w, parities)
             val = sn * coeff * v
-            # the contraction's own sign is the parity of the word
-            if (mask_sign(masks, odd) < 0) != (odd.bit_count() & 1):
+            if form_at(rows, linear, odd_mask(w, parities))[0]:
                 val = -val
             rk = (out_key, rest(w))
             raw[rk] = raw.get(rk, 0) + val
@@ -510,8 +513,8 @@ def _integer_factor(x: BVElement, colours):
 def _bracket_plan(kind, key1, i, key2, j, colour):
     """The shape-only part of gluing end i of one colour of key1's
     representative to end j of key2's: (output key, getter moving the word
-    rest2 + rest1 into canonical slot order, the join's sign form over
-    that word, and the length of rest2).
+    rest2 + rest1 into canonical slot order, the rows of the join's sign
+    form over that word, and the length of rest2).
 
     In ``natural_compose``'s slot order the glued surface reads x1 x2 y1
     y2 (x the opens, y the closeds that stay), and ``canonical_perm``
@@ -520,9 +523,11 @@ def _bracket_plan(kind, key1, i, key2, j, colour):
     reordering costs (|x2| + |y2|)(|x1| + |y1|) + |x2| |y1|, which is
     exactly the part of ``endo_compose``'s sign that pairs the two
     factors, so the whole pair sign is the two factors' own signs times
-    the Koszul sign of tau.  The form holds tau's inversion masks, and
-    each slot of rest1 also holds its inversions with the slots of rest2
-    before it (``form_at``'s cross terms).
+    the Koszul sign of tau, whose form's rows the plan holds as a tuple:
+    plans of one tau share their signs in ``bv_bracket``.  The rows are
+    triangular, and rest2 sits before rest1, so a second entry's
+    accumulated row holds every pair it makes with a first entry
+    (``form_at``'s cross terms).
     """
     z = op.natural_compose(representative(key1), i + 1, representative(key2),
                            j + 1, colour=colour)
@@ -534,11 +539,8 @@ def _bracket_plan(kind, key1, i, key2, j, colour):
     cuts = (0, nx1, nx1 + nx2, nx2 + m1, m1 + m2)
     x1, x2, y1, y2 = (range(a, b) for a, b in zip(cuts, cuts[1:]))
     tau = [sigma[t] for t in (*x2, *y2, *x1, *y1)]
-    rows = list(inversion_masks(tau))
-    for t in range(m2, m2 + m1):
-        rows[t] |= sum(1 << u for u in range(m2) if tau[u] > tau[t])
-    return (key_of(kind, rep_out), word_getter(invert_perm(tau)), tuple(rows),
-            m2)
+    return (key_of(kind, rep_out), word_getter(invert_perm(tau)),
+            tuple(SignForm.of_perm(tau).rows), m2)
 
 
 def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
@@ -563,7 +565,7 @@ def bv_bracket(x: BVElement, y: BVElement) -> BVElement:
     fy, wy, dy = (fx, wx, dx) if y is x else _integer_factor(y, colours)
     dp = math.lcm(*(_glued_space(x, colour)[0].pairing.den for colour in colours))
     raw: dict = {}
-    signs = Memo(lambda form: Memo(partial(form_at, form, 0)))
+    signs = Memo(lambda rows: Memo(partial(form_at, rows, 0)))
     for colour in colours:
         closed = colour == "closed"
         space, off = _glued_space(x, colour)
@@ -601,18 +603,20 @@ def _bracket_join(raw, plan, firsts, buckets, rows, twice, signs):
     once per join."""
     out_key, move, form, shift = plan
     at = signs[form]
-    signed: dict = {}  # each second entry with its own sign of tau
+    # each second entry with its own sign of tau and its accumulated row
+    signed: dict = {}
     evens: dict = {}  # the even ones, which an odd first entry meets twice
     for e, bucket in buckets.items():
         row = signed[e] = []
         for r2, b, p, v in bucket:
-            item = (r2, b, -v if at[b][0] else v)
+            own, acc = at[b]
+            item = (r2, acc, -v if own else v)
             row.append(item)
             if twice and not p:
                 evens.setdefault(e, []).append(item)
     for d, r1, a, p, vf in firsts:
-        own, cross = at[a << shift]
-        if own:
+        a <<= shift
+        if at[a][0]:
             vf = -vf
         meets = signed
         if twice:
@@ -624,9 +628,9 @@ def _bracket_join(raw, plan, firsts, buckets, rows, twice, signs):
             if bucket is None:
                 continue
             vfc = vf * coeff
-            for r2, b, vg in bucket:
+            for r2, acc, vg in bucket:
                 val = vfc * vg
-                if (cross & b).bit_count() & 1:
+                if (acc & a).bit_count() & 1:
                     val = -val
                 rk = (out_key, move(r2 + r1))
                 raw[rk] = raw.get(rk, 0) + val
@@ -772,10 +776,11 @@ def _block_sort_perm(lengths):
 
 
 @lru_cache(maxsize=None)
-def _vertex_plan(kind, g, b_total, blocks, n_closed):
+def _vertex_plan(kind, g, b_total, blocks):
     """The argument-independent part of a string vertex: (number of open
     arguments, map key, block permutation); the key is None when there are
-    more blocks than boundaries."""
+    more blocks than boundaries, and a two-coloured key has no closed
+    ends."""
     blocks = tuple(int(l) for l in blocks)
     if any(l < 1 for l in blocks):
         raise PreconditionViolated("blocks must be nonempty")
@@ -787,15 +792,14 @@ def _vertex_plan(kind, g, b_total, blocks, n_closed):
         counts[l] += 1
     bseq = trim_bseq(counts)
     if kind == "qoc":
-        key = QocKey(bseq, g, n_closed)
+        key = QocKey(bseq, g, 0)
     else:
         key = QuantumKey(bseq, g)
     perm = block_permutation(_block_sort_perm(blocks), blocks)
     return sum(blocks), key, perm
 
 
-def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
-                    closed_args=()) -> Fraction:
+def string_vertex_F(data: AlgebraData, g, b_total, blocks, args) -> Fraction:
     """Block-indexed evaluation of one map, minus one half by convention.
 
     ``blocks`` are the nonempty block lengths in subscript order; the total
@@ -804,9 +808,7 @@ def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
     so exchanging the arguments of two blocks of one length only changes
     the value by their Koszul sign, since the stored map is invariant.
     """
-    n_open, key, perm = _vertex_plan(
-        data.kind, g, b_total, tuple(blocks), len(closed_args)
-    )
+    n_open, key, perm = _vertex_plan(data.kind, g, b_total, tuple(blocks))
     if n_open != len(args):
         raise PreconditionViolated("arguments do not fill the blocks")
     if key is None:
@@ -815,11 +817,7 @@ def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
     if not T:
         return ZERO
     word = tuple(args)
-    target = apply_perm_to_word(perm, word)
-    if data.kind == "qoc":
-        off = data.space.dim
-        target = target + tuple(k + off for k in closed_args)
-    value = T.get(target)
+    value = T.get(apply_perm_to_word(perm, word))
     if not value:
         return ZERO
     table = data.space.degrees
@@ -828,16 +826,14 @@ def string_vertex_F(data: AlgebraData, g, b_total, blocks, args,
     return HALF * value
 
 
-def string_vertex_V(data: AlgebraData, g, blocks, args,
-                    closed_args=()) -> Fraction:
+def string_vertex_V(data: AlgebraData, g, blocks, args) -> Fraction:
     """String vertex allowing empty blocks: the empty ones are dropped in
     order and contribute a factorial weight."""
     blocks = tuple(int(l) for l in blocks)
     nonzero = tuple(l for l in blocks if l)
     b0 = len(blocks) - len(nonzero)
-    return math.factorial(b0) * string_vertex_F(
-        data, g, len(blocks), nonzero, args, closed_args=closed_args
-    )
+    return math.factorial(b0) * string_vertex_F(data, g, len(blocks),
+                                                nonzero, args)
 
 
 # ---------------------------------------------------------------------------
@@ -859,18 +855,18 @@ def _check_minimal(data: AlgebraData):
 @lru_cache(maxsize=None)
 def _herbst_plan(bseq, g):
     """The word-independent part of the block-indexed relation of the
-    profile (bseq, g): its arity and its terms (scale, vertices, inversion
-    masks), in the order merged-cycle, split-cycle, splitting.
+    profile (bseq, g): its arity and its terms (scale, vertices, sign-form
+    rows), in the order merged-cycle, split-cycle, splitting.
 
     A term reads its vertex words off the source word (d, e) + args, in
     which a is slot 0, b slot 1 and label l slot l + 1: each vertex is
     (map key, getter of the source slots filling the key's target word).
     Listed in the order of the vertex's block-indexed word, those slots
-    go through its block permutation into target order.  The masks are
-    those of the composite, which sends each source slot to its slot in
-    the target words side by side; its Koszul sign is the sign of
-    reordering the source word into the block-indexed words times the
-    sign of each vertex's block permutation.
+    go through its block permutation into target order.  The form is the
+    Koszul sign of the composite, which sends each source slot to its slot
+    in the target words side by side: the sign of reordering the source
+    word into the block-indexed words times the sign of each vertex's
+    block permutation.
     """
     rep = representative(QuantumKey(bseq, g))
     cyc = [tuple(l + 1 for l in c) for c in rep.cycles]  # as source slots
@@ -881,12 +877,12 @@ def _herbst_plan(bseq, g):
         # vertices: (genus, boundaries, blocks, source positions) per vertex
         parts, targets = [], []
         for gv, b_total, blocks, sources in vertices:
-            _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks, 0)
+            _, key, perm = _vertex_plan("quantum_ainfty", gv, b_total, blocks)
             at = apply_perm_to_word(perm, sources)
             parts.append((key, word_getter(at)))
             targets += at
         terms.append((scale, tuple(parts),
-                      inversion_masks(invert_perm(targets))))
+                      SignForm.of_perm(invert_perm(targets)).rows))
 
     # merged-cycle terms: a and b join two boundary cycles into one
     for i in range(nb):
@@ -950,16 +946,22 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
     The terms come from ``_herbst_plan``, which holds per term its scale
     (-1/2 for the merged-cycle and split-cycle terms, -1/8 for a
     splitting term: one half of the right side times one half per
-    vertex), the map key and source positions of each vertex, and
-    inversion masks.  Per nonzero entry (d, e, c) of the inverse pairing a
-    term gathers its vertex words from (d, e) + args and looks each up in
-    its stored tensor.  Its sign is the Koszul sign of reordering
-    (d, e) + args into the vertex words times that of each vertex's block
-    permutation; Koszul signs compose, so this is the sign of the
-    composite permutation, one ``mask_sign`` of its masks on the odd mask
-    of (d, e) + args.
+    vertex), the map key and source positions of each vertex, and a sign
+    form.  Per nonzero entry (d, e, c) of the inverse pairing a term
+    gathers its vertex words from (d, e) + args and looks each up in its
+    stored tensor.  Its sign is the Koszul sign of reordering (d, e) + args
+    into the vertex words times that of each vertex's block permutation;
+    Koszul signs compose, so this is the sign of the composite
+    permutation, one ``form_at`` of its form on the odd mask of
+    (d, e) + args.
     """
     _check_minimal(data)
+    return _herbst_at(data, bseq, g, args)
+
+
+def _herbst_at(data: AlgebraData, bseq, g, args) -> Fraction:
+    """``herbst_residual`` on data that ``_check_minimal`` has passed: a
+    caller evaluating many words of one algebra checks it once."""
     bseq = trim_bseq(bseq)
     if bseq[0] != 0:
         raise PreconditionViolated("the relation is indexed by profiles without "
@@ -977,7 +979,7 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
     ]
     tensor = data.tensor
     acc = ZERO
-    for scale, vertices, masks in terms:
+    for scale, vertices, rows in terms:
         total = ZERO
         if len(vertices) == 1:
             ((key, at),) = vertices
@@ -987,7 +989,7 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
             for src, odd, c in pairs:
                 v = T.get(at(src))
                 if v:
-                    total += c * v if mask_sign(masks, odd) > 0 else -c * v
+                    total += -c * v if form_at(rows, 0, odd)[0] else c * v
         else:
             (key1, at1), (key2, at2) = vertices
             T1, T2 = tensor(key1), tensor(key2)
@@ -1001,7 +1003,7 @@ def herbst_residual(data: AlgebraData, bseq, g, args) -> Fraction:
                 if not v2:
                     continue
                 v = c * v1 * v2
-                total += v if mask_sign(masks, odd) > 0 else -v
+                total += -v if form_at(rows, 0, odd)[0] else v
         if total:
             acc += scale * total
     return acc
@@ -1034,7 +1036,7 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                         genus2 = 4 * g + 2 * b - 2
                         if genus2 > max_genus2 or genus2 + n <= 2:
                             continue
-                        _, key, vperm = _vertex_plan(data.kind, g, b, comp, 0)
+                        _, key, vperm = _vertex_plan(data.kind, g, b, comp)
                         T = data.tensor(key)
                         if not T:
                             continue
@@ -1048,9 +1050,9 @@ def herbst_generating_function(data: AlgebraData, max_n, max_genus2) -> BVElemen
                         for i, p in enumerate(vperm):
                             pi[p] = sigma[i]
                         move = word_getter(invert_perm(pi))
-                        masks = inversion_masks(pi)
+                        rows = SignForm.of_perm(pi).rows
                         for target, value in T.items():
-                            if mask_sign(masks, odd_mask(target, parities)) < 0:
+                            if form_at(rows, 0, odd_mask(target, parities))[0]:
                                 value = -value
                             out.add_term(key, move(target), weight * value)
     return out.prune()

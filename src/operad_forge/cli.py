@@ -149,7 +149,7 @@ def cmd_master_eq(args) -> int:
                     continue
                 n = ft.key_arity(key)
                 for w in itertools.product(range(data.space.dim), repeat=n):
-                    v = bv.herbst_residual(data, key.bseq, key.g, w)
+                    v = bv._herbst_at(data, key.bseq, key.g, w)
                     if v:
                         entries.append((key, w, v))
         except OperadForgeError as exc:

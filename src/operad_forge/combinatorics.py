@@ -15,10 +15,11 @@ Conventions used throughout the package:
 - ``tuple_orbits`` walks the orbits of tuples (of ends, say) under moves
   such as a stabilizer's generators; no group element is listed.
 - The stabilizer moves words of basis letters, with Koszul signs from the
-  letters' parities.  ``symmetrize`` sums values over it, walking each
-  orbit of words once along the generators, and ``WordSymmetry`` puts words
-  in canonical form and expands classes back; the whole group is never
-  listed.
+  letters' parities: each generator's sign is a ``_kernels.SignForm``,
+  read with ``_kernels.form_at`` like every planned sign.  ``symmetrize``
+  sums values over it, walking each orbit of words once along the
+  generators, and ``WordSymmetry`` puts words in canonical form and
+  expands classes back; the whole group is never listed.
 """
 from __future__ import annotations
 
@@ -28,16 +29,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from ._kernels import (
-    apply_perm_to_word,
-    compose_perms,
-    invert_perm,
-    inversion_masks,
-    koszul_sign,
-    mask_sign,
-    odd_mask,
-    word_getter,
-)
+from ._kernels import SignForm, form_at, invert_perm, odd_mask, word_getter
 from .errors import DuplicateLabel, OverlappingCycles, Unstable
 
 __all__ = [
@@ -45,10 +37,6 @@ __all__ = [
     "QOSurface",
     "QOCSurface",
     "canonicalize_cycle",
-    "koszul_sign",
-    "apply_perm_to_word",
-    "compose_perms",
-    "invert_perm",
     "block_permutation",
     "b_sequence",
     "bseq_arity",
@@ -296,11 +284,12 @@ def stabilizer_generators(bseq: Sequence[int], free: int = 0) -> list[tuple[int,
 
 
 def stabilizer_moves(bseq: Sequence[int], free: int = 0) -> tuple:
-    """The stabilizer's generators as pairs of word getter and inversion
-    masks: the getter moves a word along the generator, and the masks give
-    the Koszul sign of the move with one ``mask_sign``."""
+    """The stabilizer's generators as pairs of word getter and sign-form
+    rows: the getter moves a word along the generator, and the rows
+    (``SignForm.of_perm``'s, with no linear part) give the Koszul sign of
+    the move with one ``form_at``."""
     return tuple(
-        (word_getter(invert_perm(t)), inversion_masks(t))
+        (word_getter(invert_perm(t)), SignForm.of_perm(t).rows)
         for t in stabilizer_generators(bseq, free)
     )
 
@@ -319,9 +308,9 @@ def _word_orbit(word, moves, parities):
     todo = [word]
     for w in todo:  # grows while it is walked
         s, odd = signs[w], odd_mask(w, parities)
-        for move, masks in moves:
+        for move, rows in moves:
             u = move(w)
-            su = s if mask_sign(masks, odd) > 0 else -s
+            su = -s if form_at(rows, 0, odd)[0] else s
             prev = signs.get(u)
             if prev is None:
                 signs[u] = su

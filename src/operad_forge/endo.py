@@ -10,8 +10,9 @@ Every operation below is defined through a particular slot assignment:
 each factor is moved into glue order, the join is signed there, and the
 result is transported back to the ascending assignment.  Each of those
 steps multiplies by -1 to a quadratic form in the parities of the letters,
-so one form per call (``_SignForm``) carries their product, and the join
-reads every stored word once, as it is stored.
+so one form per call (a ``_kernels.SignForm``) carries their product, and
+the join reads every stored word once, as it is stored, with the one
+evaluator ``_kernels.form_at``.
 
 The joins sum integer numerators: each factor's entries over the lcm of
 their denominators and the inverse pairing over the lcm of its own (the
@@ -24,6 +25,7 @@ import math
 from fractions import Fraction
 
 from ._kernels import (
+    SignForm,
     form_at,
     lcm_of_denominators,
     odd_mask,
@@ -53,48 +55,6 @@ def _slots(f: MultiFunctional, opens, closeds):
     out = [f.labels.index(l) for l in opens]
     out += [no + f.clabels.index(l) for l in closeds]
     return out
-
-
-class _SignForm:
-    """-1 to a quadratic form over GF(2) in the odd-degree indicators z_i of
-    the letters of a word: the sum of z_i z_j over the recorded pairs of
-    slots plus the sum of z_i over the recorded linear slots.
-
-    ``rows[i]`` is the bitmask of the slots j > i paired with i, and
-    ``linear`` the bitmask of the linear slots.  Koszul signs of moving
-    slots and the signs of the gluing formulas are all of this shape, so
-    one form holds the product of the signs of a whole operation.
-    """
-
-    def __init__(self, n):
-        self.rows = [0] * n
-        self.linear = 0
-
-    def add_linear(self, slots):
-        """Add the sum of z over ``slots``."""
-        for i in slots:
-            self.linear ^= 1 << i
-
-    def add_product(self, first, second):
-        """Add (sum of z over ``first``) * (sum of z over ``second``)."""
-        for i in first:
-            for j in second:
-                if i == j:
-                    self.linear ^= 1 << i  # z_i z_i = z_i
-                elif i < j:
-                    self.rows[i] ^= 1 << j
-                else:
-                    self.rows[j] ^= 1 << i
-
-    def add_move(self, before, after):
-        """Add the Koszul sign of bringing the letters at the slots listed
-        in ``before`` into the order in which ``after`` lists them."""
-        rank = {s: k for k, s in enumerate(after)}
-        before = list(before)
-        for x, i in enumerate(before):
-            for j in before[x + 1 :]:
-                if rank[i] > rank[j]:
-                    self.add_product((i,), (j,))
 
 
 def _integers(f: MultiFunctional):
@@ -212,7 +172,7 @@ def _compose_integers(f: MultiFunctional, fi, a, g: MultiFunctional, gi, b,
         d, e = _slots(f, (), (a,)), [nf + s for s in _slots(g, (), (b,))]
         glue_f, glue_g = x1 + d + y1, x2 + e + y2
     u = x1 + y1
-    form = _SignForm(nf + ng)
+    form = SignForm(nf + ng)
     form.add_move(range(nf), glue_f)
     form.add_move(range(nf, nf + ng), glue_g)
     form.add_linear(range(nf))  # p_f
@@ -291,7 +251,7 @@ def endo_contract_raw(f: MultiFunctional, a, b, colour: str = "open"):
     else:
         sa, sb = _slots(f, (), (a, b))
         glue = x + [sa, sb] + y
-    form = _SignForm(n)
+    form = SignForm(n)
     form.add_move(range(n), glue)
     form.add_linear(range(n))
     if colour == "closed":

@@ -21,6 +21,7 @@ from operad_forge.axioms import verify_axioms
 from operad_forge.endo import verify_twisted_axioms
 
 from coset_sections import orbit_transversal
+from hand_residuals import hand_residual
 
 
 def report(num, text):
@@ -107,7 +108,7 @@ def test_criterion_04_specialization_equivalence():
             for key in FT.enumerate_keys(kind, mn, 4 if kind != "cyclic_ainfty"
                                           else 0):
                 generic = FT.ft_residual(data, key)
-                special = _specialized(data, kind, key)
+                special = hand_residual(data, key)
                 assert generic.entries == special.entries, (kind, key)
             runs += 1
         # a dimension-4 run so the compared residuals are visibly nonzero
@@ -118,23 +119,13 @@ def test_criterion_04_specialization_equivalence():
         for key in FT.enumerate_keys(kind, 3, 4 if kind != "cyclic_ainfty"
                                      else 0):
             generic = FT.ft_residual(data, key)
-            special = _specialized(data, kind, key)
+            special = hand_residual(data, key)
             assert generic.entries == special.entries, (kind, key)
             nonzero += bool(special.entries)
         counts[kind] = runs
     assert nonzero > 0
     report(4, f"specialization equivalence: 20 random data sets per kind at "
               f"dim 2 plus dim-4 runs with {nonzero} nonzero residuals, exact")
-
-
-def _specialized(data, kind, key):
-    if kind == "loop":
-        return FT.loop_residual(data, key.n, key.genus)
-    if kind == "cyclic_ainfty":
-        return FT.cyclic_residual(data, key.n)
-    if kind == "quantum_ainfty":
-        return FT.quantum_residual(data, key.bseq, key.g)
-    return FT.qoc_residual(data, key)
 
 
 def test_criterion_05_master_equation_equivalence():

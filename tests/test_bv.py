@@ -1077,7 +1077,7 @@ class TestPolynomialForms:
 
         for name in ("_bracket_plan", "_delta_plan", "_end_weights",
                      "_split_at_end", "_bracket_join", "_integer_functionals",
-                     "form_at", "mask_sign"):
+                     "form_at"):
             monkeypatch.setattr(bv, name, refuse)
         assert [bv.qc_poly_delta(x).terms, bv.qc_poly_bracket(x, y).terms,
                 bv.qc_poly_bracket(y, x).terms] == expected
@@ -1317,7 +1317,7 @@ def _reference_herbst_generating_function(data, max_n, max_genus2):
                         denom = math.factorial(bbar)
                         for l in comp:
                             denom *= l
-                        _, vkey, vperm = bv._vertex_plan(data.kind, g, b, comp, 0)
+                        _, vkey, vperm = bv._vertex_plan(data.kind, g, b, comp)
                         back = word_getter(vperm)
                         for target in data.tensor(vkey):
                             word = back(target)

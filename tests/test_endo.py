@@ -21,6 +21,8 @@ from operad_forge.endo import (
 )
 from operad_forge.errors import LabelCollision, LabelMismatch, MissingLabel
 
+from hand_residuals import hand_residual
+
 
 @pytest.fixture(scope="module")
 def spaces():
@@ -320,16 +322,6 @@ def _nonzero_fractions(entries):
     return all(type(v) is Fr and v for v in entries.values())
 
 
-def _hand_residual(data, key):
-    if data.kind == "loop":
-        return FT.loop_residual(data, key.n, key.genus)
-    if data.kind == "cyclic_ainfty":
-        return FT.cyclic_residual(data, key.n)
-    if data.kind == "quantum_ainfty":
-        return FT.quantum_residual(data, key.bseq, key.g)
-    return FT.qoc_residual(data, key)
-
-
 class TestCommonDenominator:
     """endo_compose and endo_contract sum integer numerators: per factor
     over the lcm of its entries' denominators, times the lcm of the inverse
@@ -422,7 +414,7 @@ class TestCommonDenominator:
         compared = 0
         for key in FT.enumerate_keys(kind, *bounds):
             generic = FT.ft_residual(data, key)
-            assert generic.entries == _hand_residual(data, key).entries, key
+            assert generic.entries == hand_residual(data, key).entries, key
             assert _nonzero_fractions(generic.entries)
             compared += len(generic.entries)
         assert compared

@@ -18,7 +18,7 @@ from operad_forge.errors import (
     SymmetryViolation,
     Unstable,
 )
-from test_endo import _hand_residual
+from hand_residuals import hand_residual
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +333,7 @@ class TestSpecializations:
         factor without a map; skipping them leaves every key's generic
         residual equal to the hand-coded one."""
         data, keys = self._half_stored(v2, v4, kind)
-        _compare(data, keys, lambda k: _hand_residual(data, k))
+        _compare(data, keys, lambda k: hand_residual(data, k))
         assert any(FT.ft_residual(data, k).entries for k in keys)
 
     @pytest.mark.parametrize("kind", FT.ALGEBRA_KINDS)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from operad_forge._kernels import (
     Memo,
+    SignForm,
     add_precomposed,
     apply_perm_to_word,
     compose_perms,
     form_at,
     invert_perm,
-    inversion_masks,
     koszul_sign,
-    mask_sign,
     odd_mask,
     precompose_entries,
 )
@@ -69,59 +68,115 @@ def test_koszul_examples():
     assert koszul_sign((1, 2, 0), (1, 1, 1)) == 1
 
 
-def test_mask_sign_matches_pairwise_definition():
-    """The sign read from inversion masks is koszul_sign's count of inverted
-    odd pairs, for lengths 0 to 10 and negative odd degrees."""
-    rng = random.Random(13)
-    table = (0, 1, -1, 2, -3, -2)
-    parities = tuple(d % 2 for d in table)
-    signs = set()
-    for n in range(11):
-        for _ in range(40):
-            perm = random_perm(rng, n)
-            word = tuple(rng.randrange(len(table)) for _ in range(n))
-            got = mask_sign(inversion_masks(perm), odd_mask(word, parities))
-            want = koszul_sign(perm, tuple(table[k] for k in word))
-            assert got == want, (perm, word)
-            signs.add(got)
-    assert signs == {1, -1}
+def sign_at(form, z):
+    """The sign of a ``SignForm`` at the odd mask z, through ``form_at``."""
+    return -1 if form_at(form.rows, form.linear, z)[0] else 1
 
 
-@given(st.permutations(range(8)).flatmap(
-           lambda perm: st.tuples(st.just(tuple(perm)),
-                                  st.lists(st.integers(-3, 3), min_size=8,
-                                           max_size=8),
-                                  st.integers(0, 255))),
-       st.integers(0, 8))
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_split_form_matches_mask_sign(case, n):
-    """A word's Koszul sign read in two parts, as the bracket's joins read
-    it: the odd slots split into A (inside ``part``) and B (outside), each
-    part's own sign from ``form_at``, and the pairs across from one AND of
-    A's accumulated row with B, when each row of a slot in ``part`` also
-    holds its inverted partners outside ``part``, before or after it."""
-    perm, degrees, part = case
-    perm = tuple(p for p in perm if p < n)  # a permutation of range(n)
-    degrees = degrees[:n]
-    part &= (1 << n) - 1
+# a permutation of range(n), n from 0 to 9, with one degree per slot
+PERM_CASES = st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)).map(tuple),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+@given(PERM_CASES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_form_of_a_permutation_is_its_koszul_sign(case):
+    """``SignForm.of_perm`` is koszul_sign's count of inverted odd pairs,
+    with negative odd degrees too, and it is the form ``add_move`` builds
+    for the same move of all the slots."""
+    perm, degrees = case
+    n = len(perm)
+    form = SignForm.of_perm(perm)
     z = odd_mask(range(n), [d % 2 for d in degrees])
-    masks = inversion_masks(perm)
-    rows = list(masks)
-    for i in range(n):
-        if part >> i & 1:
-            partners = sum(1 << j for j in range(n)
-                           if (j - i) * (perm[j] - perm[i]) < 0)
-            rows[i] = masks[i] & part | partners & ~part
-    a, b = z & part, z & ~part
-    own_a, cross = form_at(rows, 0, a)
-    own_b = form_at(rows, 0, b)[0]
-    parity = own_a ^ own_b ^ (cross & b).bit_count() & 1
-    assert (-1) ** parity == mask_sign(masks, z) == koszul_sign(perm, degrees)
+    assert sign_at(form, z) == koszul_sign(perm, degrees)
+    assert form.linear == 0
+    moved = SignForm(n)
+    moved.add_move(range(n), invert_perm(perm))
+    assert (moved.rows, moved.linear) == (form.rows, 0)
+
+
+@given(PERM_CASES.filter(lambda case: case[0]).flatmap(lambda case: st.tuples(
+           st.just(case),
+           st.lists(st.integers(0, len(case[0]) - 1), unique=True)
+           .flatmap(lambda before: st.tuples(
+               st.just(before), st.permutations(before))))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_move_of_some_slots_is_their_koszul_sign(case):
+    """``add_move`` over a sub-list of the slots, in any order, is the
+    Koszul sign of the permutation it makes of the letters it lists."""
+    (perm, degrees), (before, after) = case
+    n = len(perm)
+    form = SignForm(n)
+    form.add_move(before, after)
+    rank = {s: k for k, s in enumerate(after)}
+    z = odd_mask(range(n), [d % 2 for d in degrees])
+    assert sign_at(form, z) == koszul_sign(
+        [rank[i] for i in before], [degrees[i] for i in before])
+
+
+SLOT_LISTS = st.lists(st.integers(0, 7), max_size=6)
+
+
+@given(st.lists(st.tuples(st.booleans(), SLOT_LISTS, SLOT_LISTS), max_size=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_products_and_linear_terms_match_brute_force(ops):
+    """A form built from ``add_product`` over slot lists that may overlap or
+    repeat (z_i z_i = z_i) and from ``add_linear`` is, at every odd mask,
+    the sum of those products and linear terms over GF(2); its rows stay
+    triangular."""
+    form = SignForm(8)
+    for product, first, second in ops:
+        if product:
+            form.add_product(first, second)
+        else:
+            form.add_linear(first)
+    for i, row in enumerate(form.rows):
+        assert row >> (i + 1) << (i + 1) == row
+    for z in range(1 << 8):
+        bit = [z >> i & 1 for i in range(8)]
+        total = 0
+        for product, first, second in ops:
+            if product:
+                total += sum(bit[i] for i in first) * sum(bit[j] for j in second)
+            else:
+                total += sum(bit[i] for i in first)
+        assert form_at(form.rows, form.linear, z)[0] == total % 2
+
+
+@given(PERM_CASES, st.integers(0, 9), st.integers(0, 1023),
+       st.lists(st.tuples(SLOT_LISTS, SLOT_LISTS), max_size=3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_split_read_gives_the_whole_sign(case, shift, linear, products):
+    """A word's sign read in two parts, as the joins read it: the slots
+    below ``shift`` (the bracket's rest2, the first factor of a gluing)
+    and the ones from ``shift`` on.  Each part reads its own sign, and the
+    pairs across are the earlier part's accumulated row against the later
+    part's odd mask; the rows stay triangular, with no cross terms added
+    by hand.  On a permutation's form the product is its Koszul sign."""
+    perm, degrees = case
+    n = len(perm)
+    shift = min(shift, n)
+    form = SignForm.of_perm(perm)
+    z = odd_mask(range(n), [d % 2 for d in degrees])
+    early, late = z & ((1 << shift) - 1), z >> shift << shift
+
+    def split_sign():
+        own_early, acc = form_at(form.rows, form.linear, early)
+        own_late = form_at(form.rows, form.linear, late)[0]
+        return -1 if own_early ^ own_late ^ (acc & late).bit_count() & 1 else 1
+
+    assert split_sign() == sign_at(form, z) == koszul_sign(perm, degrees)
+    if n:
+        form.add_linear(i for i in range(n) if linear >> i & 1)
+        for first, second in products:
+            form.add_product([i % n for i in first], [j % n for j in second])
+        assert split_sign() == sign_at(form, z)
 
 
 def test_form_at_with_a_linear_part():
     """The linear part adds one to the parity per odd slot it lists."""
-    rows = inversion_masks((2, 0, 1))
+    rows = SignForm.of_perm((2, 0, 1)).rows
     for z in range(8):
         for linear in range(8):
             got, acc = form_at(rows, linear, z)
